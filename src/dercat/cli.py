@@ -11,7 +11,6 @@ import json
 import sys
 import time
 
-from . import linalg
 from . import diagram
 from . import presheaf as ps
 from . import complexes as cx
@@ -32,43 +31,23 @@ def _load(path, field, want=None):
     return value
 
 
-def _load_morphism(path, f, g):
-    """A family of per-object chain maps φ_i : f_i → g_i from a file of
-    kind "morphism"."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as e:
-        raise se.FormatError("cannot read %s: %s" % (path, e))
-    except json.JSONDecodeError as e:
-        raise se.FormatError("%s:%d:%d: %s" % (path, e.lineno, e.colno, e.msg))
-    if obj.get("kind") != "morphism":
-        raise se.FormatError("%s: expected kind morphism" % (path,))
-    comps = {}
-    try:
-        for i, rows in obj["components"]:
-            i = se._dec_label(i)
-            comps[i] = se._dec_chain_map_body(f.value(i), g.value(i), rows)
-    except (KeyError, TypeError) as e:
-        raise se.FormatError("bad morphism file: %s" % (e,))
-    for i in f.shape.objects:
-        if i not in comps:
-            comps[i] = cx.zero_chain_map(f.value(i), g.value(i))
-    return comps
-
-
 def _dims_by_degree(x):
     return {p: x.term(p).total_dim() for p in x.degrees()}
 
 
-def _emit(report, as_json, stream=None):
-    if stream is None:
-        stream = sys.stdout
+def _save_out(args, value, lines):
+    """Write value to --out when it is given, and say so in the report."""
+    if args.out:
+        se.save(args.out, value)
+        lines.append("written to %s" % args.out)
+
+
+def _emit(report, as_json):
     if as_json:
-        stream.write(json.dumps(report, indent=1, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(report, indent=1, sort_keys=True) + "\n")
     else:
         for line in report.get("lines", ()):
-            stream.write(line + "\n")
+            sys.stdout.write(line + "\n")
 
 
 # --- single-value commands ---------------------------------------------------
@@ -104,9 +83,7 @@ def cmd_resolve(args, field):
     lines = ["resolution degrees [%d, %d] (bound %d), dims %r, %s"
              % (p.lo, p.hi, bound, _dims_by_degree(p),
                 "quasi-iso verified" if ok else "NOT a quasi-iso")]
-    if args.out:
-        se.save(args.out, p)
-        lines.append("written to %s" % args.out)
+    _save_out(args, p, lines)
     code = EXIT_OK if ok and p.lo >= bound else EXIT_FAIL
     return code, {"ok": code == EXIT_OK, "lo": p.lo, "hi": p.hi,
                   "dims": {str(k): v for k, v in _dims_by_degree(p).items()},
@@ -127,9 +104,7 @@ def cmd_kan(args, field):
     out, cert = (dv.lan if args.dir == "left" else dv.ran)(u, x)
     lines = ["%s Kan extension: degrees [%d, %d], dims %r"
              % (args.dir, out.lo, out.hi, _dims_by_degree(out))]
-    if args.out:
-        se.save(args.out, out)
-        lines.append("written to %s" % args.out)
+    _save_out(args, out, lines)
     return EXIT_OK, {"dir": args.dir, "lo": out.lo, "hi": out.hi,
                      "dims": {str(k): v for k, v in _dims_by_degree(out).items()},
                      "lines": lines}
@@ -140,9 +115,7 @@ def _holim_common(args, field, which):
     out = (dv.hocolim if which == "hocolim" else dv.holim)(x.shape, x)
     lines = ["%s: degrees [%d, %d], dims %r"
              % (which, out.lo, out.hi, _dims_by_degree(out))]
-    if args.out:
-        se.save(args.out, out)
-        lines.append("written to %s" % args.out)
+    _save_out(args, out, lines)
     return EXIT_OK, {"lo": out.lo, "hi": out.hi,
                      "dims": {str(k): v for k, v in _dims_by_degree(out).items()},
                      "lines": lines}
@@ -212,9 +185,7 @@ def cmd_suspend(args, field):
     ok = cx.is_quasi_iso(witness)
     lines = ["suspension degrees [%d, %d]; witness onto shift(x, 1): %s"
              % (out.lo, out.hi, "quasi-iso" if ok else "NOT a quasi-iso")]
-    if args.out:
-        se.save(args.out, out)
-        lines.append("written to %s" % args.out)
+    _save_out(args, out, lines)
     return (EXIT_OK if ok else EXIT_FAIL), {"ok": ok, "lines": lines}
 
 
@@ -223,9 +194,7 @@ def cmd_dia(args, field):
     d = co.dia(x)
     lines = ["underlying diagram over %d objects, %d maps, witnesses recorded"
              % (len(d.shape.objects), len(d.maps))]
-    if args.out:
-        se.save(args.out, d)
-        lines.append("written to %s" % args.out)
+    _save_out(args, d, lines)
     return EXIT_OK, {"objects": len(d.shape.objects), "maps": len(d.maps),
                      "lines": lines}
 
@@ -236,9 +205,7 @@ def cmd_lift(args, field):
     ok = cert.verify()
     lines = ["lift degrees [%d, %d], certificate %s"
              % (lift.lo, lift.hi, "verified" if ok else "FAILED")]
-    if args.out:
-        se.save(args.out, lift)
-        lines.append("written to %s" % args.out)
+    _save_out(args, lift, lines)
     return (EXIT_OK if ok else EXIT_FAIL), {"ok": ok, "lo": lift.lo,
                                             "hi": lift.hi, "lines": lines}
 
@@ -246,20 +213,13 @@ def cmd_lift(args, field):
 def cmd_lift_map(args, field):
     f = _load(args.source, field, co.IncoherentDiagram)
     g = _load(args.target, field, co.IncoherentDiagram)
-    phi = _load_morphism(args.map, f, g)
+    phi = se.load_morphism(args.map, f, g)
     m, wit = co.lift_morphism(f, g, phi)
     ok = all(w is not None for w in wit.values())
     lines = ["morphism lifted; %d per-object homotopy witnesses %s"
              % (len(wit), "verified" if ok else "MISSING")]
-    if args.out:
-        body = {"kind": "morphism", "field": se.field_tag(m.source.field),
-                "components": [[se._enc_label(o), se._enc_chain_map_body(
-                    dv._point_restriction(m, o, f.base))]
-                    for o in f.shape.objects]}
-        with open(args.out, "w") as fh:
-            json.dump(body, fh, indent=1)
-            fh.write("\n")
-        lines.append("written to %s" % args.out)
+    _save_out(args, {o: dv._point_restriction(m, o, f.base)
+                     for o in f.shape.objects}, lines)
     return (EXIT_OK if ok else EXIT_FAIL), {"ok": ok, "lines": lines}
 
 
@@ -283,9 +243,7 @@ def cmd_extend(args, field):
     ok = cert.verify()
     lines = ["extension degrees [%d, %d], certificate %s"
              % (out.lo, out.hi, "verified" if ok else "FAILED")]
-    if args.out:
-        se.save(args.out, out)
-        lines.append("written to %s" % args.out)
+    _save_out(args, out, lines)
     return (EXIT_OK if ok else EXIT_FAIL), {"ok": ok, "lo": out.lo,
                                             "hi": out.hi, "lines": lines}
 

@@ -410,10 +410,7 @@ def _lift_discrete(f, prod):
         terms[p] = ps.Presheaf(field, prod, dims, action)
     for p in range(lo, hi):
         diffs[p] = ps.PresheafMap(terms[p], terms[p + 1], {
-            (i, m): f.values[i].diff(p).comps.get(
-                m, Matrix.zeros(field, f.values[i].term(p + 1).dims[m],
-                                f.values[i].term(p).dims[m]))
-            for (i, m) in prod.objects})
+            (i, m): f.values[i].diff(p).comps[m] for (i, m) in prod.objects})
     lift = cx.Complex(field, prod, terms, diffs)
     fiber_maps, iotas, arrow_h = {}, {}, {}
     for i in icat.objects:
@@ -498,10 +495,7 @@ def lift_morphism(f, g, phi):
         comps = {}
         for p in set(df.lift.degrees()) | set(dg.lift.degrees()):
             comps[p] = ps.PresheafMap(df.lift.term(p), dg.lift.term(p), {
-                (i, m): phi[i].comp(p).comps.get(
-                    m, Matrix.zeros(field, dg.lift.term(p).dims[(i, m)],
-                                    df.lift.term(p).dims[(i, m)]))
-                for (i, m) in prod.objects})
+                (i, m): phi[i].comp(p).comps[m] for (i, m) in prod.objects})
         m = cx.ChainMap(df.lift, dg.lift, comps, validate=True)
         return m, _morphism_witnesses(f, g, phi, df, dg, m)
     # lift the components to the resolutions
@@ -919,7 +913,7 @@ class ExtensionCompatReport:
         self.witness = witness
 
 
-def verify_extension_compat(u, kernel, x, cap=4096):
+def verify_extension_compat(u, kernel, x):
     """Check restrict(u, extend(x)) ≃ extend(restrict(u, x)) by exhibiting
     a quasi-isomorphism witness."""
     lhs_big, _ = extend_functor(kernel, x)
@@ -927,7 +921,7 @@ def verify_extension_compat(u, kernel, x, cap=4096):
     e = x.shape.product_of[1]
     rhs_input = cx.restrict_complex(diagram.times_base(u, e), x)
     rhs, _ = extend_functor(kernel, rhs_input)
-    w = cx.find_quasi_iso(lhs, rhs, cap=cap)
+    w = cx.find_quasi_iso(lhs, rhs)
     if w is None:
-        w = cx.find_quasi_iso(rhs, lhs, cap=cap)
+        w = cx.find_quasi_iso(rhs, lhs)
     return ExtensionCompatReport(w is not None, w)

@@ -213,11 +213,6 @@ def stalk(f, degree=0):
     return Complex(f.field, f.shape, {degree: f}, {})
 
 
-def stalk_map(phi, degree=0):
-    return ChainMap(stalk(phi.source, degree), stalk(phi.target, degree),
-                    {degree: phi})
-
-
 def identity_chain_map(x):
     return ChainMap(x, x, {p: ps.identity_map(x.term(p)) for p in x.degrees()})
 
@@ -414,13 +409,10 @@ class _ByDegree:
         self._build = build
         self._cache = {}
 
-    def get(self, n, default=None):
+    def __getitem__(self, n):
         if n not in self._cache:
             self._cache[n] = self._build(n)
         return self._cache[n]
-
-    def __getitem__(self, n):
-        return self.get(n)
 
 
 class HomComplex:
@@ -458,8 +450,8 @@ class HomComplex:
         return slots
 
     def _slot_dim(self, n):
-        self.slots.get(n)
-        return self.dims.get(n, 0)
+        self.slots[n]
+        return self.dims[n]
 
     def _delta_matrix(self, n):
         field = self.field
@@ -467,7 +459,7 @@ class HomComplex:
         cols = self._slot_dim(n)
         out = [[field.zero] * cols for _ in range(rows)]
         sgn = field.of_int(-1 if n % 2 else 1)
-        for p, basis in self.slots.get(n, ()):
+        for p, basis in self.slots[n]:
             for k, b in enumerate(basis):
                 col = self.offsets[n][p] + k
                 # d_Y ∘ b lands in slot p; b ∘ d_X in slot p − 1 of degree n+1
@@ -480,7 +472,7 @@ class HomComplex:
     def _add_into(self, out, n, p, phi, col, scalar):
         if phi.is_zero():
             return
-        slot = dict(self.slots.get(n, ()))
+        slot = dict(self.slots[n])
         if p not in slot:
             raise AssertionError("image misses the recorded basis")
         coords = ps.hom_coordinates(self.x.term(p), self.y.term(p + n), phi)
@@ -498,7 +490,7 @@ class HomComplex:
         for p, phi in comps.items():
             if phi.is_zero():
                 continue
-            slot = dict(self.slots.get(n, ()))
+            slot = dict(self.slots[n])
             if p not in slot:
                 return None
             coords = ps.hom_coordinates(self.x.term(p), self.y.term(p + n), phi)
@@ -511,7 +503,7 @@ class HomComplex:
     def element_of(self, n, vec):
         """The {p: PresheafMap} family with the given coordinates."""
         out = {}
-        for p, basis in self.slots.get(n, ()):
+        for p, basis in self.slots[n]:
             off = self.offsets[n][p]
             acc = None
             for k, b in enumerate(basis):
@@ -530,17 +522,6 @@ def hom_complex(x, y):
     return HomComplex(x, y)
 
 
-def chain_map_from_element(x, y, n, comps):
-    """Interpret a degree-n Hom element as a chain map x → shift(y, n)."""
-    sy = shift(y, n)
-    return ChainMap(x, sy, dict(comps))
-
-
-def element_from_chain_map(f, n):
-    """Inverse of chain_map_from_element for f : x → shift(y, n)."""
-    return dict(f.comps)
-
-
 # --- Ext --------------------------------------------------------------------
 
 
@@ -555,8 +536,8 @@ def ext(x, y, n):
     p, _ = proj_resolution(x)
     hc = hom_complex(p, y)
     field = x.field
-    dn = hc.delta.get(n, Matrix.zeros(field, hc._slot_dim(n + 1), hc._slot_dim(n)))
-    dprev = hc.delta.get(n - 1, Matrix.zeros(field, hc._slot_dim(n), hc._slot_dim(n - 1)))
+    dn = hc.delta[n]
+    dprev = hc.delta[n - 1]
     cycles = linalg.kernel_basis(dn)
     boundaries = linalg.image_basis(dprev)
     dim = cycles.cols - linalg.rank(dprev)
@@ -571,7 +552,7 @@ def ext(x, y, n):
         vec = Matrix(field, cycles.rows, 1,
                      [[cycles.entries[r][k]] for r in range(cycles.rows)])
         comps = hc.element_of(n, vec)
-        reps.append(chain_map_from_element(p, y, n, comps))
+        reps.append(ChainMap(p, shift(y, n), comps))
     if len(reps) != dim:
         raise AssertionError("cohomology representative count mismatch")
     return dim, reps
@@ -590,15 +571,14 @@ def ext_coordinates(x, y, n, f):
         raise ValueError("map is not defined on the cached resolution")
     hc = hom_complex(p, y)
     field = x.field
-    vec = hc.coords_of(n, element_from_chain_map(f, n))
+    vec = hc.coords_of(n, dict(f.comps))
     if vec is None:
         return None
     dim, reps = ext(x, y, n)
     rep_cols = []
     for r in reps:
-        rep_cols.append(hc.coords_of(n, element_from_chain_map(r, n)))
-    dprev = hc.delta.get(n - 1, Matrix.zeros(field, hc._slot_dim(n),
-                                             hc._slot_dim(n - 1)))
+        rep_cols.append(hc.coords_of(n, dict(r.comps)))
+    dprev = hc.delta[n - 1]
     system = linalg.hstack(field, rep_cols + [dprev]) if (rep_cols or dprev.cols) \
         else Matrix.zeros(field, hc._slot_dim(n), 0)
     sol = linalg.solve(system, vec)
@@ -625,8 +605,7 @@ def homotopy_solve(f, g=None):
     rhs = hc.coords_of(0, dict(diffmap.comps))
     if rhs is None:
         return None
-    dm1 = hc.delta.get(-1, Matrix.zeros(f.source.field, hc._slot_dim(0),
-                                        hc._slot_dim(-1)))
+    dm1 = hc.delta[-1]
     sol = linalg.solve(dm1, rhs)
     if sol is None:
         return None
@@ -634,42 +613,32 @@ def homotopy_solve(f, g=None):
     return Homotopy(f.source, f.target, comps)
 
 
-def lift_through_qis(g, s):
-    """Given g : P → B and a quasi-isomorphism s : A → B with P a complex
-    of projectives, find g' : P → A and a homotopy h with s∘g' ≃ g.
-
-    Returns (g', h) or None (None cannot happen under the stated
-    hypotheses; callers treat it as an invariant violation).
-    """
-    p, a, b = g.source, s.source, s.target
-    field = p.field
-    hpa = hom_complex(p, a)
-    hpb = hom_complex(p, b)
-    na = hpa._slot_dim(0)
-    nh = hpb._slot_dim(-1)
-    # postcomposition with s as a matrix Hom^0(P,A) → Hom^0(P,B)
-    s_cols = []
-    basis_elems = []
-    for deg, basis in sorted(hpa.slots.get(0, ())):
-        for elem in basis:
-            basis_elems.append((deg, elem))
+def _solve_transfer(hm, hh, transfer, target):
+    """Solve δ(m) = 0 and T(m) − δ(h) = target for m ∈ Hom^0 of hm and
+    h ∈ Hom^{-1} of hh, where T(m) = transfer(deg, m_deg) lands in Hom^0
+    of hh.  Returns the components ({deg: map} of m, of h) or None."""
+    field = hm.field
+    nm = hm._slot_dim(0)
+    nh = hh._slot_dim(-1)
+    basis_elems = [(deg, elem) for deg, basis in sorted(hm.slots[0])
+                   for elem in basis]
+    t_cols = []
     for deg, elem in basis_elems:
-        v = hpb.coords_of(0, {deg: s.comp(deg).compose(elem)})
+        v = hh.coords_of(0, {deg: transfer(deg, elem)})
         if v is None:
             raise AssertionError("composite misses the Hom basis")
-        s_cols.append(v)
-    smat = linalg.hstack(field, s_cols) if s_cols else \
-        Matrix.zeros(field, hpb._slot_dim(0), 0)
-    d0a = hpa.delta.get(0, Matrix.zeros(field, hpa._slot_dim(1), na))
-    dm1 = hpb.delta.get(-1, Matrix.zeros(field, hpb._slot_dim(0), nh))
-    rhs_g = hpb.coords_of(0, dict(g.comps))
-    if rhs_g is None:
+        t_cols.append(v)
+    tmat = linalg.hstack(field, t_cols) if t_cols else \
+        Matrix.zeros(field, hh._slot_dim(0), 0)
+    d0 = hm.delta[0]
+    dm1 = hh.delta[-1]
+    rhs_t = hh.coords_of(0, dict(target.comps))
+    if rhs_t is None:
         return None
-    # unknowns (g', h): δ(g') = 0 and s∘g' − δ(h) = g
     system = linalg.block(field, [
-        [d0a, Matrix.zeros(field, d0a.rows, nh)],
-        [smat, -dm1]])
-    rhs = linalg.vstack(field, [Matrix.zeros(field, d0a.rows, 1), rhs_g])
+        [d0, Matrix.zeros(field, d0.rows, nh)],
+        [tmat, -dm1]])
+    rhs = linalg.vstack(field, [Matrix.zeros(field, d0.rows, 1), rhs_t])
     sol = linalg.solve(system, rhs)
     if sol is None:
         return None
@@ -680,10 +649,25 @@ def lift_through_qis(g, s):
             continue
         add = elem.scale(c)
         comps[deg] = comps.get(deg) + add if deg in comps else add
-    gp = ChainMap(p, a, comps)
     hvec = Matrix(field, nh, 1,
-                  [[sol.entries[na + k][0]] for k in range(nh)])
-    h = Homotopy(p, b, hpb.element_of(-1, hvec))
+                  [[sol.entries[nm + k][0]] for k in range(nh)])
+    return comps, hh.element_of(-1, hvec)
+
+
+def lift_through_qis(g, s):
+    """Given g : P → B and a quasi-isomorphism s : A → B with P a complex
+    of projectives, find g' : P → A and a homotopy h with s∘g' ≃ g.
+
+    Returns (g', h) or None (None cannot happen under the stated
+    hypotheses; callers treat it as an invariant violation).
+    """
+    p, a, b = g.source, s.source, s.target
+    solved = _solve_transfer(hom_complex(p, a), hom_complex(p, b),
+                             lambda deg, elem: s.comp(deg).compose(elem), g)
+    if solved is None:
+        return None
+    gp = ChainMap(p, a, solved[0])
+    h = Homotopy(p, b, solved[1])
     # sanity: s∘g' − g = boundary(h)
     if (s.compose(gp) - g) != h.boundary():
         raise AssertionError("lift certificate fails to verify")
@@ -699,52 +683,23 @@ def extend_along_qis(alpha, iota):
     exists.  Returns (q, h) or None.
     """
     a_cx, b_cx, c_cx = iota.source, iota.target, alpha.target
-    field = a_cx.field
-    hbc = hom_complex(b_cx, c_cx)
-    hac = hom_complex(a_cx, c_cx)
-    nb = hbc._slot_dim(0)
-    nh = hac._slot_dim(-1)
-    basis_elems = []
-    for deg, basis in sorted(hbc.slots.get(0, ())):
-        for elem in basis:
-            basis_elems.append((deg, elem))
-    r_cols = []
-    for deg, elem in basis_elems:
-        v = hac.coords_of(0, {deg: elem.compose(iota.comp(deg))})
-        if v is None:
-            raise AssertionError("composite misses the Hom basis")
-        r_cols.append(v)
-    rmat = linalg.hstack(field, r_cols) if r_cols else \
-        Matrix.zeros(field, hac._slot_dim(0), 0)
-    d0b = hbc.delta.get(0, Matrix.zeros(field, hbc._slot_dim(1), nb))
-    dm1 = hac.delta.get(-1, Matrix.zeros(field, hac._slot_dim(0), nh))
-    rhs_a = hac.coords_of(0, dict(alpha.comps))
-    if rhs_a is None:
+    solved = _solve_transfer(hom_complex(b_cx, c_cx), hom_complex(a_cx, c_cx),
+                             lambda deg, elem: elem.compose(iota.comp(deg)),
+                             alpha)
+    if solved is None:
         return None
-    system = linalg.block(field, [
-        [d0b, Matrix.zeros(field, d0b.rows, nh)],
-        [rmat, -dm1]])
-    rhs = linalg.vstack(field, [Matrix.zeros(field, d0b.rows, 1), rhs_a])
-    sol = linalg.solve(system, rhs)
-    if sol is None:
-        return None
-    comps = {}
-    for k, (deg, elem) in enumerate(basis_elems):
-        c = sol.entries[k][0]
-        if c == field.zero:
-            continue
-        add = elem.scale(c)
-        comps[deg] = comps.get(deg) + add if deg in comps else add
-    q = ChainMap(b_cx, c_cx, comps)
-    hvec = Matrix(field, nh, 1,
-                  [[sol.entries[nb + k][0]] for k in range(nh)])
-    h = Homotopy(a_cx, c_cx, hac.element_of(-1, hvec))
+    q = ChainMap(b_cx, c_cx, solved[0])
+    h = Homotopy(a_cx, c_cx, solved[1])
     if (q.compose(iota) - alpha) != h.boundary():
         raise AssertionError("factorization certificate fails to verify")
     return q, h
 
 
-def find_quasi_iso(a, b, cap=4096):
+# the most Ext⁰ classes find_quasi_iso will enumerate
+QUASI_ISO_SEARCH_CAP = 4096
+
+
+def find_quasi_iso(a, b):
     """Search Hom_D(a, b) for a quasi-isomorphism; returns a chain map
     P(a) → b or None.  Enumerates the Ext⁰ classes (small fields only)."""
     if is_acyclic(a) and is_acyclic(b):
@@ -756,7 +711,7 @@ def find_quasi_iso(a, b, cap=4096):
     if field.kind != "prime":
         raise ValueError("search requires a finite field")
     total = field.p ** dim
-    if total > cap:
+    if total > QUASI_ISO_SEARCH_CAP:
         raise ValueError("search space too large (%d classes)" % total)
     for code in range(1, total):
         coeffs = []

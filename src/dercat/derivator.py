@@ -229,11 +229,8 @@ def ran(u, x):
     """Derived right Kan extension u_* x, computed by duality."""
     if x.shape != u.source:
         raise ValueError("complex does not live over the functor's source")
-    op_src = diagram.opposite(u.source)
-    op_tgt = diagram.opposite(u.target)
-    u_op = diagram.DiagFunctor(op_src, op_tgt, u.obj_map, u.arrow_map,
-                               validate=False)
-    xd = cx.dualize_complex(x, op_src)
+    u_op = diagram.opposite_functor(u)
+    xd = cx.dualize_complex(x, u_op.source)
     ld, cert_d = lan(u_op, xd)
     out = cx.dualize_complex(ld, u.target)
     cert = KanCertificate(u, "right", x, cert_d.resolution_map, out,
@@ -261,11 +258,8 @@ def lan_counit(u, x):
 
 def ran_unit(u, x):
     """The unit x → u_* u^* x as a chain map, dual of lan_counit."""
-    op_src = diagram.opposite(u.source)
-    op_tgt = diagram.opposite(u.target)
-    u_op = diagram.DiagFunctor(op_src, op_tgt, u.obj_map, u.arrow_map,
-                               validate=False)
-    xd = cx.dualize_complex(x, op_tgt)
+    u_op = diagram.opposite_functor(u)
+    xd = cx.dualize_complex(x, u_op.target)
     eps_d = lan_counit(u_op, xd)
     return cx.dualize_chain_map(eps_d, u.target)
 
@@ -340,11 +334,8 @@ def base_change_left(u, y, x):
 def base_change(u, y, x):
     """Der 4 comparison for the right Kan extension: the canonical map
     (u_* x)_y → holim over the comma category, with its verdict."""
-    op_src = diagram.opposite(u.source)
-    op_tgt = diagram.opposite(u.target)
-    u_op = diagram.DiagFunctor(op_src, op_tgt, u.obj_map, u.arrow_map,
-                               validate=False)
-    xd = cx.dualize_complex(x, op_src)
+    u_op = diagram.opposite_functor(u)
+    xd = cx.dualize_complex(x, u_op.source)
     cbar, ok = base_change_left(u_op, y, xd)
     e = diagram.terminal_cat()
     c = cx.dualize_chain_map(cbar, e)
@@ -402,12 +393,11 @@ def is_cartesian(s):
 # --- extension by zero and recollement -----------------------------------------
 
 
-def extension_by_zero(emb, x, ambient=None):
+def extension_by_zero(emb, x):
     """j_! (for open emb) or i_* (for closed emb) of a complex: fibers are
     copied on the image and zero outside.  Free summands transport to free
     summands; when the bookkeeping matches exactly, free_parts carry over
     so downstream resolutions short-circuit."""
-    icat = emb.target if ambient is None else ambient
     terms = {}
     for p in x.degrees():
         terms[p] = _extend_presheaf(emb, x.term(p))
@@ -451,17 +441,6 @@ def _extend_map(emb, phi, src_e, tgt_e):
             comps[y] = Matrix.zeros(phi.source.field, tgt_e.dims[y],
                                     src_e.dims[y])
     return ps.PresheafMap(src_e, tgt_e, comps)
-
-
-def extension_by_zero_map(emb, f, src_e=None, tgt_e=None):
-    if src_e is None:
-        src_e = extension_by_zero(emb, f.source)
-    if tgt_e is None:
-        tgt_e = extension_by_zero(emb, f.target)
-    return cx.ChainMap(src_e, tgt_e,
-                       {p: _extend_map(emb, f.comp(p), src_e.term(p),
-                                       tgt_e.term(p))
-                        for p in f.source.degrees()})
 
 
 class TriangleCertificate:
@@ -534,13 +513,13 @@ class Recollement:
         c, incl, proj = cx.cone(eta)
         return self.i_upper(cx.shift(c, -1))
 
-    def glue_triangles(self, x, check_uniqueness=True):
+    def glue_triangles(self, x):
         """The two recollement triangles at x, fully materialized.
 
         Returns (T1, T2) where T1 : i_!i^*X → X → j_!j^?X → Σ· and
         T2 : j_!j^*X → X → i_*i^*X is a degreewise short exact pair.
-        When check_uniqueness is set, the Hom-vanishing pinning down the
-        connecting map of T1 is verified (a zero-dimensional Ext).
+        The Hom-vanishing pinning down the connecting map of T1 is verified
+        (a zero-dimensional Ext).
         """
         # T2: degreewise exact extension-by-zero sequence
         jx = self.j_upper(x)
@@ -581,10 +560,9 @@ class Recollement:
             raise AssertionError("closed restriction of the cone not acyclic")
         witnesses = {"cone": c, "incl": incl, "delta": proj,
                      "identification": eps_j}
-        if check_uniqueness:
-            dim, _ = cx.ext(eps.source, jjq, -1)
-            if dim != 0:
-                raise AssertionError("connecting map is not pinned down")
+        dim, _ = cx.ext(eps.source, jjq, -1)
+        if dim != 0:
+            raise AssertionError("connecting map is not pinned down")
         t1 = TriangleCertificate(eps, incl, proj, witnesses)
         return t1, t2
 

@@ -403,10 +403,6 @@ def poset_category(objects, leq):
 # --- standard shapes ------------------------------------------------------
 
 
-def empty_cat():
-    return FinCat((), {}, {}, {})
-
-
 def terminal_cat():
     return FinCat(("*",), {("*", "*"): ("id@*",)}, {"*": "id@*"}, {})
 
@@ -629,19 +625,6 @@ def opposite_functor(u):
 # --- comma categories -----------------------------------------------------
 
 
-def comma_over(u, y):
-    """The comma category I/y for u : I → J and y in J.
-
-    Returns (I/y, forgetful functor j : I/y → I, 2-cell α : u∘j ⇒ const_y)
-    with α_{(x, f)} = f.
-    """
-    i_cat, j_cat = u.source, u.target
-    if y not in j_cat.objects:
-        raise ValueError("unknown object %r" % (y,))
-    objects = [(x, f) for x in i_cat.objects for f in j_cat.hom(u.obj_map[x], y)]
-    return _comma_build(u, y, objects, over=True)
-
-
 def comma_under(u, y):
     """The comma category y\\I: objects (x, g : y → u(x)); returns the
     category, the forgetful functor and the 2-cell α : const_y ⇒ u∘j."""
@@ -649,11 +632,6 @@ def comma_under(u, y):
     if y not in j_cat.objects:
         raise ValueError("unknown object %r" % (y,))
     objects = [(x, g) for x in i_cat.objects for g in j_cat.hom(y, u.obj_map[x])]
-    return _comma_build(u, y, objects, over=False)
-
-
-def _comma_build(u, y, objects, over):
-    i_cat, j_cat = u.source, u.target
     idx = {o: k for k, o in enumerate(objects)}
     hom = {}
     arrow_h = {}
@@ -666,12 +644,7 @@ def _comma_build(u, y, objects, over):
             (x1, f1), (x2, f2) = o1, o2
             arrows = []
             for h in i_cat.hom(x1, x2):
-                uh = u.arrow_map[h]
-                if over:
-                    ok = j_cat.compose(f2, uh) == f1
-                else:
-                    ok = j_cat.compose(uh, f1) == f2
-                if ok:
+                if j_cat.compose(u.arrow_map[h], f1) == f2:
                     nm = aid(h, o1, o2)
                     arrows.append(nm)
                     arrow_h[nm] = h
@@ -695,11 +668,7 @@ def _comma_build(u, y, objects, over):
                          {a: arrow_h[a] for a in cat.arrows}, validate=False)
     uj = compose_functors(u, forget)
     const = constant_functor(cat, j_cat, y)
-    comps = {o: o[1] for o in objects}
-    if over:
-        alpha = NatTrans(uj, const, comps)
-    else:
-        alpha = NatTrans(const, uj, comps)
+    alpha = NatTrans(const, uj, {o: o[1] for o in objects})
     return cat, forget, alpha
 
 
@@ -767,37 +736,3 @@ def max_chain_length(i):
         return best
 
     return max((longest(x) for x in i.objects), default=0)
-
-
-# --- natural transformation calculus --------------------------------------
-
-
-def identity_nat(u):
-    return NatTrans(u, u, {x: u.target.identity[u.obj_map[x]]
-                           for x in u.source.objects}, validate=False)
-
-
-def vcompose(beta, alpha):
-    """Vertical composite β·α for α : u ⇒ v, β : v ⇒ w."""
-    if alpha.target != beta.source:
-        raise ValueError("transformations not composable")
-    tcat = alpha.source.target
-    return NatTrans(alpha.source, beta.target,
-                    {x: tcat.compose(beta.components[x], alpha.components[x])
-                     for x in alpha.source.source.objects})
-
-
-def whisker_left(v, alpha):
-    """v ⋆ α : v∘u ⇒ v∘u′ for α : u ⇒ u′ and v out of their target."""
-    return NatTrans(compose_functors(v, alpha.source),
-                    compose_functors(v, alpha.target),
-                    {x: v.arrow_map[alpha.components[x]]
-                     for x in alpha.source.source.objects})
-
-
-def whisker_right(alpha, w):
-    """α ⋆ w : u∘w ⇒ u′∘w for w into the source of α."""
-    return NatTrans(compose_functors(alpha.source, w),
-                    compose_functors(alpha.target, w),
-                    {x: alpha.components[w.obj_map[x]]
-                     for x in w.source.objects})

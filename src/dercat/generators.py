@@ -192,8 +192,7 @@ def rand_conflation(r, field, shape, max_parts=2):
     if r.random() < 0.5:
         a = rand_presheaf(r, field, shape, max_parts)
         b = rand_presheaf(r, field, shape, max_parts)
-        total, incls = ps.sum_inclusions([a, b])
-        _, projs = ps.sum_projections([a, b])
+        _, incls, projs = ps.sum_maps([a, b])
         return ps.Conflation(incls[0], projs[1])
     src = rand_free(r, field, shape, max_parts)
     tgt = rand_free(r, field, shape, max_parts)

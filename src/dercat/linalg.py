@@ -14,21 +14,45 @@ coherence-lifting suites inside their time budget.
 from fractions import Fraction
 
 
+# Miller-Rabin with these bases is deterministic below MAX_MODULUS
+# (Sorenson-Webster 2015: the first 13 primes suffice for n < 3.3 * 10^24).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961981
+
+
 def _is_prime(n):
+    if n >= MAX_MODULUS:
+        raise ValueError("modulus %d is too large (the bound is %d)"
+                         % (n, MAX_MODULUS))
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 class Field:
-    """An exact field: F_p for a prime p, or the rationals Q."""
+    """An exact field: F_p for a prime p, or the rationals Q.
 
-    __slots__ = ("kind", "p")
+    is_gf2 selects the bit-packed F_2 routines of this module.
+    """
+
+    __slots__ = ("kind", "p", "is_gf2")
 
     def __init__(self, kind, p=None):
         if kind == "prime":
@@ -40,6 +64,7 @@ class Field:
         else:
             raise ValueError("unknown field kind %r" % (kind,))
         self.kind = kind
+        self.is_gf2 = kind == "prime" and p == 2
 
     def __eq__(self, other):
         return isinstance(other, Field) and (self.kind, self.p) == (other.kind, other.p)
@@ -189,7 +214,7 @@ class Matrix:
             raise ValueError("shape mismatch: %dx%d * %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
         f = self.field
-        if f.kind == "prime" and f.p == 2:
+        if f.is_gf2:
             bits = _to_bits(other)
             out = []
             for row in self.entries:
@@ -226,16 +251,18 @@ def _check_same_shape(a, b):
 
 # --- F_2 bitset representation -------------------------------------------
 
+def _pack(vec):
+    """An F_2 vector as an integer, bit j = entry j."""
+    acc = 0
+    for j, v in enumerate(vec):
+        if v:
+            acc |= 1 << j
+    return acc
+
+
 def _to_bits(m):
     """Rows of an F_2 matrix as integers, bit j = column j."""
-    out = []
-    for row in m.entries:
-        acc = 0
-        for j, v in enumerate(row):
-            if v:
-                acc |= 1 << j
-        out.append(acc)
-    return out
+    return [_pack(row) for row in m.entries]
 
 def _from_bits(field, bits, rows, cols):
     return Matrix(field, rows, cols,
@@ -303,7 +330,7 @@ def _rref_generic(rows, cols, field):
 def rref(m):
     """Reduced row echelon form of m; returns (matrix, pivot column tuple)."""
     f = m.field
-    if f.kind == "prime" and f.p == 2:
+    if f.is_gf2:
         bits = _to_bits(m)
         pivots = _rref_bits(bits, m.cols)
         return _from_bits(f, bits, m.rows, m.cols), tuple(pivots)
@@ -314,7 +341,7 @@ def rref(m):
 
 def rank(m):
     f = m.field
-    if f.kind == "prime" and f.p == 2:
+    if f.is_gf2:
         bits = _to_bits(m)
         return len(_rref_bits(bits, m.cols))
     rows = [list(r) for r in m.entries]
@@ -456,3 +483,31 @@ def unflatten_matrix(field, vec, rows, cols):
     """Inverse of flatten_matrix on a (rows*cols) x 1 column."""
     ent = [[vec.entries[i * cols + j][0] for j in range(cols)] for i in range(rows)]
     return Matrix(field, rows, cols, ent)
+
+
+def pack_columns(field, cols):
+    """Fixed vectors (tuples of scalars) in the form is_combination reads;
+    over F_2 each vector is packed into an int."""
+    if field.is_gf2:
+        return tuple(_pack(col) for col in cols)
+    return tuple(cols)
+
+
+def is_combination(field, packed, coords, vec):
+    """Whether sum_k coords[k] * packed[k] equals vec (a list of scalars),
+    for packed vectors from pack_columns."""
+    if field.is_gf2:
+        acc = 0
+        for c, m in zip(coords, packed):
+            if c:
+                acc ^= m
+        return acc == _pack(vec)
+    z = field.zero
+    recon = [z] * len(vec)
+    for c, col in zip(coords, packed):
+        if c == z:
+            continue
+        for idx, v in enumerate(col):
+            if v != z:
+                recon[idx] = field.add(recon[idx], field.mul(c, v))
+    return recon == vec

@@ -257,36 +257,14 @@ def direct_sum_many(field, shape, summands):
     return acc
 
 
-def sum_inclusions(summands):
-    """Inclusion maps of each summand into direct_sum_many(summands)."""
-    if not summands:
-        return None, []
+def sum_maps(summands):
+    """direct_sum_many(summands) with the inclusion of each summand into
+    it and the projection onto each summand; returns (total, inclusions,
+    projections)."""
     field, shape = summands[0].field, summands[0].shape
     total = direct_sum_many(field, shape, summands)
     offs = {x: 0 for x in shape.objects}
-    incls = []
-    for s in summands:
-        comps = {}
-        for x in shape.objects:
-            m = Matrix.zeros(field, total.dims[x], s.dims[x])
-            rows = [list(r) for r in m.entries]
-            for k in range(s.dims[x]):
-                rows[offs[x] + k][k] = field.one
-            comps[x] = Matrix(field, total.dims[x], s.dims[x], rows)
-        incls.append(PresheafMap(s, total, comps))
-        for x in shape.objects:
-            offs[x] += s.dims[x]
-    return total, incls
-
-
-def sum_projections(summands):
-    """Projection maps from direct_sum_many(summands) onto each summand."""
-    if not summands:
-        return None, []
-    field, shape = summands[0].field, summands[0].shape
-    total = direct_sum_many(field, shape, summands)
-    offs = {x: 0 for x in shape.objects}
-    projs = []
+    incls, projs = [], []
     for s in summands:
         comps = {}
         for x in shape.objects:
@@ -294,10 +272,12 @@ def sum_projections(summands):
             for k in range(s.dims[x]):
                 rows[k][offs[x] + k] = field.one
             comps[x] = Matrix(field, s.dims[x], total.dims[x], rows)
+        incls.append(PresheafMap(s, total, {x: m.transpose()
+                                            for x, m in comps.items()}))
         projs.append(PresheafMap(total, s, comps))
         for x in shape.objects:
             offs[x] += s.dims[x]
-    return total, projs
+    return total, incls, projs
 
 
 def free_map_to(p, f, values):
@@ -361,21 +341,26 @@ def free_hull(f):
 # --- kernels, cokernels, images -------------------------------------------
 
 
-def kernel(f):
-    """Objectwise kernel with induced action; returns (K, inclusion)."""
-    field, shape = f.source.field, f.source.shape
-    bases = {x: linalg.kernel_basis(f.comps[x]) for x in shape.objects}
-    dims = {x: bases[x].cols for x in shape.objects}
+def _subpresheaf(g, bases, what):
+    """The sub-presheaf of g spanned objectwise by the columns of bases,
+    with the induced action, and its inclusion into g."""
+    shape = g.shape
     action = {}
     for a in shape.nonidentity_arrows():
         x, y = shape.src[a], shape.tgt[a]
-        m = linalg.solve(bases[x], f.source.act(a) * bases[y])
+        m = linalg.solve(bases[x], g.act(a) * bases[y])
         if m is None:
-            raise AssertionError("kernel not preserved by the action")
+            raise AssertionError("%s not preserved by the action" % what)
         action[a] = m
-    k = Presheaf(field, shape, dims, action)
-    incl = PresheafMap(k, f.source, {x: bases[x] for x in shape.objects})
-    return k, incl
+    sub = Presheaf(g.field, shape, {x: bases[x].cols for x in shape.objects},
+                   action)
+    return sub, PresheafMap(sub, g, bases)
+
+
+def kernel(f):
+    """Objectwise kernel with induced action; returns (K, inclusion)."""
+    bases = {x: linalg.kernel_basis(f.comps[x]) for x in f.source.shape.objects}
+    return _subpresheaf(f.source, bases, "kernel")
 
 
 def cokernel(f):
@@ -402,22 +387,9 @@ def cokernel(f):
 def image(f):
     """Objectwise image with induced action; returns (I, inclusion into
     the target, corestriction from the source)."""
-    field, shape = f.source.field, f.source.shape
-    bases = {x: linalg.image_basis(f.comps[x]) for x in shape.objects}
-    dims = {x: bases[x].cols for x in shape.objects}
-    action = {}
-    for a in shape.nonidentity_arrows():
-        x, y = shape.src[a], shape.tgt[a]
-        m = linalg.solve(bases[x], f.target.act(a) * bases[y])
-        if m is None:
-            raise AssertionError("image not preserved by the action")
-        action[a] = m
-    im = Presheaf(field, shape, dims, action)
-    incl = PresheafMap(im, f.target, {x: bases[x] for x in shape.objects})
-    cores = {}
-    for x in shape.objects:
-        m = linalg.solve(bases[x], f.comps[x])
-        cores[x] = m
+    bases = {x: linalg.image_basis(f.comps[x]) for x in f.source.shape.objects}
+    im, incl = _subpresheaf(f.target, bases, "image")
+    cores = {x: linalg.solve(bases[x], f.comps[x]) for x in bases}
     return im, incl, PresheafMap(f.source, im, cores)
 
 
@@ -432,8 +404,7 @@ def pushout(i, f):
     if i.source != f.source:
         raise ValueError("maps do not share a source")
     y, z = i.target, f.target
-    total, incls = sum_inclusions([y, z])
-    incl_y, incl_z = incls
+    total, (incl_y, incl_z), _ = sum_maps([y, z])
     g = PresheafMap(i.source, total,
                     {x: linalg.vstack(i.source.field, [i.comps[x], -f.comps[x]])
                      for x in i.source.shape.objects})
@@ -451,8 +422,7 @@ def pullback(p, f):
     if p.target != f.target:
         raise ValueError("maps do not share a target")
     y, w = p.source, f.source
-    total, projs = sum_projections([y, w])
-    proj_y, proj_w = projs
+    total, _, (proj_y, proj_w) = sum_maps([y, w])
     g = PresheafMap(total, p.target,
                     {x: linalg.hstack(p.target.field, [p.comps[x], -f.comps[x]])
                      for x in total.shape.objects})
@@ -552,7 +522,7 @@ def _hom_space_cached(f, g):
     basis, free = linalg.kernel_basis_and_free(system)
     flat_cols = tuple(tuple(basis.entries[i][k] for i in range(nvars))
                       for k in range(basis.cols))
-    _HOM_META[(f, g)] = (free, flat_cols)
+    _HOM_META[(f, g)] = (free, linalg.pack_columns(field, flat_cols))
     out = []
     for k in range(basis.cols):
         comps = {}
@@ -565,10 +535,9 @@ def _hom_space_cached(f, g):
     return tuple(out)
 
 
-# side tables keyed like _hom_space_cached: free columns + flattened basis
-# columns (and, over F_2, the columns packed into ints for the span check)
+# side table keyed like _hom_space_cached: free columns + flattened basis
+# columns, packed by linalg for the span check
 _HOM_META = {}
-_HOM_MASKS = {}
 
 
 def hom_space(f, g):
@@ -578,12 +547,12 @@ def hom_space(f, g):
     return list(_hom_space_cached(f, g))
 
 
-def hom_coordinates(f, g, phi, check=True):
+def hom_coordinates(f, g, phi):
     """Coordinates of phi : f → g in the hom_space(f, g) basis, or None if
     phi is not in its span (i.e. not natural).
 
     Reads the coordinates off at the kernel-basis free positions; the span
-    membership check reconstructs the flattened map (bit-packed over F_2).
+    membership check reconstructs the flattened map.
     """
     basis = _hom_space_cached(f, g)
     field = f.field
@@ -593,58 +562,11 @@ def hom_coordinates(f, g, phi, check=True):
             flat.extend(row)
     if not basis:
         return [] if all(v == field.zero for v in flat) else None
-    free, flat_cols = _HOM_META[(f, g)]
+    free, packed = _HOM_META[(f, g)]
     coords = [flat[c] for c in free]
-    if check:
-        if field.kind == "prime" and field.p == 2:
-            masks = _HOM_MASKS.get((f, g))
-            if masks is None:
-                masks = []
-                for col in flat_cols:
-                    m = 0
-                    for idx, v in enumerate(col):
-                        if v:
-                            m |= 1 << idx
-                    masks.append(m)
-                _HOM_MASKS[(f, g)] = masks
-            acc = 0
-            for k, c in enumerate(coords):
-                if c:
-                    acc ^= masks[k]
-            want = 0
-            for idx, v in enumerate(flat):
-                if v:
-                    want |= 1 << idx
-            if acc != want:
-                return None
-        else:
-            recon = [field.zero] * len(flat)
-            for k, c in enumerate(coords):
-                if c == field.zero:
-                    continue
-                col = flat_cols[k]
-                for idx, v in enumerate(col):
-                    if v != field.zero:
-                        recon[idx] = field.add(recon[idx], field.mul(c, v))
-            if recon != flat:
-                return None
-    return coords
-
-
-def map_coordinates(basis, phi):
-    """Coordinates of the PresheafMap phi in the given hom_space basis."""
-    field = phi.source.field
-    if not basis:
-        return [] if phi.is_zero() else None
-    cols = [linalg.vstack(field, [linalg.flatten_matrix(b.comps[x])
-                                  for x in phi.source.shape.objects])
-            for b in basis]
-    rhs = linalg.vstack(field, [linalg.flatten_matrix(phi.comps[x])
-                                for x in phi.source.shape.objects])
-    sol = linalg.solve(linalg.hstack(field, cols), rhs)
-    if sol is None:
+    if not linalg.is_combination(field, packed, coords, flat):
         return None
-    return [sol.entries[k][0] for k in range(len(basis))]
+    return coords
 
 
 # --- restriction and duality -------------------------------------------------
@@ -679,67 +601,3 @@ def dualize_map(phi, opposite_shape=None):
     src = dualize(phi.target, opposite_shape)
     tgt = dualize(phi.source, opposite_shape)
     return PresheafMap(src, tgt, {x: phi.comps[x].transpose() for x in phi.comps})
-
-
-# --- abelian (underived) left Kan extension ---------------------------------
-
-
-def lan_abelian(u, f):
-    """Pointwise colimit formula for the underived left Kan extension,
-    used as a cross-check of the projective transport formula.
-
-    (u_! F)_y = coequalizer of the F-values over the comma category of
-    arrows y → u(x); transition maps reindex the comma positions.
-    """
-    field = f.field
-    j_cat = u.target
-    i_cat = u.source
-    gens = {}      # y -> ordered list of (x, g : y -> u(x))
-    quots = {}     # y -> (projection matrix onto the colimit, dimension)
-    offs = {}
-    for y in j_cat.objects:
-        items = [(x, g) for x in i_cat.objects for g in j_cat.hom(y, u.obj_map[x])]
-        gens[y] = items
-        off = {}
-        tot = 0
-        for (x, g) in items:
-            off[(x, g)] = tot
-            tot += f.dims[x]
-        offs[y] = (off, tot)
-        rel_rows = []
-        for h in i_cat.nonidentity_arrows():
-            x1, x2 = i_cat.src[h], i_cat.tgt[h]
-            fh = f.act(h)   # F_{x2} -> F_{x1}
-            for g in j_cat.hom(y, u.obj_map[x1]):
-                g2 = j_cat.compose(u.arrow_map[h], g)
-                # (x2, g2, ξ) ~ (x1, g, F(h)ξ)
-                for t in range(f.dims[x2]):
-                    row = [field.zero] * tot
-                    row[off[(x2, g2)] + t] = field.one
-                    for s in range(f.dims[x1]):
-                        row[off[(x1, g)] + s] = field.sub(
-                            row[off[(x1, g)] + s], fh.entries[s][t])
-                    rel_rows.append(row)
-        rel = Matrix(field, len(rel_rows), tot, rel_rows) if rel_rows else \
-            Matrix.zeros(field, 0, tot)
-        span = linalg.image_basis(rel.transpose())   # columns spanning relations
-        q = linalg.kernel_basis(span.transpose()).transpose()
-        quots[y] = q
-    dims = {y: quots[y].rows for y in j_cat.objects}
-    action = {}
-    for b in j_cat.nonidentity_arrows():
-        y1, y2 = j_cat.src[b], j_cat.tgt[b]
-        off2, tot2 = offs[y2]
-        off1, tot1 = offs[y1]
-        reidx = [[field.zero] * tot2 for _ in range(tot1)]
-        for (x, g) in gens[y2]:
-            gb = j_cat.compose(g, b)
-            for t in range(f.dims[x]):
-                reidx[off1[(x, gb)] + t][off2[(x, g)] + t] = field.one
-        reidx_m = Matrix(field, tot1, tot2, reidx)
-        rhs = (quots[y1] * reidx_m).transpose()
-        m = linalg.solve(quots[y2].transpose(), rhs)
-        if m is None:
-            raise AssertionError("colimit transition not well defined")
-        action[b] = m.transpose()
-    return Presheaf(field, j_cat, dims, action)

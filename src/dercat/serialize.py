@@ -2,7 +2,9 @@
 incoherent diagrams.
 
 One value per file, with a top-level "kind" in {diagram, functor,
-presheaf, complex, incoherent}.  Matrices are row-major arrays of scalar
+presheaf, complex, incoherent, morphism}; a morphism is a family
+{object: chain map} between two incoherent diagrams, saved from a dict and
+read back with load_morphism.  Matrices are row-major arrays of scalar
 strings, the field is declared once per file ("fp:<p>" or "q") and every
 embedded value is checked against it.  Object and arrow labels are plain
 JSON values; tuple labels (as produced by product shapes) render as
@@ -49,6 +51,15 @@ def parse_field(tag):
 
 def field_tag(field):
     return "q" if field.kind == "rationals" else "fp:%d" % field.p
+
+
+def _file_field(obj, field):
+    """The field a file declares, checked against the requested one."""
+    file_field = parse_field(obj["field"])
+    if field is not None and field != file_field:
+        raise FormatError("file field %s does not match the requested %s"
+                          % (obj["field"], field_tag(field)))
+    return file_field
 
 
 # --- labels ------------------------------------------------------------------
@@ -195,10 +206,7 @@ def enc_presheaf(f):
 
 
 def dec_presheaf(obj, field=None):
-    file_field = parse_field(obj["field"])
-    if field is not None and field != file_field:
-        raise FormatError("file field %s does not match the requested %s"
-                          % (obj["field"], field_tag(field)))
+    file_field = _file_field(obj, field)
     shape = dec_diagram(obj["shape"])
     return _dec_presheaf_body(file_field, shape, obj)
 
@@ -255,10 +263,7 @@ def enc_complex(x):
 
 
 def dec_complex(obj, field=None):
-    file_field = parse_field(obj["field"])
-    if field is not None and field != file_field:
-        raise FormatError("file field %s does not match the requested %s"
-                          % (obj["field"], field_tag(field)))
+    file_field = _file_field(obj, field)
     shape = dec_diagram(obj["shape"])
     return _dec_complex_body(file_field, shape, obj)
 
@@ -268,15 +273,40 @@ def _enc_chain_map_body(f):
             if not f.comp(p).is_zero()]
 
 
-def _dec_chain_map_body(src, tgt, rows, shift=0):
+def _dec_chain_map_body(src, tgt, rows):
     comps = {}
     for p, body in rows:
         p = int(p)
-        comps[p] = _dec_map_body(src.term(p), tgt.term(p + shift), body)
+        comps[p] = _dec_map_body(src.term(p), tgt.term(p), body)
     try:
         return cx.ChainMap(src, tgt, comps, validate=True)
     except (ValueError, KeyError) as e:
         raise FormatError("chain map does not validate: %s" % (e,))
+
+
+# --- morphisms of incoherent diagrams ---------------------------------------
+
+
+def enc_morphism(comps):
+    """A family {i: φ_i} of per-object chain maps (i in index order)."""
+    field = next(iter(comps.values())).source.field
+    return {"kind": "morphism", "field": field_tag(field),
+            "components": [[_enc_label(i), _enc_chain_map_body(m)]
+                           for i, m in comps.items()]}
+
+
+def dec_morphism(obj, f, g):
+    """The family {i: φ_i : f_i → g_i} between the incoherent diagrams f
+    and g; objects the value omits get zero maps."""
+    _file_field(obj, f.field)
+    comps = {}
+    for i, rows in obj["components"]:
+        i = _dec_label(i)
+        comps[i] = _dec_chain_map_body(f.value(i), g.value(i), rows)
+    for i in f.shape.objects:
+        if i not in comps:
+            comps[i] = cx.zero_chain_map(f.value(i), g.value(i))
+    return comps
 
 
 # --- incoherent diagrams -----------------------------------------------------
@@ -301,10 +331,7 @@ def enc_incoherent(d):
 
 
 def dec_incoherent(obj, field=None):
-    file_field = parse_field(obj["field"])
-    if field is not None and field != file_field:
-        raise FormatError("file field %s does not match the requested %s"
-                          % (obj["field"], field_tag(field)))
+    file_field = _file_field(obj, field)
     icat = dec_diagram(obj["index"])
     base = dec_diagram(obj["base"])
     prod = diagram.product(icat, base)
@@ -346,6 +373,7 @@ _ENCODERS = {
     ps.Presheaf: enc_presheaf,
     cx.Complex: enc_complex,
     co.IncoherentDiagram: enc_incoherent,
+    dict: enc_morphism,
 }
 
 _DECODERS = {
@@ -364,12 +392,10 @@ def encode(value):
     return enc(value)
 
 
-def decode(obj, field=None):
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind not in KINDS:
-        raise FormatError("missing or unknown kind %r" % (kind,))
+def _decode_as(kind, dec, *args):
+    """dec(*args), with malformed input reported as a FormatError."""
     try:
-        return _DECODERS[kind](obj, field)
+        return dec(*args)
     except FormatError:
         raise
     except (KeyError, IndexError, TypeError, AttributeError) as e:
@@ -379,21 +405,40 @@ def decode(obj, field=None):
         raise FormatError("invalid %s value: %s" % (kind, e))
 
 
+def decode(obj, field=None):
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind not in KINDS:
+        raise FormatError("missing or unknown kind %r" % (kind,))
+    return _decode_as(kind, _DECODERS[kind], obj, field)
+
+
 def save(path, value):
     with open(path, "w") as fh:
         json.dump(encode(value), fh, indent=1)
         fh.write("\n")
 
 
-def load(path, field=None):
+def _read(path):
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise FormatError("cannot read %s: %s" % (path, e))
     except json.JSONDecodeError as e:
         raise FormatError("%s:%d:%d: %s" % (path, e.lineno, e.colno, e.msg))
-    return decode(obj, field)
+
+
+def load(path, field=None):
+    return decode(_read(path), field)
+
+
+def load_morphism(path, f, g):
+    """A morphism file read as per-object chain maps f_i → g_i between the
+    incoherent diagrams f and g (see dec_morphism)."""
+    obj = _read(path)
+    if not isinstance(obj, dict) or obj.get("kind") != "morphism":
+        raise FormatError("%s: expected kind morphism" % (path,))
+    return _decode_as("morphism", dec_morphism, obj, f, g)
 
 
 class Workspace:

@@ -2,6 +2,10 @@
 reports, output files, and the seeded verification suites."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -9,6 +13,7 @@ from dercat.linalg import Field, Matrix
 from dercat import diagram
 from dercat import presheaf as ps
 from dercat import complexes as cx
+from dercat import coherence as co
 from dercat import generators as gen
 from dercat import serialize as se
 from dercat import cli
@@ -190,3 +195,63 @@ def test_bad_arguments_exit_2(capsys):
     assert cli.main(["no-such-command"]) == 2
     assert cli.main(["--field", "fp:9", "verify", "--suite", "der7",
                      "--cases", "0"]) == 2
+
+
+def small_incoherent(tmp_path):
+    r = gen.rng_for(3)
+    d = co.dia(gen.rand_honest(r, F2, diagram.delta(1), diagram.delta(1),
+                               max_parts=1))
+    dp = tmp_path / "d.json"
+    se.save(dp, d)
+    return d, dp
+
+
+def test_lift_map_writes_morphism_file(tmp_path, capsys):
+    d, dp = small_incoherent(tmp_path)
+    mp, outp = tmp_path / "m.json", tmp_path / "out.json"
+    se.save(mp, {i: cx.identity_chain_map(d.value(i))
+                 for i in d.shape.objects})
+    code, _ = run(capsys, "lift-map", "--source", str(dp), "--target",
+                  str(dp), "--map", str(mp), "--out", str(outp))
+    assert code == 0
+    phi = se.load_morphism(outp, d, d)
+    assert set(phi) == set(d.shape.objects)
+
+
+@pytest.mark.parametrize("bad", [[], {"kind": "morphism",
+                                      "components": [[0]]}])
+def test_lift_map_rejects_malformed_morphism_file(tmp_path, capsys, bad):
+    _, dp = small_incoherent(tmp_path)
+    mp = tmp_path / "m.json"
+    mp.write_text(json.dumps(bad))
+    code = cli.main(["lift-map", "--source", str(dp), "--target", str(dp),
+                     "--map", str(mp)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("modulus, code", [
+    (2 ** 61 - 1, 0),
+    ((2 ** 31 - 1) * (2 ** 61 - 1), 2),
+])
+def test_large_modulus_answers_quickly(tmp_path, modulus, code):
+    p = tmp_path / "d.json"
+    se.save(p, diagram.delta(1))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    # the check itself must take well under a second; the rest of the
+    # budget is interpreter start-up
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from dercat.linalg import Field; Field('prime', %d)" % modulus],
+        env=env, capture_output=True, timeout=5)
+    assert time.perf_counter() - t0 < 1
+    assert (proc.returncode == 0) == (code == 0)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dercat.cli", "--field", "fp:%d" % modulus,
+         "check-diagram", str(p)], env=env, capture_output=True, timeout=30)
+    assert proc.returncode == code
+    if code:
+        assert proc.stderr.decode().startswith("error:")

@@ -163,6 +163,16 @@ def test_over_point_preserves_homology():
             {o[0]: hy[o] for o in y.shape.objects}
 
 
+def test_homology_matches_rank_arithmetic():
+    r = gen.rng_for(9)
+    for field in (F2, F3, QQ):
+        shape = gen.rand_poset(r, 4)
+        x = gen.rand_complex(r, field, shape, max_parts=1)
+        for n in range(x.lo - 1, x.hi + 2):
+            h = cx.homology(x, n).validate()
+            assert h.dims == cx.homology_dims(x, n)
+
+
 def test_hom_complex_coordinates_invert():
     d1 = diagram.delta(1)
     s0 = cx.stalk(simple(F2, d1, 0))

@@ -113,6 +113,18 @@ def test_comma_under_identity():
     assert len(c.objects) == 2
 
 
+def test_from_quiver_commuting_square():
+    objects = ["a", "b", "c", "d"]
+    arrows = [("f", "a", "b"), ("g", "b", "d"), ("h", "a", "c"),
+              ("k", "c", "d")]
+    free = diagram.from_quiver(objects, arrows)
+    assert len(free.nonidentity_arrows()) == 6
+    sq = diagram.from_quiver(objects, arrows, [(["f", "g"], ["h", "k"])])
+    assert len(sq.nonidentity_arrows()) == 5
+    gen = sq.generators
+    assert sq.compose(gen["g"], gen["f"]) == sq.compose(gen["k"], gen["h"])
+
+
 def test_max_chain_length_square():
     assert diagram.max_chain_length(diagram.square()) == 2
     assert diagram.max_chain_length(diagram.terminal_cat()) == 0

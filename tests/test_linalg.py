@@ -25,8 +25,20 @@ def test_field_arithmetic():
 def test_field_rejects_composite_modulus():
     with pytest.raises(ValueError):
         Field("prime", 6)
+    # a Carmichael number, then the least strong pseudoprimes to the first
+    # 11 and the first 12 primes as bases
+    for n in (561, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ValueError):
+            Field("prime", n)
     with pytest.raises(ValueError):
         Field("dual")
+
+
+def test_primality_matches_trial_division():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(3000) if linalg._is_prime(n)] == \
+        [n for n in range(3000) if trial(n)]
 
 
 def test_scalar_round_trip():

@@ -57,6 +57,16 @@ def test_hom_coordinates_round_trip():
         assert acc == phi
 
 
+@pytest.mark.parametrize("field", [F2, F3, Field("rationals")], ids=repr)
+def test_hom_coordinates_of_unnatural_map(field):
+    # the F_2 span check runs on packed bits, the others on scalars
+    p0 = ps.free_at(field, diagram.delta(1), 1, 0)
+    bad = ps.PresheafMap(p0, p0, {0: Matrix.identity(field, 1),
+                                  1: Matrix.zeros(field, 1, 1)})
+    assert ps.hom_coordinates(p0, p0, bad) is None
+    assert ps.hom_coordinates(p0, p0, ps.identity_map(p0)) == [1]
+
+
 def test_hom_coordinates_detects_off_span():
     d1 = diagram.delta(1)
     s0, s1 = simple(F2, d1, 0), simple(F2, d1, 1)
