@@ -371,7 +371,7 @@ def _lift_data(f):
         phi = faces[max_len]
         stage_maps.append(phi)
         for l in range(max_len - 1, 0, -1):
-            x, _, _ = cx.cone(phi)
+            x = cx.cone(phi)
             composite = faces[l].compose(phi)
             h = cx.homotopy_solve(composite)
             if h is None:
@@ -384,7 +384,7 @@ def _lift_data(f):
                     for o in prod.objects})
                 for p in x.degrees()}, validate=True)
             stage_maps.append(phi)
-        lift, _, _ = cx.cone(phi)
+        lift = cx.cone(phi)
 
     cert = _certify(f, prod, lift, layers[0], resolutions, res_maps,
                     arrow_lifts)
@@ -529,8 +529,8 @@ def lift_morphism(f, g, phi):
                                   phi_g.compose(psi))
             if h is None:
                 raise AssertionError("morphism descent obstruction at %d" % l)
-            xf, _, _ = cx.cone(phi_f)
-            xg, _, _ = cx.cone(phi_g)
+            xf = cx.cone(phi_f)
+            xg = cx.cone(phi_g)
             comps = {}
             for p in xf.degrees():
                 mats = {}
@@ -561,7 +561,7 @@ def _morphism_witnesses(f, g, phi, df, dg, m):
     out = {}
     for i in f.shape.objects:
         lhs = dg.cert.fiber_maps[i].compose(
-            dv._point_restriction(m, i, f.base))
+            dv.point_restriction(m, i))
         rhs = phi[i].compose(df.cert.fiber_maps[i])
         h = cx.homotopy_solve(lhs, rhs)
         if h is None:
@@ -621,11 +621,10 @@ def point_extension_counit(x, i):
 
 
 class HomCompareReport:
-    def __init__(self, coherent_dim, incoherent_dim, bijective, audit):
+    def __init__(self, coherent_dim, incoherent_dim, bijective):
         self.coherent_dim = coherent_dim
         self.incoherent_dim = incoherent_dim
         self.bijective = bijective
-        self.audit = audit
 
     @property
     def passes(self):
@@ -637,13 +636,12 @@ def hom_compare(x, z):
 
     Computes dim Hom_{D(I×J)}(x, z) and the dimension of diagram-level
     morphism families dia(x) → dia(z) (arrow compatibility modulo
-    homotopy), checks the canonical map is a bijection, and audits the
-    QX/LX resolution fiber formula."""
+    homotopy), and checks the canonical map is a bijection."""
     dx, dz = dia(x), dia(z)
     report = toda_check(dx, dz)
     if not report.passes:
         raise ValueError("Toda condition fails at %r" % (report.witnesses[:3],))
-    icat, base = x.shape.product_of
+    icat = x.shape.product_of[0]
     field = x.field
     coh_dim, coh_reps = cx.ext(x, z, 0)
     # incoherent side: families of Ext^0 classes with arrow compatibility
@@ -690,8 +688,8 @@ def hom_compare(x, z):
         vec = [field.zero] * total
         px, rho_x = cx.proj_resolution(x)
         for i in icat.objects:
-            fib_rep = dv._point_restriction(rep, i, base)
-            fib_rho = dv._point_restriction(rho_x, i, base)
+            fib_rep = dv.point_restriction(rep, i)
+            fib_rho = dv.point_restriction(rho_x, i)
             lifted = cx.lift_through_qis(
                 cx.proj_resolution(dx.values[i])[1], fib_rho)
             if lifted is None:
@@ -710,53 +708,7 @@ def hom_compare(x, z):
         bij = inside and linalg.rank(image) == coh_dim == inc_dim
     else:
         bij = (coh_dim == inc_dim == 0)
-    audit = _resolution_audit(x)
-    return HomCompareReport(coh_dim, inc_dim, bij, audit)
-
-
-def _resolution_audit(x):
-    """Materialize QX → X and check the kernel fiber formula."""
-    icat, base = x.shape.product_of
-    field = x.field
-    pieces, counits = [], []
-    for i in icat.objects:
-        e, eps = point_extension_counit(x, i)
-        pieces.append(e)
-        counits.append(eps)
-    qx = pieces[0]
-    for p in pieces[1:]:
-        qx = cx.direct_sum_complex(qx, p)
-    eps = cx.ChainMap(qx, x, {
-        p: ps.PresheafMap(qx.term(p), x.term(p), {
-            o: linalg.hstack(field, [c.comp(p).comp(o) for c in counits])
-            for o in x.shape.objects})
-        for p in qx.degrees()}, validate=True)
-    c, _, _ = cx.cone(eps)
-    lx = cx.shift(c, -1)
-    ok = True
-    detail = {}
-    for j in icat.objects:
-        fib = dv.fiber_complex(lx, j)
-        expected = None
-        for i in icat.objects:
-            for a in icat.hom(j, i):
-                if icat.is_identity(a):
-                    continue
-                fi = dv.fiber_complex(x, i)
-                expected = fi if expected is None else \
-                    cx.direct_sum_complex(expected, fi)
-        if expected is None:
-            expected = cx.zero_complex(field, base)
-        got = {p: cx.homology_dims(fib, p)
-               for p in range(min(fib.lo, expected.lo),
-                              max(fib.hi, expected.hi) + 1)}
-        want = {p: cx.homology_dims(expected, p)
-                for p in range(min(fib.lo, expected.lo),
-                               max(fib.hi, expected.hi) + 1)}
-        detail[j] = (got, want)
-        if got != want:
-            ok = False
-    return {"kernel_formula_ok": ok, "fibers": detail}
+    return HomCompareReport(coh_dim, inc_dim, bij)
 
 
 # --- derived extension of tensor functors ------------------------------------

@@ -250,8 +250,7 @@ def direct_sum_complex(x, y):
 def cone(f):
     """Mapping cone: C^p = X^{p+1} ⊕ Y^p, d = [[−d_X, 0], [f, d_Y]].
 
-    Returns (C, inclusion Y → C, projection C → ΣX); in every degree the
-    three maps form a split exact pair of presheaves.
+    Returns the complex C only; `cone_maps` builds the triangle maps.
     """
     x, y = f.source, f.target
     field, shape = x.field, x.shape
@@ -269,7 +268,17 @@ def cone(f):
             zero = Matrix.zeros(field, dx.rows, dy.cols)
             comps[o] = linalg.block(field, [[-dx, zero], [fo, dy]])
         diffs[p] = ps.PresheafMap(terms[p], terms[p + 1], comps)
-    c = Complex(field, shape, terms, diffs)
+    return Complex(field, shape, terms, diffs)
+
+
+def cone_maps(f, c):
+    """The triangle maps of c = cone(f): (inclusion Y → C, projection
+    C → ΣX); in every degree the two form a split exact pair of presheaves.
+    """
+    x, y = f.source, f.target
+    field, shape = x.field, x.shape
+    lo = min(x.lo - 1, y.lo)
+    hi = max(x.hi - 1, y.hi)
     incl = ChainMap(y, c, {
         p: ps.PresheafMap(y.term(p), c.term(p), {
             o: linalg.vstack(field, [
@@ -285,7 +294,7 @@ def cone(f):
                 Matrix.zeros(field, x.term(p + 1).dims[o], y.term(p).dims[o])])
             for o in shape.objects})
         for p in range(lo, hi + 1)})
-    return c, incl, proj
+    return incl, proj
 
 
 # --- homology ---------------------------------------------------------------
@@ -321,8 +330,7 @@ def is_acyclic(x):
 
 
 def is_quasi_iso(f):
-    c, _, _ = cone(f)
-    return is_acyclic(c)
+    return is_acyclic(cone(f))
 
 
 # --- projective resolution of complexes -------------------------------------

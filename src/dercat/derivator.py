@@ -281,6 +281,12 @@ def fiber_complex(x, i_obj):
     return cx.restrict_complex(fiber_functor(x.shape, i_obj), x)
 
 
+def point_restriction(chain_map, i_obj):
+    """Restrict a chain map over a product shape to the fiber at i_obj."""
+    u = fiber_functor(chain_map.source.shape, i_obj)
+    return cx.restrict_chain_map(u, chain_map)
+
+
 def structure_chain_map(x, arrow_a):
     """For an arrow a : i1 → i2 of the first factor, the induced chain map
     fiber_{i2}(x) → fiber_{i1}(x) (the contravariant structure map)."""
@@ -458,8 +464,8 @@ class Recollement:
 
     j : U → I open, i : Z → I closed, images partitioning the objects.
     j_! and i_* are extension by zero (exact), j* and i* are restrictions,
-    i_! is the derived left Kan extension, and j^? / i^! are given by the
-    recollement-triangle cone formulas.
+    ε : i_! i^* X → X is the counit of the derived left Kan extension, and
+    j^? is given by the recollement-triangle cone formula.
     """
 
     def __init__(self, j, i):
@@ -489,29 +495,16 @@ class Recollement:
     def i_upper(self, x):
         return cx.restrict_complex(self.i, x)
 
-    def i_shriek_lower(self, x):
-        """i_! = derived left Kan extension along the closed immersion."""
-        return lan(self.i, x)[0]
-
     def counit_closed(self, x):
         """ε : i_! i^* X → X."""
         return lan_counit(self.i, x)
 
-    def unit_open(self, x):
-        """η : X → j_* j^* X."""
-        return ran_unit(self.j, x)
-
     def j_question(self, x):
         """j^? X := j* Cone(ε : i_! i^* X → X); returns (complex, cone data)."""
         eps = self.counit_closed(x)
-        c, incl, proj = cx.cone(eps)
+        c = cx.cone(eps)
+        incl, proj = cx.cone_maps(eps, c)
         return self.j_upper(c), (eps, c, incl, proj)
-
-    def i_shriek_upper(self, x):
-        """i^! X := i* Σ^{-1} Cone(η : X → j_* j^* X)."""
-        eta = self.unit_open(x)
-        c, incl, proj = cx.cone(eta)
-        return self.i_upper(cx.shift(c, -1))
 
     def glue_triangles(self, x):
         """The two recollement triangles at x, fully materialized.
@@ -591,8 +584,7 @@ def suspension_via_recollement(x):
     y = rec.i_lower(x)
     # i^* i_* x == x on the nose, so the cached resolution of x is reused
     eps = rec.counit_closed(y)
-    c, _, _ = cx.cone(eps)
-    r = rec.j_upper(c)
+    r = rec.j_upper(cx.cone(eps))
     p, rho = cx.proj_resolution(x)
     sp = cx.shift(p, 1)
     ident = cx.ChainMap(r, sp, {
@@ -693,7 +685,7 @@ def standard_triangle(s):
                                           v_left.comp(p).comps[o]])
             for o in base.objects})
         for p in xprime.degrees()})
-    m, m_incl, m_proj = cx.cone(lam)
+    m = cx.cone(lam)
     p12 = fiber_complex(p_big, (1, 2))
     kappa = cx.ChainMap(m, p12, {
         p: ps.PresheafMap(m.term(p), p12.term(p), {
@@ -709,7 +701,7 @@ def standard_triangle(s):
 
     # δ via the standard route: Z ≃ P_11 → P_12 ≃ M ≃ ΣX' ≃ ΣX
     pz, rho_z = cx.proj_resolution(zf)
-    q_z = _point_restriction(rho_sa, (1, 1), base)
+    q_z = point_restriction(rho_sa, (1, 1))
     lifted = cx.lift_through_qis(rho_z, q_z)
     if lifted is None:
         raise AssertionError("fiber comparison fails to lift")
@@ -720,7 +712,8 @@ def standard_triangle(s):
     if lifted2 is None:
         raise AssertionError("lift through the total cofiber fails")
     lam2, _ = lifted2
-    c_x = _point_restriction(rho_sa, (0, 0), base)
+    c_x = point_restriction(rho_sa, (0, 0))
+    _, m_proj = cx.cone_maps(lam, m)
     delta_rep = cx.shift_map(c_x, 1).compose(m_proj).compose(lam2)
     delta_class = cx.ext_coordinates(zf, xf, 1, delta_rep)
     if delta_class is None:
@@ -730,7 +723,7 @@ def standard_triangle(s):
     h = cx.homotopy_solve(g.compose(f))
     if h is None:
         raise AssertionError("gf admits no nullhomotopy")
-    cf, cf_incl, cf_proj = cx.cone(f)
+    cf = cx.cone(f)
     phi = cx.ChainMap(cf, zf, {
         p: ps.PresheafMap(cf.term(p), zf.term(p), {
             o: linalg.hstack(x_sq.field, [h.comp(p + 1).comps[o],
@@ -743,14 +736,9 @@ def standard_triangle(s):
     if lifted3 is None:
         raise AssertionError("lift through the cone comparison fails")
     lam3, _ = lifted3
+    _, cf_proj = cx.cone_maps(f, cf)
     cone_rep = cf_proj.compose(lam3)
     cone_class = cx.ext_coordinates(zf, xf, 1, cone_rep)
     witnesses = {"cocartesian": eps_co, "cartesian": eta_ca,
                  "total_cofiber": kappa, "cone_comparison": phi}
     return StandardTriangle(f, g, delta_rep, delta_class, cone_class, witnesses)
-
-
-def _point_restriction(chain_map, i_obj, base):
-    """Restrict a chain map over a product shape to the fiber at i_obj."""
-    u = fiber_functor(chain_map.source.shape, i_obj)
-    return cx.restrict_chain_map(u, chain_map)

@@ -136,9 +136,6 @@ class DiagFunctor:
     def __call__(self, x):
         return self.obj_map[x]
 
-    def map_arrow(self, a):
-        return self.arrow_map[a]
-
     def _validate(self):
         for x in self.source.objects:
             if self.obj_map.get(x) not in self.target.objects:
@@ -186,9 +183,6 @@ class NatTrans:
         self.components = dict(components)
         if validate:
             self._validate()
-
-    def component(self, x):
-        return self.components[x]
 
     def _validate(self):
         cat = self.source.source

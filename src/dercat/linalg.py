@@ -144,13 +144,6 @@ class Matrix:
         self._hash = None
 
     @staticmethod
-    def from_rows(field, rows_list):
-        r = len(rows_list)
-        c = len(rows_list[0]) if r else 0
-        ent = [[field.of_int(v) if isinstance(v, int) else v for v in row] for row in rows_list]
-        return Matrix(field, r, c, ent)
-
-    @staticmethod
     def zeros(field, rows, cols):
         z = field.zero
         return Matrix(field, rows, cols, [[z] * cols for _ in range(rows)])
@@ -233,9 +226,6 @@ class Matrix:
             rows = [[sum(a * b for a, b in zip(r, c)) % p for c in ot]
                     for r in self.entries]
         return Matrix(f, self.rows, other.cols, rows)
-
-    def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
 
     def submatrix(self, row_range, col_range):
         return Matrix(self.field, len(row_range), len(col_range),

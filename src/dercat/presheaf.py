@@ -457,9 +457,6 @@ class Resolution:
     def length(self):
         return len(self.terms) - 1
 
-    def tail_is_zero(self):
-        return self.kernels[-1].is_zero()
-
 
 def resolve(f):
     """Iterate the free hull: terminates within max_chain_length steps."""

@@ -71,9 +71,10 @@ def _enc_label(x):
     return x
 
 
-def _dec_label(v):
+def dec_label(v):
+    """An object or arrow label read from JSON: lists become tuples."""
     if isinstance(v, list):
-        return tuple(_dec_label(w) for w in v)
+        return tuple(dec_label(w) for w in v)
     return v
 
 
@@ -124,11 +125,11 @@ def dec_diagram(obj):
         return diagram.product(dec_diagram(obj["product"][0]),
                                dec_diagram(obj["product"][1]))
     try:
-        objects = [_dec_label(x) for x in obj["objects"]]
-        arrows = [( _dec_label(a["name"]), _dec_label(a["src"]),
-                    _dec_label(a["tgt"])) for a in obj["arrows"]]
-        identities = [_dec_label(a) for a in obj["identities"]]
-        comp_rows = [tuple(_dec_label(v) for v in row)
+        objects = [dec_label(x) for x in obj["objects"]]
+        arrows = [( dec_label(a["name"]), dec_label(a["src"]),
+                    dec_label(a["tgt"])) for a in obj["arrows"]]
+        identities = [dec_label(a) for a in obj["identities"]]
+        comp_rows = [tuple(dec_label(v) for v in row)
                      for row in obj.get("compose", [])]
     except (KeyError, TypeError) as e:
         raise FormatError("bad diagram: %s" % (e,))
@@ -162,8 +163,8 @@ def dec_functor(obj):
     src = dec_diagram(obj["source"])
     tgt = dec_diagram(obj["target"])
     try:
-        omap = {_dec_label(x): _dec_label(ux) for x, ux in obj["objects"]}
-        amap = {_dec_label(a): _dec_label(ua) for a, ua in obj["arrows"]}
+        omap = {dec_label(x): dec_label(ux) for x, ux in obj["objects"]}
+        amap = {dec_label(a): dec_label(ua) for a, ua in obj["arrows"]}
         return diagram.DiagFunctor(src, tgt, omap, amap, validate=True)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError("functor does not validate: %s" % (e,))
@@ -183,14 +184,14 @@ def _enc_presheaf_body(f):
 
 def _dec_presheaf_body(field, shape, obj):
     try:
-        dims = {_dec_label(x): int(d) for x, d in obj["dims"]}
-        action = {_dec_label(a): dec_matrix(field, m)
+        dims = {dec_label(x): int(d) for x, d in obj["dims"]}
+        action = {dec_label(a): dec_matrix(field, m)
                   for a, m in obj["action"]}
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError("bad presheaf: %s" % (e,))
     parts = None
     if "free" in obj:
-        parts = tuple((int(v), _dec_label(i)) for v, i in obj["free"])
+        parts = tuple((int(v), dec_label(i)) for v, i in obj["free"])
     try:
         return ps.Presheaf(field, shape, dims, action, free_parts=parts,
                            validate=True)
@@ -222,7 +223,7 @@ def _enc_map_body(phi):
 
 def _dec_map_body(src, tgt, rows):
     field = src.field
-    comps = {_dec_label(x): dec_matrix(field, m) for x, m in rows}
+    comps = {dec_label(x): dec_matrix(field, m) for x, m in rows}
     try:
         return ps.PresheafMap(src, tgt, comps, validate=True)
     except (ValueError, KeyError) as e:
@@ -301,7 +302,7 @@ def dec_morphism(obj, f, g):
     _file_field(obj, f.field)
     comps = {}
     for i, rows in obj["components"]:
-        i = _dec_label(i)
+        i = dec_label(i)
         comps[i] = _dec_chain_map_body(f.value(i), g.value(i), rows)
     for i in f.shape.objects:
         if i not in comps:
@@ -336,11 +337,11 @@ def dec_incoherent(obj, field=None):
     base = dec_diagram(obj["base"])
     prod = diagram.product(icat, base)
     try:
-        values = {_dec_label(i): _dec_complex_body(file_field, base, body)
+        values = {dec_label(i): _dec_complex_body(file_field, base, body)
                   for i, body in obj["values"]}
         maps = {}
         for a, rows in obj["maps"]:
-            a = _dec_label(a)
+            a = dec_label(a)
             src = values[icat.tgt[a]]
             tgt = values[icat.src[a]]
             maps[a] = _dec_chain_map_body(src, tgt, rows)
@@ -348,7 +349,7 @@ def dec_incoherent(obj, field=None):
         raise FormatError("bad incoherent diagram: %s" % (e,))
     witnesses = {}
     for row in obj.get("witnesses", []):
-        a, b, hrows = _dec_label(row[0]), _dec_label(row[1]), row[2]
+        a, b, hrows = dec_label(row[0]), dec_label(row[1]), row[2]
         src = values[icat.tgt[b]]
         tgt = values[icat.src[a]]
         comps = {int(p): _dec_map_body(src.term(int(p)),

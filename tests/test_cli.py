@@ -114,6 +114,35 @@ def test_kan_and_hocolim(tmp_path, capsys):
     assert code == 0
 
 
+def base_change_inputs(tmp_path):
+    d1 = diagram.delta(1)
+    u = diagram.functor_by_objects(d1, diagram.square(),
+                                   {0: (0, 0), 1: (1, 1)})
+    x = gen.rand_complex(gen.rng_for(5), F2, d1, lo=0, hi=1, max_parts=1)
+    xp, up = tmp_path / "x.json", tmp_path / "u.json"
+    se.save(xp, x)
+    se.save(up, u)
+    return str(xp), str(up)
+
+
+def test_base_change_reads_tuple_object(tmp_path, capsys):
+    xp, up = base_change_inputs(tmp_path)
+    assert se.dec_label([1, 1]) == (1, 1)
+    code, out = run(capsys, "--json", "base-change", xp, "--functor", up,
+                    "--at", "[1, 1]")
+    assert code == 0
+    assert json.loads(out)["lines"] == [
+        "base change (right) at (1, 1): invertible"]
+
+
+def test_base_change_rejects_object_outside_target(tmp_path, capsys):
+    xp, up = base_change_inputs(tmp_path)
+    code = cli.main(["base-change", xp, "--functor", up, "--at", "[2, 2]"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_square_check_and_triangle(tmp_path, capsys):
     p = tmp_path / "sq.json"
     se.save(p, nonsplit_square_complex())

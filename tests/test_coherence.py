@@ -119,7 +119,7 @@ def test_point_extension_counit():
         for p in e.degrees():
             assert e.term(p).dims[(i, 0)] == fib.term(p).dims[0]
         # the counit restricts to an equivalence on the defining fiber
-        at_i = dv._point_restriction(eps, i, base)
+        at_i = dv.point_restriction(eps, i)
         assert cx.is_quasi_iso(at_i)
 
 

@@ -44,10 +44,14 @@ def test_cone_of_identity_is_acyclic():
     for _ in range(5):
         shape = gen.rand_poset(r, 4)
         x = gen.rand_complex(r, F2, shape, max_parts=1)
-        c, incl, proj = cx.cone(cx.identity_chain_map(x))
+        f = cx.identity_chain_map(x)
+        c = cx.cone(f)
         assert cx.is_acyclic(c)
-        # cone triangle: incl is Y → C, proj is C → ΣX
+        # cone triangle: incl is Y → C, proj is C → ΣX, split exact
+        incl, proj = cx.cone_maps(f, c)
         assert proj.compose(incl).is_zero()
+        for p in c.degrees():
+            assert ps.is_conflation(incl.comp(p), proj.comp(p))
 
 
 def test_cone_of_quasi_iso_is_acyclic():
@@ -56,8 +60,7 @@ def test_cone_of_quasi_iso_is_acyclic():
         shape = gen.rand_poset(r, 3)
         x = gen.rand_complex(r, F3, shape, max_parts=1)
         p, rho = cx.proj_resolution(x)
-        c, _, _ = cx.cone(rho)
-        assert cx.is_acyclic(c)
+        assert cx.is_acyclic(cx.cone(rho))
 
 
 def test_ext_table_of_simples_over_delta1():

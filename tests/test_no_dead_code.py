@@ -1,6 +1,7 @@
-"""Every top-level function and class in the library is referenced from
-the library, the tests or the benchmark; an unreferenced one is dead
-code."""
+"""Every top-level function and class in the library, and every method
+of its top-level classes, is referenced from the library, the tests or the
+benchmark; an unreferenced one is dead code.  Dunder methods are called by
+the language and are not checked."""
 
 import ast
 import os
@@ -30,16 +31,28 @@ def _referenced_names(trees):
     return names
 
 
+def _definitions(tree):
+    """(qualified name, name) of the top-level functions and classes and of
+    the non-dunder methods of the top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) \
+                        and not item.name.startswith("__"):
+                    yield node.name + "." + item.name, item.name
+
+
 def dead_definitions(lib_dir, *use_dirs):
-    """(module, name) of top-level functions and classes of lib_dir that
-    no code in lib_dir or use_dirs refers to."""
+    """(module, qualified name) of the definitions of lib_dir that no code
+    in lib_dir or use_dirs refers to."""
     used = _referenced_names(_trees(lib_dir, *use_dirs))
     dead = []
     for path, tree in _trees(lib_dir):
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and node.name not in used:
-                dead.append((os.path.basename(path), node.name))
+        for qualname, name in _definitions(tree):
+            if name not in used:
+                dead.append((os.path.basename(path), qualname))
     return dead
 
 
@@ -51,4 +64,13 @@ def test_no_unreferenced_top_level_definitions():
 def test_the_check_sees_an_unreferenced_definition(tmp_path):
     (tmp_path / "m.py").write_text("def used():\n    pass\n\n\n"
                                    "def unused():\n    used()\n")
-    assert dead_definitions(str(tmp_path)) == [("m.py", "unused")]
+    (tmp_path / "c.py").write_text("class C:\n"
+                                   "    def __init__(self):\n"
+                                   "        self.used()\n\n"
+                                   "    def used(self):\n"
+                                   "        pass\n\n"
+                                   "    def idle(self):\n"
+                                   "        pass\n\n\n"
+                                   "C()\n")
+    assert dead_definitions(str(tmp_path)) == [("c.py", "C.idle"),
+                                               ("m.py", "unused")]
