@@ -276,18 +276,19 @@ class LiftCertificate:
         self.arrow_homotopies = arrow_homotopies
 
     def verify(self):
+        """True when every fiber map is a quasi-isomorphism and every arrow
+        homotopy witnesses its square; False otherwise."""
         d = self.diagram
-        for i, q in self.fiber_maps.items():
+        for q in self.fiber_maps.values():
             if not cx.is_quasi_iso(q):
-                raise AssertionError("fiber comparison at %r not invertible"
-                                     % (i,))
+                return False
         for a, h in self.arrow_homotopies.items():
             x, y = d.shape.src[a], d.shape.tgt[a]
             s = dv.structure_chain_map(self.lift, a)
             lhs = self.fiber_maps[x].compose(s)
             rhs = d.map(a).compose(self.fiber_maps[y])
             if not h.witnesses(lhs, rhs):
-                raise AssertionError("arrow witness at %r fails" % (a,))
+                return False
         return True
 
 
@@ -377,12 +378,9 @@ def _lift_data(f):
             if h is None:
                 raise AssertionError(
                     "tower descent obstruction at stage %d" % l)
-            phi = cx.ChainMap(x, layers[l - 1].complex, {
-                p: ps.PresheafMap(x.term(p), layers[l - 1].complex.term(p), {
-                    o: linalg.hstack(field, [h.comp(p + 1).comp(o),
-                                             faces[l].comp(p).comp(o)])
-                    for o in prod.objects})
-                for p in x.degrees()}, validate=True)
+            phi = cx.termwise_map(x, layers[l - 1].complex, lambda p, o: (
+                linalg.hstack(field, [h.comp(p + 1).comp(o),
+                                      faces[l].comp(p).comp(o)]))).validate()
             stage_maps.append(phi)
         lift = cx.cone(phi)
 
@@ -396,7 +394,7 @@ def _lift_data(f):
 
 def _lift_discrete(f, prod):
     """No non-identity arrows: embed the values directly."""
-    icat, base, field = f.shape, f.base, f.field
+    icat, field = f.shape, f.field
     lo = min((f.values[i].lo for i in icat.objects))
     hi = max((f.values[i].hi for i in icat.objects))
     terms, diffs = {}, {}
@@ -414,12 +412,9 @@ def _lift_discrete(f, prod):
     lift = cx.Complex(field, prod, terms, diffs)
     fiber_maps, iotas, arrow_h = {}, {}, {}
     for i in icat.objects:
-        fib = dv.fiber_complex(lift, i)
-        fiber_maps[i] = cx.ChainMap(fib, f.values[i], {
-            p: ps.PresheafMap(fib.term(p), f.values[i].term(p), {
-                m: Matrix.identity(field, f.values[i].term(p).dims[m])
-                for m in base.objects})
-            for p in fib.degrees()})
+        fiber_maps[i] = cx.termwise_map(
+            dv.fiber_complex(lift, i), f.values[i],
+            lambda p, m: Matrix.identity(field, f.values[i].term(p).dims[m]))
         iotas[i] = None
     cert = LiftCertificate(lift, f, fiber_maps, iotas, arrow_h)
     return _LiftData(prod, {}, {}, {}, [], [], lift, cert)
@@ -478,6 +473,39 @@ def _certify(f, prod, lift, layer0, resolutions, res_maps, arrow_lifts):
     return LiftCertificate(lift, f, fiber_maps, iotas, arrow_h)
 
 
+def _tower_map(data, y, phis):
+    """The chain map lift → y out of the lifting tower recorded in data.
+
+    On the layer-0 summand of object i it is the adjunct ε₀ of
+    phis[i] : R_i → y_i; on lift = cone(last stage map φ) it is [h, ε₀]
+    with ε₀∘φ = dh + hd.  None when ε₀∘φ has no nullhomotopy."""
+    field = y.field
+    layer0 = data.layers[0]
+    adjuncts = [dv.adjunct_chain_map(dv.fiber_functor(data.prod, start),
+                                     phis[start], y, src_t=piece)
+                for (start, _, _), piece in zip(layer0.chains, layer0.pieces)]
+    eps = cx.termwise_map(layer0.complex, y, lambda p, o: linalg.hstack(
+        field, [a.comp(p).comp(o) for a in adjuncts]))
+    if not data.stage_maps:
+        return eps
+    h = cx.homotopy_solve(eps.compose(data.stage_maps[-1]))
+    if h is None:
+        return None
+    return cx.termwise_map(data.lift, y, lambda p, o: linalg.hstack(
+        field, [h.comp(p + 1).comp(o), eps.comp(p).comp(o)]))
+
+
+def lift_comparison(x):
+    """The comparison map lift(dia x) → x for a complex x over I × J, built
+    from the tower out of the resolutions R_i → x_i; None when the tower
+    admits no such map."""
+    data = _lift_data(dia(x))
+    if not data.layers:
+        # no non-identity arrows: _lift_discrete rebuilds x itself
+        return cx.identity_chain_map(x)
+    return _tower_map(data, x, data.res_maps)
+
+
 def lift_morphism(f, g, phi):
     """Lift a family φ_i : f_i → g_i commuting with the diagram maps up to
     homotopy to a chain map between the lifted complexes.
@@ -529,32 +557,21 @@ def lift_morphism(f, g, phi):
                                   phi_g.compose(psi))
             if h is None:
                 raise AssertionError("morphism descent obstruction at %d" % l)
-            xf = cx.cone(phi_f)
-            xg = cx.cone(phi_g)
-            comps = {}
-            for p in xf.degrees():
-                mats = {}
-                for o in prod.objects:
-                    a11 = psi.comp(p + 1).comp(o)
-                    a21 = h.comp(p + 1).comp(o)
-                    a22 = layer_maps[l - 1].comp(p).comp(o)
-                    z12 = Matrix.zeros(field, a11.rows, a22.cols)
-                    mats[o] = linalg.block(field, [[a11, z12], [a21, a22]])
-                comps[p] = ps.PresheafMap(xf.term(p), xg.term(p), mats)
-            psi = cx.ChainMap(xf, xg, comps, validate=True)
+            def comp(p, o):
+                a11 = psi.comp(p + 1).comp(o)
+                a22 = layer_maps[l - 1].comp(p).comp(o)
+                return linalg.block(field, [
+                    [a11, Matrix.zeros(field, a11.rows, a22.cols)],
+                    [h.comp(p + 1).comp(o), a22]])
+            psi = cx.termwise_map(cx.cone(phi_f), cx.cone(phi_g),
+                                  comp).validate()
         m = psi
     return m, _morphism_witnesses(f, g, phi, df, dg, m)
 
 
 def _block_diagonal(src, tgt, pieces):
-    field = src.field
-    comps = {}
-    for p in set(src.degrees()) | set(tgt.degrees()):
-        comps[p] = ps.PresheafMap(src.term(p), tgt.term(p), {
-            o: linalg.direct_sum_many(field,
-                                      [pc.comp(p).comp(o) for pc in pieces])
-            for o in src.shape.objects})
-    return cx.ChainMap(src, tgt, comps)
+    return cx.termwise_map(src, tgt, lambda p, o: linalg.direct_sum_many(
+        src.field, [pc.comp(p).comp(o) for pc in pieces]))
 
 
 def _morphism_witnesses(f, g, phi, df, dg, m):
@@ -609,14 +626,11 @@ def point_extension_counit(x, i):
                 fib.diff(p).comp(m) for _ in icat.hom(j, i)])
             for (j, m) in prod.objects})
     e = cx.Complex(field, prod, terms, diffs)
-    eps = cx.ChainMap(e, x, {
-        p: ps.PresheafMap(e.term(p), x.term(p), {
-            (j, m): linalg.hstack(field, [
-                x.term(p).act(prod.pair_arrow[(a, base.identity[m])])
-                for a in icat.hom(j, i)]) if icat.hom(j, i)
-            else Matrix.zeros(field, x.term(p).dims[(j, m)], 0)
-            for (j, m) in prod.objects})
-        for p in e.degrees()}, validate=True)
+    eps = cx.termwise_map(e, x, lambda p, jm: (
+        linalg.hstack(field, [
+            x.term(p).act(prod.pair_arrow[(a, base.identity[jm[1]])])
+            for a in icat.hom(jm[0], i)]) if icat.hom(jm[0], i)
+        else Matrix.zeros(field, x.term(p).dims[jm], 0))).validate()
     return e, eps
 
 
@@ -682,23 +696,21 @@ def hom_compare(x, z):
         Matrix.zeros(field, 0, total)
     sol_basis = linalg.kernel_basis(constraint)
     inc_dim = sol_basis.cols
-    # canonical map: restrict each coherent basis class to its family
-    image_cols = []
-    for rep in coh_reps:
-        vec = [field.zero] * total
-        px, rho_x = cx.proj_resolution(x)
-        for i in icat.objects:
-            fib_rep = dv.point_restriction(rep, i)
-            fib_rho = dv.point_restriction(rho_x, i)
-            lifted = cx.lift_through_qis(
-                cx.proj_resolution(dx.values[i])[1], fib_rho)
-            if lifted is None:
-                raise AssertionError("fiber lift failed at %r" % (i,))
-            coords = cx.ext_coordinates(dx.values[i], dz.values[i], 0,
-                                        fib_rep.compose(lifted[0]))
-            for k, c in enumerate(coords):
-                vec[obj_offsets[i] + k] = c
-        image_cols.append(Matrix(field, total, 1, [[v] for v in vec]))
+    # canonical map: restrict each coherent basis class to its family,
+    # through the lift of R(x_i) → x_i along the fiber of P(x) → x
+    vecs = [[field.zero] * total for _ in coh_reps]
+    rho_x = cx.proj_resolution(x)[1]
+    for i in icat.objects if coh_reps else ():
+        lifted = cx.lift_through_qis(cx.proj_resolution(dx.values[i])[1],
+                                     dv.point_restriction(rho_x, i))
+        if lifted is None:
+            raise AssertionError("fiber lift failed at %r" % (i,))
+        for vec, rep in zip(vecs, coh_reps):
+            coords = cx.ext_coordinates(
+                dx.values[i], dz.values[i], 0,
+                dv.point_restriction(rep, i).compose(lifted[0]))
+            vec[obj_offsets[i]:obj_offsets[i] + len(coords)] = coords
+    image_cols = [Matrix(field, total, 1, [[v] for v in vec]) for vec in vecs]
     if image_cols:
         image = linalg.hstack(field, image_cols)
         inside = all(
@@ -836,27 +848,35 @@ def kernel_toda_check(kernel):
     return TodaReport(table, witnesses)
 
 
+def _tensored(kernel, x):
+    """The strict incoherent diagram i ↦ x_i ⊗ kernel over I, for a
+    complex x over I × e."""
+    icat = x.shape.product_of[0]
+    d = dia(x)
+    values = {i: tensor_with_kernel(d.values[i], kernel)
+              for i in icat.objects}
+    maps = {a: tensor_map_with_kernel(d.maps[a], kernel)
+            for a in icat.nonidentity_arrows()}
+    return _strict_witnesses(
+        IncoherentDiagram(icat, kernel.shape, values, maps))
+
+
 def extend_functor(kernel, x):
     """Apply the exact functor V ↦ V ⊗ kernel fiberwise to a complex over
     I × e and lift the result to a complex over I × J′.
 
-    Returns (complex, LiftCertificate).  Requires the base of x to be the
-    one-point shape and the kernel to pass its Toda self-check."""
-    icat, base = x.shape.product_of
+    Returns (complex, LiftCertificate); the certificate's fiber maps
+    compare each fiber of the complex with x_i ⊗ kernel.  Requires the
+    base of x to be the one-point shape and the kernel to pass its Toda
+    self-check."""
+    base = x.shape.product_of[1]
     if len(base.objects) != 1 or base.nonidentity_arrows():
         raise ValueError("extension requires the one-point base")
     report = kernel_toda_check(kernel)
     if not report.passes:
         raise ValueError("kernel fails the Toda self-check at n = %r"
                          % (report.witnesses,))
-    d = dia(x)
-    values = {i: tensor_with_kernel(d.values[i], kernel)
-              for i in icat.objects}
-    maps = {a: tensor_map_with_kernel(d.maps[a], kernel)
-            for a in icat.nonidentity_arrows()}
-    tensored = _strict_witnesses(
-        IncoherentDiagram(icat, kernel.shape, values, maps))
-    return lift_object(tensored)
+    return lift_object(_tensored(kernel, x))
 
 
 class ExtensionCompatReport:
@@ -866,14 +886,26 @@ class ExtensionCompatReport:
 
 
 def verify_extension_compat(u, kernel, x):
-    """Check restrict(u, extend(x)) ≃ extend(restrict(u, x)) by exhibiting
-    a quasi-isomorphism witness."""
-    lhs_big, _ = extend_functor(kernel, x)
-    lhs = cx.restrict_complex(diagram.times_base(u, kernel.shape), lhs_big)
+    """Check restrict(u, extend(x)) ≃ extend(restrict(u, x)) for a shape
+    functor u : I′ → I, over any field, by constructing the comparison.
+
+    Let q_j be the fiber maps of extend(x)'s certificate.  When I′ has no
+    non-identity arrows, the witness restrict(u, extend(x)) →
+    extend(restrict(u, x)) is q_{u(i)} on the fiber at i.  Otherwise it is
+    the tower map extend(restrict(u, x)) → restrict(u, extend(x)) out of
+    the lifts of the resolutions R_i → x_{u(i)} ⊗ kernel through q_{u(i)}.
+    passes is true when the witness exists and is a quasi-isomorphism."""
+    big, cert = extend_functor(kernel, x)
+    lhs = cx.restrict_complex(diagram.times_base(u, kernel.shape), big)
     e = x.shape.product_of[1]
-    rhs_input = cx.restrict_complex(diagram.times_base(u, e), x)
-    rhs, _ = extend_functor(kernel, rhs_input)
-    w = cx.find_quasi_iso(lhs, rhs)
-    if w is None:
-        w = cx.find_quasi_iso(rhs, lhs)
-    return ExtensionCompatReport(w is not None, w)
+    data = _lift_data(_tensored(
+        kernel, cx.restrict_complex(diagram.times_base(u, e), x)))
+    q = {i: cert.fiber_maps[u.obj_map[i]] for i in u.source.objects}
+    if not u.source.nonidentity_arrows():
+        w = cx.termwise_map(lhs, data.lift,
+                            lambda p, o: q[o[0]].comp(p).comp(o[1]))
+    else:
+        w = _tower_map(data, lhs, {
+            i: cx.lift_through_qis(data.res_maps[i], q[i])[0]
+            for i in u.source.objects})
+    return ExtensionCompatReport(w is not None and cx.is_quasi_iso(w), w)

@@ -221,6 +221,15 @@ def zero_chain_map(x, y):
     return ChainMap(x, y, {})
 
 
+def termwise_map(x, y, comp):
+    """The chain map x → y whose component at degree p and object o is
+    comp(p, o)."""
+    return ChainMap(x, y, {
+        p: ps.PresheafMap(x.term(p), y.term(p),
+                          {o: comp(p, o) for o in x.shape.objects})
+        for p in x.degrees()})
+
+
 def shift(x, n=1):
     """(Σ^n X)^p = X^{p+n}, differential scaled by (−1)^n."""
     sgn = x.field.of_int(-1 if n % 2 else 1)
@@ -250,7 +259,8 @@ def direct_sum_complex(x, y):
 def cone(f):
     """Mapping cone: C^p = X^{p+1} ⊕ Y^p, d = [[−d_X, 0], [f, d_Y]].
 
-    Returns the complex C only; `cone_maps` builds the triangle maps.
+    Returns the complex C only; `cone_inclusion` and `cone_projection`
+    build the triangle maps.
     """
     x, y = f.source, f.target
     field, shape = x.field, x.shape
@@ -271,30 +281,23 @@ def cone(f):
     return Complex(field, shape, terms, diffs)
 
 
-def cone_maps(f, c):
-    """The triangle maps of c = cone(f): (inclusion Y → C, projection
-    C → ΣX); in every degree the two form a split exact pair of presheaves.
-    """
+def cone_inclusion(f, c):
+    """The inclusion Y → C of the target of f into c = cone(f)."""
     x, y = f.source, f.target
-    field, shape = x.field, x.shape
-    lo = min(x.lo - 1, y.lo)
-    hi = max(x.hi - 1, y.hi)
-    incl = ChainMap(y, c, {
-        p: ps.PresheafMap(y.term(p), c.term(p), {
-            o: linalg.vstack(field, [
-                Matrix.zeros(field, x.term(p + 1).dims[o], y.term(p).dims[o]),
-                Matrix.identity(field, y.term(p).dims[o])])
-            for o in shape.objects})
-        for p in range(lo, hi + 1)})
-    sx = shift(x, 1)
-    proj = ChainMap(c, sx, {
-        p: ps.PresheafMap(c.term(p), sx.term(p), {
-            o: linalg.hstack(field, [
-                Matrix.identity(field, x.term(p + 1).dims[o]),
-                Matrix.zeros(field, x.term(p + 1).dims[o], y.term(p).dims[o])])
-            for o in shape.objects})
-        for p in range(lo, hi + 1)})
-    return incl, proj
+    field = x.field
+    return termwise_map(y, c, lambda p, o: linalg.vstack(field, [
+        Matrix.zeros(field, x.term(p + 1).dims[o], y.term(p).dims[o]),
+        Matrix.identity(field, y.term(p).dims[o])]))
+
+
+def cone_projection(f, c):
+    """The projection C → ΣX of c = cone(f); with cone_inclusion it forms a
+    split exact pair of presheaves in every degree."""
+    x, y = f.source, f.target
+    field = x.field
+    return termwise_map(c, shift(x, 1), lambda p, o: linalg.hstack(field, [
+        Matrix.identity(field, x.term(p + 1).dims[o]),
+        Matrix.zeros(field, x.term(p + 1).dims[o], y.term(p).dims[o])]))
 
 
 # --- homology ---------------------------------------------------------------
@@ -701,41 +704,6 @@ def extend_along_qis(alpha, iota):
     if (q.compose(iota) - alpha) != h.boundary():
         raise AssertionError("factorization certificate fails to verify")
     return q, h
-
-
-# the most Ext⁰ classes find_quasi_iso will enumerate
-QUASI_ISO_SEARCH_CAP = 4096
-
-
-def find_quasi_iso(a, b):
-    """Search Hom_D(a, b) for a quasi-isomorphism; returns a chain map
-    P(a) → b or None.  Enumerates the Ext⁰ classes (small fields only)."""
-    if is_acyclic(a) and is_acyclic(b):
-        return zero_chain_map(proj_resolution(a)[0], b)
-    dim, reps = ext(a, b, 0)
-    if dim == 0:
-        return None
-    field = a.field
-    if field.kind != "prime":
-        raise ValueError("search requires a finite field")
-    total = field.p ** dim
-    if total > QUASI_ISO_SEARCH_CAP:
-        raise ValueError("search space too large (%d classes)" % total)
-    for code in range(1, total):
-        coeffs = []
-        c = code
-        for _ in range(dim):
-            coeffs.append(c % field.p)
-            c //= field.p
-        cand = None
-        for co, rep in zip(coeffs, reps):
-            if co == 0:
-                continue
-            t = rep.scale(field.of_int(co))
-            cand = t if cand is None else cand + t
-        if cand is not None and is_quasi_iso(cand):
-            return cand
-    return None
 
 
 # --- restriction and duality --------------------------------------------------

@@ -293,15 +293,9 @@ def structure_chain_map(x, arrow_a):
     prod = x.shape
     icat, jcat = prod.product_of
     i1, i2 = icat.src[arrow_a], icat.tgt[arrow_a]
-    src = fiber_complex(x, i2)
-    tgt = fiber_complex(x, i1)
-    comps = {}
-    for p in x.degrees():
-        term = x.term(p)
-        comps[p] = ps.PresheafMap(src.term(p), tgt.term(p), {
-            m: term.act(prod.pair_arrow[(arrow_a, jcat.identity[m])])
-            for m in jcat.objects})
-    return cx.ChainMap(src, tgt, comps)
+    return cx.termwise_map(
+        fiber_complex(x, i2), fiber_complex(x, i1), lambda p, m: x.term(p).act(
+            prod.pair_arrow[(arrow_a, jcat.identity[m])]))
 
 
 # --- base change (Der 4) ------------------------------------------------------
@@ -318,10 +312,8 @@ def base_change_left(u, y, x):
     # α-restriction: (u∘forget)* L → const_y* L
     ujl = eta_j.target
     fiber = cx.restrict_complex(diagram.constant_functor(c_cat, u.target, y), l)
-    alpha_l = cx.ChainMap(ujl, fiber, {
-        deg: ps.PresheafMap(ujl.term(deg), fiber.term(deg), {
-            c: l.term(deg).act(alpha.components[c]) for c in c_cat.objects})
-        for deg in l.degrees()})
+    alpha_l = cx.termwise_map(
+        ujl, fiber, lambda deg, c: l.term(deg).act(alpha.components[c]))
     psi = alpha_l.compose(eta_j)
     r, rho_r = cx.proj_resolution(jp)
     psi_r = psi.compose(rho_r)
@@ -329,10 +321,8 @@ def base_change_left(u, y, x):
     fiber_e = cx.restrict_complex(diagram.point_inclusion(u.target, y), l)
     # reinterpret ψ over C as a map into p_C* of the fiber over e
     const_target = cx.restrict_complex(p_c, fiber_e)
-    psi_e = cx.ChainMap(r, const_target,
-                        {deg: ps.PresheafMap(r.term(deg), const_target.term(deg),
-                                             psi_r.comp(deg).comps)
-                         for deg in r.degrees()})
+    psi_e = cx.termwise_map(r, const_target,
+                            lambda deg, c: psi_r.comp(deg).comps[c])
     cbar = adjunct_chain_map(p_c, psi_e, fiber_e)
     return cbar, cx.is_quasi_iso(cbar)
 
@@ -503,8 +493,8 @@ class Recollement:
         """j^? X := j* Cone(ε : i_! i^* X → X); returns (complex, cone data)."""
         eps = self.counit_closed(x)
         c = cx.cone(eps)
-        incl, proj = cx.cone_maps(eps, c)
-        return self.j_upper(c), (eps, c, incl, proj)
+        return self.j_upper(c), (eps, c, cx.cone_inclusion(eps, c),
+                                 cx.cone_projection(eps, c))
 
     def glue_triangles(self, x):
         """The two recollement triangles at x, fully materialized.
@@ -521,18 +511,12 @@ class Recollement:
         iix = self.i_lower(ix)
         inv_j = {self.j.obj_map[o]: o for o in self.j.source.objects}
         inv_i = {self.i.obj_map[o]: o for o in self.i.source.objects}
-        kappa = cx.ChainMap(jjx, x, {
-            p: ps.PresheafMap(jjx.term(p), x.term(p), {
-                y: (Matrix.identity(x.field, x.term(p).dims[y]) if y in inv_j
-                    else Matrix.zeros(x.field, x.term(p).dims[y], 0))
-                for y in self.ambient.objects})
-            for p in x.degrees()})
-        pi = cx.ChainMap(x, iix, {
-            p: ps.PresheafMap(x.term(p), iix.term(p), {
-                y: (Matrix.identity(x.field, x.term(p).dims[y]) if y in inv_i
-                    else Matrix.zeros(x.field, 0, x.term(p).dims[y]))
-                for y in self.ambient.objects})
-            for p in x.degrees()})
+        kappa = cx.termwise_map(jjx, x, lambda p, y: (
+            Matrix.identity(x.field, x.term(p).dims[y]) if y in inv_j
+            else Matrix.zeros(x.field, x.term(p).dims[y], 0)))
+        pi = cx.termwise_map(x, iix, lambda p, y: (
+            Matrix.identity(x.field, x.term(p).dims[y]) if y in inv_i
+            else Matrix.zeros(x.field, 0, x.term(p).dims[y])))
         for p in x.degrees():
             if not ps.is_conflation(kappa.comp(p), pi.comp(p)):
                 raise AssertionError("extension-by-zero sequence not exact")
@@ -541,12 +525,9 @@ class Recollement:
         # open counit (a quasi-isomorphism because i* of the cone is acyclic)
         jq, (eps, c, incl, proj) = self.j_question(x)
         jjq = self.j_shriek(jq)
-        eps_j = cx.ChainMap(jjq, c, {
-            p: ps.PresheafMap(jjq.term(p), c.term(p), {
-                y: (Matrix.identity(x.field, c.term(p).dims[y]) if y in inv_j
-                    else Matrix.zeros(x.field, c.term(p).dims[y], 0))
-                for y in self.ambient.objects})
-            for p in c.degrees()})
+        eps_j = cx.termwise_map(jjq, c, lambda p, y: (
+            Matrix.identity(x.field, c.term(p).dims[y]) if y in inv_j
+            else Matrix.zeros(x.field, c.term(p).dims[y], 0)))
         if not cx.is_quasi_iso(eps_j):
             raise AssertionError("open counit at the cone is not invertible")
         if not cx.is_acyclic(self.i_upper(c)):
@@ -587,11 +568,8 @@ def suspension_via_recollement(x):
     r = rec.j_upper(cx.cone(eps))
     p, rho = cx.proj_resolution(x)
     sp = cx.shift(p, 1)
-    ident = cx.ChainMap(r, sp, {
-        deg: ps.PresheafMap(r.term(deg), sp.term(deg), {
-            o: Matrix.identity(x.field, sp.term(deg).dims[o])
-            for o in x.shape.objects})
-        for deg in sp.degrees()}, validate=True)
+    ident = cx.termwise_map(r, sp, lambda deg, o: Matrix.identity(
+        x.field, sp.term(deg).dims[o])).validate()
     witness = cx.shift_map(rho, 1).compose(ident)
     return r, witness
 
@@ -679,23 +657,15 @@ def standard_triangle(s):
     g_a = structure_chain_map(p_big, ts.hom((1, 2), (0, 2))[0])
     g_b = structure_chain_map(p_big, ts.hom((1, 2), (1, 0))[0])
     zab = cx.direct_sum_complex(za, zb)
-    lam = cx.ChainMap(xprime, zab, {
-        p: ps.PresheafMap(xprime.term(p), zab.term(p), {
-            o: linalg.vstack(x_sq.field, [u_top.comp(p).comps[o],
-                                          v_left.comp(p).comps[o]])
-            for o in base.objects})
-        for p in xprime.degrees()})
+    lam = cx.termwise_map(xprime, zab, lambda p, o: linalg.vstack(
+        x_sq.field, [u_top.comp(p).comps[o], v_left.comp(p).comps[o]]))
     m = cx.cone(lam)
     p12 = fiber_complex(p_big, (1, 2))
-    kappa = cx.ChainMap(m, p12, {
-        p: ps.PresheafMap(m.term(p), p12.term(p), {
-            o: linalg.hstack(x_sq.field, [
-                Matrix.zeros(x_sq.field, p12.term(p).dims[o],
-                             xprime.term(p + 1).dims[o]),
-                g_a.comp(p).comps[o],
-                -g_b.comp(p).comps[o]])
-            for o in base.objects})
-        for p in m.degrees()})
+    kappa = cx.termwise_map(m, p12, lambda p, o: linalg.hstack(x_sq.field, [
+        Matrix.zeros(x_sq.field, p12.term(p).dims[o],
+                     xprime.term(p + 1).dims[o]),
+        g_a.comp(p).comps[o],
+        -g_b.comp(p).comps[o]]))
     if not cx.is_quasi_iso(kappa):
         raise AssertionError("total-cofiber comparison is not invertible")
 
@@ -713,8 +683,8 @@ def standard_triangle(s):
         raise AssertionError("lift through the total cofiber fails")
     lam2, _ = lifted2
     c_x = point_restriction(rho_sa, (0, 0))
-    _, m_proj = cx.cone_maps(lam, m)
-    delta_rep = cx.shift_map(c_x, 1).compose(m_proj).compose(lam2)
+    delta_rep = cx.shift_map(c_x, 1).compose(
+        cx.cone_projection(lam, m)).compose(lam2)
     delta_class = cx.ext_coordinates(zf, xf, 1, delta_rep)
     if delta_class is None:
         raise AssertionError("δ representative is not a cocycle")
@@ -724,20 +694,15 @@ def standard_triangle(s):
     if h is None:
         raise AssertionError("gf admits no nullhomotopy")
     cf = cx.cone(f)
-    phi = cx.ChainMap(cf, zf, {
-        p: ps.PresheafMap(cf.term(p), zf.term(p), {
-            o: linalg.hstack(x_sq.field, [h.comp(p + 1).comps[o],
-                                          g.comp(p).comps[o]])
-            for o in base.objects})
-        for p in cf.degrees()})
+    phi = cx.termwise_map(cf, zf, lambda p, o: linalg.hstack(
+        x_sq.field, [h.comp(p + 1).comps[o], g.comp(p).comps[o]]))
     if not cx.is_quasi_iso(phi):
         raise AssertionError("cone comparison is not invertible")
     lifted3 = cx.lift_through_qis(rho_z, phi)
     if lifted3 is None:
         raise AssertionError("lift through the cone comparison fails")
     lam3, _ = lifted3
-    _, cf_proj = cx.cone_maps(f, cf)
-    cone_rep = cf_proj.compose(lam3)
+    cone_rep = cx.cone_projection(f, cf).compose(lam3)
     cone_class = cx.ext_coordinates(zf, xf, 1, cone_rep)
     witnesses = {"cocartesian": eps_co, "cartesian": eta_ca,
                  "total_cofiber": kappa, "cone_comparison": phi}

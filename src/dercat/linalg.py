@@ -120,10 +120,6 @@ class Field:
         return str(a)
 
 
-QQ = Field("rationals")
-GF2 = Field("prime", 2)
-
-
 class Matrix:
     """Immutable dense matrix with exact entries.
 

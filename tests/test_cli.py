@@ -205,6 +205,13 @@ def test_verify_vacuous_and_small(capsys):
     assert code == 0 and rep["passed"] == 3 and not rep["failures"]
 
 
+def test_extension_exactness_runs_over_q(capsys):
+    code, out = run(capsys, "--field", "q", "--json", "verify", "--suite",
+                    "extension-exactness", "--seed", "0", "--cases", "4")
+    rep = json.loads(out)
+    assert code == 0 and rep["passed"] == 4 and not rep["failures"]
+
+
 def test_verify_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     witness = cx.stalk(simple(F2, diagram.delta(1), 0))

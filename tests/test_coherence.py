@@ -13,6 +13,8 @@ from dercat import generators as gen
 
 F2 = Field("prime", 2)
 F3 = Field("prime", 3)
+F5 = Field("prime", 5)
+QQ = Field("rationals")
 
 
 def split_two_term(field, shape):
@@ -44,6 +46,36 @@ def test_lift_of_dia_roundtrip():
         assert cert.verify()
         for i in icat.objects:
             assert cx.is_quasi_iso(cert.fiber_maps[i])
+
+
+def test_lift_comparison_is_quasi_iso():
+    r = gen.rng_for(11)
+    pair = diagram.disjoint_union(diagram.terminal_cat(),
+                                  diagram.terminal_cat())[0]
+    for field in (F2, F5, QQ):
+        for icat in (pair, diagram.delta(2)):
+            x = gen.rand_honest(r, field, icat, diagram.delta(1),
+                                max_parts=1)
+            w = co.lift_comparison(x)
+            assert w.target == x and w.source == co.lift_object(co.dia(x))[0]
+            assert cx.is_quasi_iso(w)
+            if icat is pair:
+                assert w == cx.identity_chain_map(x)
+
+
+def test_failed_lift_certificate_verifies_false():
+    r = gen.rng_for(2)
+    x = gen.rand_honest(r, F2, diagram.delta(1), diagram.delta(1),
+                        max_parts=1)
+    _, cert = co.lift_object(co.dia(x))
+    i, q = next((i, q) for i, q in cert.fiber_maps.items()
+                if not cx.is_acyclic(q.target))
+    fiber_maps = dict(cert.fiber_maps)
+    fiber_maps[i] = cx.zero_chain_map(q.source, q.target)
+    bad = co.LiftCertificate(cert.lift, cert.diagram, fiber_maps, cert.iotas,
+                             cert.arrow_homotopies)
+    assert bad.verify() is False
+    assert cert.verify() is True
 
 
 def test_lift_of_perturbed_diagram():
@@ -164,8 +196,9 @@ def test_extend_functor_and_compat():
 def test_extend_functor_compat_with_collapse():
     r = gen.rng_for(10)
     e = diagram.terminal_cat()
-    kernel = gen.rand_kernel(r, F2, diagram.delta(1), max_parts=1)
-    x = cx.over_point(gen.rand_stalkish_complex(r, F2, e, max_parts=1))
-    u = diagram.terminal_functor(diagram.delta(1))
-    rep = co.verify_extension_compat(u, kernel, x)
-    assert rep.passes
+    for field in (F2, QQ):
+        kernel = gen.rand_kernel(r, field, diagram.delta(1), max_parts=1)
+        x = cx.over_point(gen.rand_stalkish_complex(r, field, e, max_parts=1))
+        u = diagram.terminal_functor(diagram.delta(1))
+        rep = co.verify_extension_compat(u, kernel, x)
+        assert rep.passes

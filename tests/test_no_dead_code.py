@@ -1,7 +1,8 @@
-"""Every top-level function and class in the library, and every method
-of its top-level classes, is referenced from the library, the tests or the
-benchmark; an unreferenced one is dead code.  Dunder methods are called by
-the language and are not checked."""
+"""Every top-level function and class in the library, every method of its
+top-level classes and every module-level assigned name is referenced from
+the library, the tests or the benchmark; an unreferenced one is dead code.
+Dunder names are read by the language and its tools and are not checked.
+Only reads count as references: an assignment does not use its target."""
 
 import ast
 import os
@@ -22,9 +23,10 @@ def _referenced_names(trees):
     names = set()
     for _, tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name)
@@ -32,11 +34,20 @@ def _referenced_names(trees):
 
 
 def _definitions(tree):
-    """(qualified name, name) of the top-level functions and classes and of
-    the non-dunder methods of the top-level classes."""
+    """(qualified name, name) of the top-level functions and classes, of
+    the non-dunder methods of the top-level classes and of the non-dunder
+    names assigned at module level."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.name
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) \
+                            and not name.id.startswith("__"):
+                        yield name.id, name.id
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) \
@@ -72,5 +83,9 @@ def test_the_check_sees_an_unreferenced_definition(tmp_path):
                                    "    def idle(self):\n"
                                    "        pass\n\n\n"
                                    "C()\n")
+    (tmp_path / "v.py").write_text("__version__ = '1'\n"
+                                   "READ, IDLE = 1, 2\n"
+                                   "print(READ)\n")
     assert dead_definitions(str(tmp_path)) == [("c.py", "C.idle"),
-                                               ("m.py", "unused")]
+                                               ("m.py", "unused"),
+                                               ("v.py", "IDLE")]
