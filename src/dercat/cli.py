@@ -101,7 +101,7 @@ def cmd_ext(args, field):
 def cmd_kan(args, field):
     x = _load(args.file, field, cx.Complex)
     u = _load(args.functor, None, diagram.DiagFunctor)
-    out, cert = (dv.lan if args.dir == "left" else dv.ran)(u, x)
+    out, _ = (dv.lan if args.dir == "left" else dv.ran)(u, x)
     lines = ["%s Kan extension: degrees [%d, %d], dims %r"
              % (args.dir, out.lo, out.hi, _dims_by_degree(out))]
     _save_out(args, out, lines)
@@ -173,7 +173,7 @@ def cmd_recollement(args, field):
     if x.shape.product_of is None or x.shape.product_of[1] != diagram.delta(1):
         raise se.FormatError("shape must factor as I × Δ1")
     rec, _, _ = dv.product_recollement(x.shape.product_of[0])
-    t1, t2 = rec.glue_triangles(x)
+    rec.glue_triangles(x)
     lines = ["both recollement triangles verified "
              "(cone identification and degreewise exactness)"]
     return EXIT_OK, {"ok": True, "lines": lines}
@@ -257,14 +257,14 @@ def _suite_exact_axioms(r, field):
         return False, "generated pair is not a conflation", conf.middle
     other = gen.rand_presheaf(r, field, shape)
     f = gen.rand_hom_element(r, field, conf.sub, other)
-    w, i2, _ = ps.pushout(conf.inflation, f)
+    _, i2, _ = ps.pushout(conf.inflation, f)
     if not i2.is_componentwise_injective():
         return False, "pushout of an inflation is not an inflation", conf.middle
     _, q2 = ps.cokernel(i2)
     if not ps.is_conflation(i2, q2):
         return False, "pushout inflation has no conflation", conf.middle
     g = gen.rand_hom_element(r, field, other, conf.quotient)
-    v, p2, _ = ps.pullback(conf.deflation, g)
+    _, p2, _ = ps.pullback(conf.deflation, g)
     if not p2.is_componentwise_surjective():
         return False, "pullback of a deflation is not a deflation", conf.middle
     _, k2 = ps.kernel(p2)
@@ -283,7 +283,7 @@ def _suite_resolution(r, field):
     if res.kernels and not res.kernels[-1].is_zero():
         return False, "final kernel does not vanish", f
     x = cx.stalk(f)
-    p, rho = cx.proj_resolution(x)
+    _, rho = cx.proj_resolution(x)
     if not cx.is_quasi_iso(rho):
         return False, "resolution map is not a quasi-iso", f
     return True, None, None
@@ -348,8 +348,11 @@ def _suite_der7(r, field):
     prod = diagram.product(diagram.square(), base)
     x = gen.rand_complex(r, field, prod, lo=-1, hi=1, max_parts=1)
     s = dv.square_over(x)
-    if dv.is_cocartesian(s)[0] != dv.is_cartesian(s)[0]:
+    cocartesian = dv.is_cocartesian(s)[0]
+    if cocartesian != dv.is_cartesian(s)[0]:
         return False, "cartesian and cocartesian verdicts disagree", x
+    if cocartesian != dv.is_bicartesian(s):
+        return False, "total-cofiber and cocartesian verdicts disagree", x
     return True, None, None
 
 

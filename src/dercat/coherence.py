@@ -178,15 +178,12 @@ class _Layer:
     def __init__(self, prod, chains, resolutions):
         self.chains = chains
         pieces = []
-        for (start, arrows, end) in chains:
+        for (start, _, end) in chains:
             ff = dv.fiber_functor(prod, start)
             pieces.append(dv.transport_complex(ff, resolutions[end]))
-        if not pieces:
-            acc = cx.zero_complex(next(iter(resolutions.values())).field, prod)
-        else:
-            acc = pieces[0]
-            for p in pieces[1:]:
-                acc = cx.direct_sum_complex(acc, p)
+        acc = pieces[0]
+        for p in pieces[1:]:
+            acc = cx.direct_sum_complex(acc, p)
         self.complex = acc
         self.pieces = pieces
 
@@ -352,37 +349,27 @@ def _lift_data(f):
             raise AssertionError("arrow lift failed at %r" % (a,))
         arrow_lifts[a] = lifted[0]
 
+    # a non-identity arrow gives chains of every length up to max_len ≥ 1
     max_len = diagram.max_chain_length(icat)
-    layers, faces = [], {}
-    for l in range(max_len + 1):
-        chains = _enumerate_chains(icat, l)
-        if not chains:
-            max_len = l - 1
-            break
-        layers.append(_Layer(prod, chains, resolutions))
-    for l in range(1, max_len + 1):
-        faces[l] = _face_map(icat, base, prod, layers[l], layers[l - 1],
-                             resolutions, arrow_lifts, l)
+    layers = [_Layer(prod, _enumerate_chains(icat, l), resolutions)
+              for l in range(max_len + 1)]
+    faces = {l: _face_map(icat, base, prod, layers[l], layers[l - 1],
+                          resolutions, arrow_lifts, l)
+             for l in range(1, max_len + 1)}
 
-    stage_maps = []
-    if max_len == 0:
-        lift = layers[0].complex
-    else:
-        x = layers[max_len].complex
-        phi = faces[max_len]
+    phi = faces[max_len]
+    stage_maps = [phi]
+    for l in range(max_len - 1, 0, -1):
+        x = cx.cone(phi)
+        composite = faces[l].compose(phi)
+        h = cx.homotopy_solve(composite)
+        if h is None:
+            raise AssertionError("tower descent obstruction at stage %d" % l)
+        phi = cx.termwise_map(x, layers[l - 1].complex, lambda p, o: (
+            linalg.hstack(field, [h.comp(p + 1).comp(o),
+                                  faces[l].comp(p).comp(o)]))).validate()
         stage_maps.append(phi)
-        for l in range(max_len - 1, 0, -1):
-            x = cx.cone(phi)
-            composite = faces[l].compose(phi)
-            h = cx.homotopy_solve(composite)
-            if h is None:
-                raise AssertionError(
-                    "tower descent obstruction at stage %d" % l)
-            phi = cx.termwise_map(x, layers[l - 1].complex, lambda p, o: (
-                linalg.hstack(field, [h.comp(p + 1).comp(o),
-                                      faces[l].comp(p).comp(o)]))).validate()
-            stage_maps.append(phi)
-        lift = cx.cone(phi)
+    lift = cx.cone(phi)
 
     cert = _certify(f, prod, lift, layers[0], resolutions, res_maps,
                     arrow_lifts)
@@ -447,7 +434,7 @@ def _certify(f, prod, lift, layer0, resolutions, res_maps, arrow_lifts):
                     aa, bb = prod.pair_of[g]
                     if not icat.is_identity(aa):
                         continue
-                    lo_, w_ = rpos[(gpart - coff, bb)]
+                    lo_, _ = rpos[(gpart - coff, bb)]
                     for t in range(w):
                         rows[upper[m] + off + t][lo_ + t] = field.one
                 mats[m] = Matrix(field, fib.term(p).dims[m],
@@ -486,8 +473,6 @@ def _tower_map(data, y, phis):
                 for (start, _, _), piece in zip(layer0.chains, layer0.pieces)]
     eps = cx.termwise_map(layer0.complex, y, lambda p, o: linalg.hstack(
         field, [a.comp(p).comp(o) for a in adjuncts]))
-    if not data.stage_maps:
-        return eps
     h = cx.homotopy_solve(eps.compose(data.stage_maps[-1]))
     if h is None:
         return None
@@ -517,7 +502,7 @@ def lift_morphism(f, g, phi):
         raise ValueError("Toda condition fails at %r" % (ftoda.witnesses[:3],))
     df = _lift_data(f)
     dg = _lift_data(g)
-    icat, base, field = f.shape, f.base, f.field
+    icat, field = f.shape, f.field
     prod = df.prod
     if not icat.nonidentity_arrows():
         comps = {}
@@ -538,35 +523,31 @@ def lift_morphism(f, g, phi):
     layer_maps = []
     for lf, lg in zip(df.layers, dg.layers):
         pieces = []
-        for (start, arrows, end), pf, pg in zip(lf.chains, lf.pieces,
-                                                lg.pieces):
+        for (start, _, end), pf, pg in zip(lf.chains, lf.pieces,
+                                           lg.pieces):
             ff = dv.fiber_functor(prod, start)
             pieces.append(dv.transport_chain_map(
                 ff, comp_lifts[end], src_t=pf, tgt_t=pg,
                 src_rec=df.resolutions[end], tgt_rec=dg.resolutions[end]))
         layer_maps.append(_block_diagonal(lf.complex, lg.complex, pieces))
     max_len = len(df.layers) - 1
-    if max_len == 0:
-        m = layer_maps[0]
-    else:
-        psi = layer_maps[max_len]
-        for stage, l in enumerate(range(max_len, 0, -1)):
-            phi_f = df.stage_maps[stage]
-            phi_g = dg.stage_maps[stage]
-            h = cx.homotopy_solve(layer_maps[l - 1].compose(phi_f),
-                                  phi_g.compose(psi))
-            if h is None:
-                raise AssertionError("morphism descent obstruction at %d" % l)
-            def comp(p, o):
-                a11 = psi.comp(p + 1).comp(o)
-                a22 = layer_maps[l - 1].comp(p).comp(o)
-                return linalg.block(field, [
-                    [a11, Matrix.zeros(field, a11.rows, a22.cols)],
-                    [h.comp(p + 1).comp(o), a22]])
-            psi = cx.termwise_map(cx.cone(phi_f), cx.cone(phi_g),
-                                  comp).validate()
-        m = psi
-    return m, _morphism_witnesses(f, g, phi, df, dg, m)
+    psi = layer_maps[max_len]
+    for stage, l in enumerate(range(max_len, 0, -1)):
+        phi_f = df.stage_maps[stage]
+        phi_g = dg.stage_maps[stage]
+        h = cx.homotopy_solve(layer_maps[l - 1].compose(phi_f),
+                              phi_g.compose(psi))
+        if h is None:
+            raise AssertionError("morphism descent obstruction at %d" % l)
+        def comp(p, o):
+            a11 = psi.comp(p + 1).comp(o)
+            a22 = layer_maps[l - 1].comp(p).comp(o)
+            return linalg.block(field, [
+                [a11, Matrix.zeros(field, a11.rows, a22.cols)],
+                [h.comp(p + 1).comp(o), a22]])
+        psi = cx.termwise_map(cx.cone(phi_f), cx.cone(phi_g),
+                              comp).validate()
+    return psi, _morphism_witnesses(f, g, phi, df, dg, psi)
 
 
 def _block_diagonal(src, tgt, pieces):

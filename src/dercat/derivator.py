@@ -45,7 +45,7 @@ def free_values_of(phi, src=None):
     for k, (v, i) in enumerate(p.free_parts):
         blocks = _part_offsets(p, i)
         off = None
-        for (kk, g), o, w in blocks:
+        for (kk, g), o, _ in blocks:
             if kk == k and p.shape.is_identity(g):
                 off = o
                 break
@@ -90,7 +90,7 @@ def transport_free_map(u, phi, src_t=None, tgt_t=None, p_rec=None, q_rec=None):
         rows = [[field.zero] * v for _ in range(tgt_t.dims[ui])]
         for (l, g), o, w in blocks:
             ug = u.arrow_map[g]
-            to, tw = pos[(l, ug)]
+            to, _ = pos[(l, ug)]
             for r in range(w):
                 for c in range(v):
                     rows[to + r][c] = field.add(rows[to + r][c],
@@ -151,7 +151,7 @@ def unit_chain_map(u, p, transported=None):
             ui = u.obj_map[i]
             blocks = _part_offsets(tterm, ui)
             rows = [[p.field.zero] * v for _ in range(tterm.dims[ui])]
-            for (l, g), o, w in blocks:
+            for (l, g), o, _ in blocks:
                 if l == k and u.target.is_identity(g):
                     for r in range(v):
                         rows[o + r][r] = p.field.one
@@ -190,7 +190,6 @@ class KanCertificate:
             return self._dual.verify()
         u = self.functor
         l = self.output
-        p = self.unit.source
         ul = cx.restrict_complex(u, l)
         r2, rho2 = cx.proj_resolution(ul)
         counit = adjunct_chain_map(u, rho2, l)
@@ -363,7 +362,7 @@ def square_over(complex_):
 
 
 def _cap_counit(x):
-    cap, incl = diagram.lefthalfcap()
+    _, incl = diagram.lefthalfcap()
     base = x.shape.product_of[1]
     u = diagram.times_base(incl, base)
     return lan_counit(u, x)
@@ -379,11 +378,33 @@ def is_cocartesian(s):
 def is_cartesian(s):
     """Unit F → (i_⌙ × id)_*(i_⌙ × id)* F and its verdict (by duality)."""
     x = s.complex if isinstance(s, SquareObject) else s
-    cup, incl = diagram.righthalfcup()
+    _, incl = diagram.righthalfcup()
     base = x.shape.product_of[1]
     u = diagram.times_base(incl, base)
     eta = ran_unit(u, x)
     return cx.is_quasi_iso(eta), eta
+
+
+def is_bicartesian(s):
+    """Whether the square is bicartesian, read off its total cofiber.
+
+    The derivator is stable, so a square is cartesian iff it is cocartesian
+    iff its total cofiber [X₀₀ → X₀₁ ⊕ X₁₀ → X₁₁] is acyclic, and by Der 2
+    and Der 4 this is decided fibre by fibre over J (Groth, "Derivators,
+    pointed derivators and stable derivators", AGT 2013).  With the
+    structure maps f : X₀₀ → X₀₁, g : X₁₀ → X₁₁, h : X₀₀ → X₁₀ and
+    k : X₀₁ → X₁₁, kf = gh holds strictly, so diag(h, k) is a chain map
+    cone(f) → cone(g); the square is bicartesian iff it is a
+    quasi-isomorphism.  No Kan extension is built."""
+    x = s.complex if isinstance(s, SquareObject) else s
+    sq = diagram.square()
+    # the map X_a → X_b comes from the arrow b → a of the square
+    f, g, h, k = (structure_chain_map(x, sq.hom(b, a)[0]) for a, b in (
+        ((0, 0), (0, 1)), ((1, 0), (1, 1)),
+        ((0, 0), (1, 0)), ((0, 1), (1, 1))))
+    phi = cx.termwise_map(cx.cone(f), cx.cone(g), lambda p, o: (
+        linalg.direct_sum(h.comp(p + 1).comps[o], k.comp(p).comps[o])))
+    return cx.is_quasi_iso(phi)
 
 
 # --- extension by zero and recollement -----------------------------------------
@@ -561,7 +582,7 @@ def product_recollement(icat):
 def suspension_via_recollement(x):
     """Σx computed as j^? i_* x in the recollement of I × Δ1, together with
     a quasi-isomorphism witness onto shift(x, 1)."""
-    rec, closed, open_ = product_recollement(x.shape)
+    rec, _, _ = product_recollement(x.shape)
     y = rec.i_lower(x)
     # i^* i_* x == x on the nose, so the cached resolution of x is reused
     eps = rec.counit_closed(y)
@@ -591,15 +612,15 @@ def loop_via_recollement(x):
 class StandardTriangle:
     """The triangle X → Y → Z → ΣX extracted from a bicartesian square
     with acyclic lower-left corner, with its δ-class and the cone-route
-    cross-check."""
+    cross-check.  Every bicartesian verdict behind it is the total-cofiber
+    criterion of stable derivators (`is_bicartesian`)."""
 
-    def __init__(self, f, g, delta_rep, delta_class, cone_class, witnesses):
+    def __init__(self, f, g, delta_rep, delta_class, cone_class):
         self.f = f
         self.g = g
         self.delta_rep = delta_rep
         self.delta_class = delta_class
         self.cone_class = cone_class
-        self.witnesses = witnesses
 
     @property
     def matches_cone(self):
@@ -608,26 +629,29 @@ class StandardTriangle:
 
 def standard_triangle(s):
     """Extract the standard distinguished triangle of a bicartesian square
-    whose (1,0) corner is acyclic; cross-check δ against the cone route."""
+    whose (1,0) corner is acyclic; cross-check δ against the cone route.
+
+    The square and the three sub-squares of
+    P = (i_squarearrow)_! (i_square)_* F are checked bicartesian by their
+    total cofibers (`is_bicartesian`): in a stable derivator cartesian,
+    cocartesian and an acyclic total cofiber are one condition (Groth,
+    AGT 2013), so no Kan unit is built."""
     x_sq = s.complex if isinstance(s, SquareObject) else s
     sq = SquareObject(x_sq) if not isinstance(s, SquareObject) else s
     base = sq.base
-    ok_co, eps_co = is_cocartesian(sq)
-    ok_ca, eta_ca = is_cartesian(sq)
-    if not ok_co or not ok_ca:
+    if not is_bicartesian(sq):
         raise ValueError("square is not bicartesian")
     w0 = sq.fiber((1, 0))
     if not cx.is_acyclic(w0):
         raise ValueError("the (1,0) corner is not acyclic")
     xf = sq.fiber((0, 0))
-    yf = sq.fiber((0, 1))
     zf = sq.fiber((1, 1))
     sqcat = diagram.square()
     f = structure_chain_map(x_sq, sqcat.hom((0, 1), (0, 0))[0])
     g = structure_chain_map(x_sq, sqcat.hom((1, 1), (0, 1))[0])
 
     # P := (i_squarearrow)_! (i_square)_* F over twosquare × J
-    sa, incl_sa = diagram.squarearrow()
+    _, incl_sa = diagram.squarearrow()
     v_emb = diagram.times_base(diagram.square_into_squarearrow(), base)
     w_emb = diagram.times_base(incl_sa, base)
     f_sa = extension_by_zero(v_emb, x_sq)
@@ -641,9 +665,7 @@ def standard_triangle(s):
             diagram.square(), ts,
             {(a, b): (a, cols[b]) for (a, b) in diagram.square().objects})
         sub = cx.restrict_complex(diagram.times_base(sel, base), p_big)
-        okc, _ = is_cocartesian(sub)
-        okk, _ = is_cartesian(sub)
-        if not (okc and okk):
+        if not is_bicartesian(sub):
             raise AssertionError("sub-square at columns %r not bicartesian" % (cols,))
 
     # zig-zag identifying P_12 with ΣX
@@ -670,7 +692,7 @@ def standard_triangle(s):
         raise AssertionError("total-cofiber comparison is not invertible")
 
     # δ via the standard route: Z ≃ P_11 → P_12 ≃ M ≃ ΣX' ≃ ΣX
-    pz, rho_z = cx.proj_resolution(zf)
+    _, rho_z = cx.proj_resolution(zf)
     q_z = point_restriction(rho_sa, (1, 1))
     lifted = cx.lift_through_qis(rho_z, q_z)
     if lifted is None:
@@ -704,6 +726,4 @@ def standard_triangle(s):
     lam3, _ = lifted3
     cone_rep = cx.cone_projection(f, cf).compose(lam3)
     cone_class = cx.ext_coordinates(zf, xf, 1, cone_rep)
-    witnesses = {"cocartesian": eps_co, "cartesian": eta_ca,
-                 "total_cofiber": kappa, "cone_comparison": phi}
-    return StandardTriangle(f, g, delta_rep, delta_class, cone_class, witnesses)
+    return StandardTriangle(f, g, delta_rep, delta_class, cone_class)

@@ -301,7 +301,7 @@ def from_quiver(objects, generating_arrows, relations=()):
         for _, _, p in paths:
             classes.setdefault(find(p), []).append(p)
         new_pending = list(pending)
-        for rep, members in classes.items():
+        for members in classes.values():
             if len(members) < 2:
                 continue
             base = members[0]
@@ -327,7 +327,7 @@ def from_quiver(objects, generating_arrows, relations=()):
     for s, t, p in paths:
         classes.setdefault(find(p), []).append(p)
     canon = {}
-    for rep, members in classes.items():
+    for members in classes.values():
         best = min(members, key=plen)
         for m in members:
             canon[m] = best

@@ -199,7 +199,7 @@ def rand_conflation(r, field, shape, max_parts=2):
     values = [rand_matrix(r, field, tgt.dims[i], v)
               for (v, i) in src.free_parts]
     phi = ps.free_map_to(src, tgt, values)
-    k, incl = ps.kernel(phi)
+    _, incl = ps.kernel(phi)
     _, _, onto = ps.image(phi)
     return ps.Conflation(incl, onto)
 
@@ -221,7 +221,7 @@ def conflation_square(conf, base):
     dims = {(i, m): fibs[i].dims[m] for (i, m) in prod.objects}
     action = {}
     for a in prod.nonidentity_arrows():
-        aa, bb = prod.pair_of[a]
+        _, bb = prod.pair_of[a]
         (i1, m1), (i2, m2) = prod.src[a], prod.tgt[a]
         if i1 == i2:
             action[a] = fibs[i1].act(bb)

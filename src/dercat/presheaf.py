@@ -294,7 +294,7 @@ def free_map_to(p, f, values):
     comps = {}
     for j in shape.objects:
         cols = []
-        for (v, i), val in zip(p.free_parts, values):
+        for (_, i), val in zip(p.free_parts, values):
             for g in shape.hom(j, i):
                 cols.append(f.act(g) * val)
         if cols:

@@ -335,7 +335,6 @@ def dec_incoherent(obj, field=None):
     file_field = _file_field(obj, field)
     icat = dec_diagram(obj["index"])
     base = dec_diagram(obj["base"])
-    prod = diagram.product(icat, base)
     try:
         values = {dec_label(i): _dec_complex_body(file_field, base, body)
                   for i, body in obj["values"]}

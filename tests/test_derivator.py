@@ -14,6 +14,7 @@ from dercat import generators as gen
 
 F2 = Field("prime", 2)
 F3 = Field("prime", 3)
+QQ = Field("rationals")
 
 
 def simple(field, cat, at):
@@ -96,6 +97,37 @@ def test_der7_agreement_on_random_squares():
         x = gen.rand_complex(r, F2, prod, lo=-1, hi=1, max_parts=1)
         s = dv.square_over(x)
         assert dv.is_cocartesian(s)[0] == dv.is_cartesian(s)[0]
+
+
+@pytest.mark.parametrize("field, seed", [(F2, 10), (F3, 11), (QQ, 12)],
+                         ids=["F2", "F3", "Q"])
+def test_total_cofiber_verdict_agrees_with_both_kan_routes(field, seed):
+    # wide complexes (five degrees, two parts): on the narrow squares of
+    # acceptance criteria 5 and 7, a map that drops the h block of
+    # diag(h, k) still agrees with both Kan routes
+    r = gen.rng_for(seed)
+    verdicts = []
+    for _ in range(25):
+        base = gen.rand_poset(r, 2)
+        prod = diagram.product(diagram.square(), base)
+        x = gen.rand_complex(r, field, prod, lo=-2, hi=2, max_parts=2)
+        s = dv.square_over(x)
+        verdict = dv.is_bicartesian(s)
+        assert verdict == dv.is_cocartesian(s)[0]
+        assert verdict == dv.is_cartesian(s)[0]
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_conflation_squares_have_acyclic_total_cofiber():
+    r = gen.rng_for(13)
+    for field in (F2, F3, QQ):
+        for _ in range(3):
+            base = gen.rand_poset(r, 3)
+            conf = gen.rand_conflation(r, field, base, max_parts=1)
+            assert dv.is_bicartesian(gen.conflation_square(conf, base))
+    assert dv.is_bicartesian(
+        gen.conflation_square(nonsplit_conflation(), diagram.delta(1)))
 
 
 def test_suspension_matches_shift():

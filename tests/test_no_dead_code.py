@@ -2,7 +2,9 @@
 top-level classes and every module-level assigned name is referenced from
 the library, the tests or the benchmark; an unreferenced one is dead code.
 Dunder names are read by the language and its tools and are not checked.
-Only reads count as references: an assignment does not use its target."""
+Only reads count as references: an assignment does not use its target.
+Likewise every name a library function assigns is read in that function or
+in a scope nested in it; `_` takes the values that are thrown away."""
 
 import ast
 import os
@@ -67,9 +69,45 @@ def dead_definitions(lib_dir, *use_dirs):
     return dead
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(fn):
+    """The nodes of fn's body outside the functions and classes nested in
+    it."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(lib_dir):
+    """(module, function, name) of the names a function of lib_dir assigns
+    and never reads, neither there nor in a scope nested in it."""
+    out = []
+    for path, tree in _trees(lib_dir):
+        for fn in ast.walk(tree):
+            if not isinstance(fn, _SCOPES):
+                continue
+            read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+            stored = {n.id for n in _own_nodes(fn) if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Store)}
+            out.extend((os.path.basename(path),
+                        getattr(fn, "name", "<lambda>"), name)
+                       for name in sorted(stored - read - {"_"}))
+    return sorted(out)
+
+
 def test_no_unreferenced_top_level_definitions():
     assert dead_definitions(LIB, os.path.dirname(__file__),
                             os.path.join(ROOT, "perfbench")) == []
+
+
+def test_no_unread_local_names():
+    assert unused_locals(LIB) == []
 
 
 def test_the_check_sees_an_unreferenced_definition(tmp_path):
@@ -86,6 +124,15 @@ def test_the_check_sees_an_unreferenced_definition(tmp_path):
     (tmp_path / "v.py").write_text("__version__ = '1'\n"
                                    "READ, IDLE = 1, 2\n"
                                    "print(READ)\n")
+    (tmp_path / "u.py").write_text("def f(pairs):\n"
+                                   "    total, idle = 0, 0\n"
+                                   "    for _, b in pairs:\n"
+                                   "        def g():\n"
+                                   "            return b\n"
+                                   "        total += g()\n"
+                                   "    return total\n\n\n"
+                                   "f([])\n")
     assert dead_definitions(str(tmp_path)) == [("c.py", "C.idle"),
                                                ("m.py", "unused"),
                                                ("v.py", "IDLE")]
+    assert unused_locals(str(tmp_path)) == [("u.py", "f", "idle")]
