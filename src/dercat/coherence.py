@@ -100,8 +100,9 @@ def dia(x):
     if prod.product_of is None:
         raise ValueError("shape does not factor as a product")
     icat, base = prod.product_of
-    values = {i: dv.fiber_complex(x, i) for i in icat.objects}
-    maps = {a: dv.structure_chain_map(x, a) for a in icat.nonidentity_arrows()}
+    fibers = dv.Fibers(x)
+    values = {i: fibers.fiber(i) for i in icat.objects}
+    maps = {a: fibers.structure_map(a) for a in icat.nonidentity_arrows()}
     d = IncoherentDiagram(icat, base, values, maps)
     return _strict_witnesses(d)
 
@@ -279,9 +280,10 @@ class LiftCertificate:
         for q in self.fiber_maps.values():
             if not cx.is_quasi_iso(q):
                 return False
+        fibers = dv.Fibers(self.lift)
         for a, h in self.arrow_homotopies.items():
             x, y = d.shape.src[a], d.shape.tgt[a]
-            s = dv.structure_chain_map(self.lift, a)
+            s = fibers.structure_map(a)
             lhs = self.fiber_maps[x].compose(s)
             rhs = d.map(a).compose(self.fiber_maps[y])
             if not h.witnesses(lhs, rhs):
@@ -412,8 +414,9 @@ def _certify(f, prod, lift, layer0, resolutions, res_maps, arrow_lifts):
     icat, base, field = f.shape, f.base, f.field
     iotas, fiber_maps, arrow_h = {}, {}, {}
     obj_chain_idx = {c[0]: k for k, c in enumerate(layer0.chains)}
+    fibers = dv.Fibers(lift)
     for i in icat.objects:
-        fib = dv.fiber_complex(lift, i)
+        fib = fibers.fiber(i)
         r = resolutions[i]
         comps = {}
         for p in r.degrees():
@@ -450,7 +453,7 @@ def _certify(f, prod, lift, layer0, resolutions, res_maps, arrow_lifts):
         fiber_maps[i] = extended[0]
     for a in icat.nonidentity_arrows():
         x, y = icat.src[a], icat.tgt[a]
-        s = dv.structure_chain_map(lift, a)
+        s = fibers.structure_map(a)
         lhs = fiber_maps[x].compose(s)
         rhs = f.map(a).compose(fiber_maps[y])
         h = cx.homotopy_solve(lhs, rhs)
@@ -727,10 +730,8 @@ def tensor_with_kernel(a, kernel):
                 parts.append((p, r))
         layout[n] = [(p, r) for (p, r) in parts
                      if kernel.lo <= n - p <= kernel.hi]
-        acc = cx.zero_complex(field, shape).term(0)
-        for (p, r) in layout[n]:
-            acc = ps.direct_sum(acc, kernel.term(n - p))
-        terms[n] = acc
+        terms[n] = ps.direct_sum_many(field, shape, [
+            kernel.term(n - p) for (p, _) in layout[n]])
     for n in range(lo, hi):
         src_parts = layout[n]
         tgt_parts = layout[n + 1]

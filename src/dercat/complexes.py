@@ -8,6 +8,7 @@ cone differential is [[−d_X, 0], [f, d_Y]].
 """
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import linalg
 from .linalg import Matrix
@@ -20,7 +21,8 @@ class Complex:
 
     terms maps degrees to presheaves, diffs maps p to d^p : X^p → X^{p+1}.
     Degrees outside [lo, hi] read as zero; leading/trailing zero terms are
-    trimmed at construction so equal complexes compare equal.
+    trimmed at construction so equal complexes compare equal.  terms and
+    diffs are read-only.
     """
 
     __slots__ = ("field", "shape", "lo", "hi", "terms", "diffs", "_hash")
@@ -33,13 +35,13 @@ class Complex:
             self.lo, self.hi = 0, -1
         self.field = field
         self.shape = shape
-        self.terms = {p: terms[p] for p in terms
-                      if self.lo <= p <= self.hi}
+        kept = {p: terms[p] for p in terms if self.lo <= p <= self.hi}
         for p in range(self.lo, self.hi + 1):
-            if p not in self.terms:
-                self.terms[p] = ps.zero_presheaf(field, shape)
-        self.diffs = {p: diffs[p] for p in diffs
-                      if self.lo <= p < self.hi}
+            if p not in kept:
+                kept[p] = ps.zero_presheaf(field, shape)
+        self.terms = MappingProxyType(kept)
+        self.diffs = MappingProxyType({p: diffs[p] for p in diffs
+                                       if self.lo <= p < self.hi})
         self._hash = None
         if validate:
             self.validate()
@@ -79,7 +81,8 @@ class Complex:
                 tuple(self.diff(p) for p in range(self.lo, self.hi)))
 
     def __eq__(self, other):
-        return isinstance(other, Complex) and self._data() == other._data()
+        return self is other or (isinstance(other, Complex) and
+                                 self._data() == other._data())
 
     def __hash__(self):
         if self._hash is None:
@@ -159,7 +162,8 @@ class ChainMap:
             (p, m) for p, m in self.comps.items() if not m.is_zero())))
 
     def __eq__(self, other):
-        return isinstance(other, ChainMap) and self._data() == other._data()
+        return self is other or (isinstance(other, ChainMap) and
+                                 self._data() == other._data())
 
     def __hash__(self):
         if self._hash is None:
@@ -327,13 +331,49 @@ def homology(x, p):
     return h
 
 
+def _is_exact(lo, hi, dim, diff):
+    """Whether the complex of vector spaces with dimension dim(p) and
+    differential diff(p) : p → p+1 in degrees lo..hi (zero outside) is
+    exact.  Ranks each differential once and stops at the first nonzero
+    homology."""
+    prev = 0
+    for p in range(lo, hi + 1):
+        here = linalg.rank(diff(p)) if p < hi else 0
+        if dim(p) != here + prev:
+            return False
+        prev = here
+    return True
+
+
 def is_acyclic(x):
-    return all(v == 0 for p in range(x.lo, x.hi + 1)
-               for v in homology_dims(x, p).values())
+    diffs = [x.diff(p) for p in range(x.lo, x.hi)]
+    return all(_is_exact(x.lo, x.hi, lambda p: x.term(p).dims[o],
+                         lambda p: diffs[p - x.lo].comps[o])
+               for o in x.shape.objects)
 
 
 def is_quasi_iso(f):
-    return is_acyclic(cone(f))
+    """Whether f is a quasi-isomorphism, i.e. cone(f) is acyclic, decided
+    object by object from the cone's blocks without building the cone."""
+    x, y = f.source, f.target
+    field = x.field
+    lo = min(x.lo - 1, y.lo)
+    hi = max(x.hi - 1, y.hi)
+    dx = {p: x.diff(p + 1) for p in range(lo, hi)}
+    dy = {p: y.diff(p) for p in range(lo, hi)}
+    fp = {p: f.comp(p + 1) for p in range(lo, hi)}
+
+    def block(p, o):
+        # d_C = [[−d_X, 0], [f, d_Y]]; the sign of −d_X does not change ranks
+        d = dx[p].comps[o]
+        return linalg.block(field, [
+            [d, Matrix.zeros(field, d.rows, dy[p].comps[o].cols)],
+            [fp[p].comps[o], dy[p].comps[o]]])
+
+    return all(_is_exact(lo, hi,
+                         lambda p: x.term(p + 1).dims[o] + y.term(p).dims[o],
+                         lambda p: block(p, o))
+               for o in x.shape.objects)
 
 
 # --- projective resolution of complexes -------------------------------------

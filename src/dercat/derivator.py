@@ -58,10 +58,8 @@ def transport_presheaf(u, p):
     """u_! of a recorded free presheaf: V ⊗ i ↦ V ⊗ u(i)."""
     if p.free_parts is None:
         raise ValueError("presheaf is not recorded free")
-    out = ps.zero_presheaf(p.field, u.target)
-    for (v, i) in p.free_parts:
-        out = ps.direct_sum(out, ps.free_at(p.field, u.target, v, u.obj_map[i]))
-    return out
+    return ps.direct_sum_many(p.field, u.target, [
+        ps.free_at(p.field, u.target, v, u.obj_map[i]) for (v, i) in p.free_parts])
 
 
 def transport_free_map(u, phi, src_t=None, tgt_t=None, p_rec=None, q_rec=None):
@@ -286,15 +284,29 @@ def point_restriction(chain_map, i_obj):
     return cx.restrict_chain_map(u, chain_map)
 
 
-def structure_chain_map(x, arrow_a):
-    """For an arrow a : i1 → i2 of the first factor, the induced chain map
-    fiber_{i2}(x) → fiber_{i1}(x) (the contravariant structure map)."""
-    prod = x.shape
-    icat, jcat = prod.product_of
-    i1, i2 = icat.src[arrow_a], icat.tgt[arrow_a]
-    return cx.termwise_map(
-        fiber_complex(x, i2), fiber_complex(x, i1), lambda p, m: x.term(p).act(
-            prod.pair_arrow[(arrow_a, jcat.identity[m])]))
+class Fibers:
+    """A complex over a product I × J with its fibres over I, each
+    restricted once, and the structure maps between them."""
+
+    def __init__(self, complex_):
+        self.complex = complex_
+        self._fibers = {}
+
+    def fiber(self, i_obj):
+        if i_obj not in self._fibers:
+            self._fibers[i_obj] = fiber_complex(self.complex, i_obj)
+        return self._fibers[i_obj]
+
+    def structure_map(self, arrow_a):
+        """For an arrow a : i1 → i2 of the first factor, the induced chain
+        map fiber(i2) → fiber(i1) (the contravariant structure map)."""
+        x = self.complex
+        prod = x.shape
+        icat, jcat = prod.product_of
+        return cx.termwise_map(
+            self.fiber(icat.tgt[arrow_a]), self.fiber(icat.src[arrow_a]),
+            lambda p, m: x.term(p).act(
+                prod.pair_arrow[(arrow_a, jcat.identity[m])]))
 
 
 # --- base change (Der 4) ------------------------------------------------------
@@ -340,21 +352,15 @@ def base_change(u, y, x):
 # --- bicartesian squares (Der 7) ----------------------------------------------
 
 
-class SquareObject:
+class SquareObject(Fibers):
     """A complex over □ × J with its corner fibers cached."""
 
     def __init__(self, complex_):
         prod = complex_.shape
         if prod.product_of is None or prod.product_of[0] != diagram.square():
             raise ValueError("shape does not factor through the square")
-        self.complex = complex_
+        super().__init__(complex_)
         self.base = prod.product_of[1]
-        self._fibers = {}
-
-    def fiber(self, corner):
-        if corner not in self._fibers:
-            self._fibers[corner] = fiber_complex(self.complex, corner)
-        return self._fibers[corner]
 
 
 def square_over(complex_):
@@ -395,11 +401,12 @@ def is_bicartesian(s):
     structure maps f : X₀₀ → X₀₁, g : X₁₀ → X₁₁, h : X₀₀ → X₁₀ and
     k : X₀₁ → X₁₁, kf = gh holds strictly, so diag(h, k) is a chain map
     cone(f) → cone(g); the square is bicartesian iff it is a
-    quasi-isomorphism.  No Kan extension is built."""
-    x = s.complex if isinstance(s, SquareObject) else s
+    quasi-isomorphism.  No Kan extension is built, and each corner fibre is
+    restricted once."""
+    fibers = s if isinstance(s, SquareObject) else Fibers(s)
     sq = diagram.square()
     # the map X_a → X_b comes from the arrow b → a of the square
-    f, g, h, k = (structure_chain_map(x, sq.hom(b, a)[0]) for a, b in (
+    f, g, h, k = (fibers.structure_map(sq.hom(b, a)[0]) for a, b in (
         ((0, 0), (0, 1)), ((1, 0), (1, 1)),
         ((0, 0), (1, 0)), ((0, 1), (1, 1))))
     phi = cx.termwise_map(cx.cone(f), cx.cone(g), lambda p, o: (
@@ -438,10 +445,9 @@ def _extend_presheaf(emb, g):
             action[a] = Matrix.zeros(g.field, dims[x], dims[y])
     out = ps.Presheaf(g.field, icat, dims, action)
     if g.free_parts is not None:
-        candidate = ps.zero_presheaf(g.field, icat)
-        for (v, i) in g.free_parts:
-            candidate = ps.direct_sum(
-                candidate, ps.free_at(g.field, icat, v, emb.obj_map[i]))
+        candidate = ps.direct_sum_many(g.field, icat, [
+            ps.free_at(g.field, icat, v, emb.obj_map[i])
+            for (v, i) in g.free_parts])
         if candidate == out:
             out = candidate
     return out
@@ -647,8 +653,8 @@ def standard_triangle(s):
     xf = sq.fiber((0, 0))
     zf = sq.fiber((1, 1))
     sqcat = diagram.square()
-    f = structure_chain_map(x_sq, sqcat.hom((0, 1), (0, 0))[0])
-    g = structure_chain_map(x_sq, sqcat.hom((1, 1), (0, 1))[0])
+    f = sq.structure_map(sqcat.hom((0, 1), (0, 0))[0])
+    g = sq.structure_map(sqcat.hom((1, 1), (0, 1))[0])
 
     # P := (i_squarearrow)_! (i_square)_* F over twosquare × J
     _, incl_sa = diagram.squarearrow()
@@ -669,20 +675,21 @@ def standard_triangle(s):
             raise AssertionError("sub-square at columns %r not bicartesian" % (cols,))
 
     # zig-zag identifying P_12 with ΣX
-    xprime = fiber_complex(p_big, (0, 0))
-    za = fiber_complex(p_big, (0, 2))     # acyclic top-right
-    zb = fiber_complex(p_big, (1, 0))     # acyclic bottom-left
+    pf = Fibers(p_big)
+    xprime = pf.fiber((0, 0))
+    za = pf.fiber((0, 2))     # acyclic top-right
+    zb = pf.fiber((1, 0))     # acyclic bottom-left
     if not (cx.is_acyclic(za) and cx.is_acyclic(zb)):
         raise AssertionError("outer-corner fibers are not acyclic")
-    u_top = structure_chain_map(p_big, ts.hom((0, 2), (0, 0))[0])
-    v_left = structure_chain_map(p_big, ts.hom((1, 0), (0, 0))[0])
-    g_a = structure_chain_map(p_big, ts.hom((1, 2), (0, 2))[0])
-    g_b = structure_chain_map(p_big, ts.hom((1, 2), (1, 0))[0])
+    u_top = pf.structure_map(ts.hom((0, 2), (0, 0))[0])
+    v_left = pf.structure_map(ts.hom((1, 0), (0, 0))[0])
+    g_a = pf.structure_map(ts.hom((1, 2), (0, 2))[0])
+    g_b = pf.structure_map(ts.hom((1, 2), (1, 0))[0])
     zab = cx.direct_sum_complex(za, zb)
     lam = cx.termwise_map(xprime, zab, lambda p, o: linalg.vstack(
         x_sq.field, [u_top.comp(p).comps[o], v_left.comp(p).comps[o]]))
     m = cx.cone(lam)
-    p12 = fiber_complex(p_big, (1, 2))
+    p12 = pf.fiber((1, 2))
     kappa = cx.termwise_map(m, p12, lambda p, o: linalg.hstack(x_sq.field, [
         Matrix.zeros(x_sq.field, p12.term(p).dims[o],
                      xprime.term(p + 1).dims[o]),
@@ -698,7 +705,7 @@ def standard_triangle(s):
     if lifted is None:
         raise AssertionError("fiber comparison fails to lift")
     lam1, _ = lifted
-    f2 = structure_chain_map(p_big, ts.hom((1, 2), (1, 1))[0])
+    f2 = pf.structure_map(ts.hom((1, 2), (1, 1))[0])
     mu = f2.compose(lam1)
     lifted2 = cx.lift_through_qis(mu, kappa)
     if lifted2 is None:

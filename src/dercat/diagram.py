@@ -8,7 +8,15 @@ data and must never change between runs.
 
 Directedness means: no endomorphisms except identities and no oriented
 cycles through distinct objects.
+
+A category is never changed once the function that builds it returns,
+so the standard shapes and products are built once and shared (each memo
+keeps at most SHAPE_CACHE_SIZE).
 """
+
+from functools import lru_cache
+
+SHAPE_CACHE_SIZE = 256
 
 
 class FinCat:
@@ -42,6 +50,8 @@ class FinCat:
         self.arrows = tuple(a for x in self.objects for y in self.objects
                             for a in self.hom_table[(x, y)])
         self._key = None
+        self._hash = None
+        self._nonidentity = None
         # optional structure set by constructors
         self.product_of = None
         self.pair_of = None       # arrow id -> (a, b) when product
@@ -59,7 +69,10 @@ class FinCat:
         return self.identity[self.src[a]] == a
 
     def nonidentity_arrows(self):
-        return tuple(a for a in self.arrows if not self.is_identity(a))
+        if self._nonidentity is None:
+            self._nonidentity = tuple(a for a in self.arrows
+                                      if not self.is_identity(a))
+        return self._nonidentity
 
     def compose(self, g, f):
         """The composite g∘f for f: x→y, g: y→z."""
@@ -113,10 +126,13 @@ class FinCat:
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, FinCat) and self._canonical_key() == other._canonical_key()
+        return self is other or (isinstance(other, FinCat) and
+                                 self._canonical_key() == other._canonical_key())
 
     def __hash__(self):
-        return hash(self._canonical_key())
+        if self._hash is None:
+            self._hash = hash(self._canonical_key())
+        return self._hash
 
     def __repr__(self):
         return "FinCat(%d objects, %d arrows)" % (len(self.objects), len(self.arrows))
@@ -397,15 +413,18 @@ def poset_category(objects, leq):
 # --- standard shapes ------------------------------------------------------
 
 
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def terminal_cat():
     return FinCat(("*",), {("*", "*"): ("id@*",)}, {"*": "id@*"}, {})
 
 
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def delta(n):
     """The linear poset with objects 0..n and unique arrows j→i for i ≤ j."""
     return poset_category(list(range(n + 1)), lambda a, b: a <= b)
 
 
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def cube(n):
     """The n-cube: poset of bit tuples, arrows from larger to smaller."""
     verts = []
@@ -415,8 +434,26 @@ def cube(n):
     return poset_category(verts, lambda a, b: all(x <= y for x, y in zip(a, b)))
 
 
+def shape_key(c):
+    """A hashable key for c that, unlike c itself, also tells apart equal
+    categories with different product structures (which serialize writes
+    and fibres read)."""
+    if c.product_of is None:
+        return (c, None)
+    return (c, tuple(shape_key(f) for f in c.product_of))
+
+
 def product(i, j):
-    """Product category; objects are pairs, arrows are pairs."""
+    """Product category; objects are pairs, arrows are pairs.
+
+    The result is shared between calls whose factors are equal and carry
+    the same product structure."""
+    return _product(shape_key(i), shape_key(j))
+
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _product(i_key, j_key):
+    i, j = i_key[0], j_key[0]
     objects = [(x, y) for x in i.objects for y in j.objects]
     hom = {}
     pair_of = {}
@@ -510,32 +547,38 @@ def full_subcategory(i, objects):
     return cat, incl
 
 
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def square():
     """The commuting square Δ1 × Δ1; vect pictures have (0,0) as the source."""
     return product(delta(1), delta(1))
 
 
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def lefthalfcap():
     """⌐: the square minus its (1,1) corner; returns (cat, inclusion into □)."""
     return full_subcategory(square(), [(0, 0), (0, 1), (1, 0)])
 
 
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def righthalfcup():
     """⌙: the square minus its (0,0) corner; returns (cat, inclusion into □)."""
     return full_subcategory(square(), [(0, 1), (1, 0), (1, 1)])
 
 
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def twosquare():
     """Δ1 × Δ2: two squares side by side (rows indexed by Δ1, columns by Δ2)."""
     return product(delta(1), delta(2))
 
 
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def squarearrow():
     """twosquare minus the (1,2) corner; returns (cat, inclusion)."""
     ts = twosquare()
     return full_subcategory(ts, [o for o in ts.objects if o != (1, 2)])
 
 
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def square_into_squarearrow():
     """The inclusion □ → squarearrow onto columns {0,1} (a closed immersion)."""
     sq = square()

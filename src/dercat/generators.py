@@ -63,10 +63,7 @@ def rand_poset(r, max_objects=5):
 def rand_free(r, field, shape, max_parts=2):
     parts = [ps.free_at(field, shape, 1, r.choice(shape.objects))
              for _ in range(r.randint(1, max_parts))]
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = ps.direct_sum(acc, p)
-    return acc
+    return ps.direct_sum_many(field, shape, parts)
 
 
 def rand_presheaf(r, field, shape, max_parts=2):

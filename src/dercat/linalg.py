@@ -12,7 +12,12 @@ coherence-lifting suites inside their time budget.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
+
+# Zero matrices are immutable, so Matrix.zeros hands out one per
+# (field, rows, cols); the memo keeps at most this many.
+ZEROS_CACHE_SIZE = 2048
 
 # Miller-Rabin with these bases is deterministic below MAX_MODULUS
 # (Sorenson-Webster 2015: the first 13 primes suffice for n < 3.3 * 10^24).
@@ -49,10 +54,11 @@ def _is_prime(n):
 class Field:
     """An exact field: F_p for a prime p, or the rationals Q.
 
-    is_gf2 selects the bit-packed F_2 routines of this module.
+    is_gf2 selects the bit-packed F_2 routines of this module.  zero and
+    one are immutable scalars, built once per field.
     """
 
-    __slots__ = ("kind", "p", "is_gf2")
+    __slots__ = ("kind", "p", "is_gf2", "zero", "one")
 
     def __init__(self, kind, p=None):
         if kind == "prime":
@@ -65,23 +71,18 @@ class Field:
             raise ValueError("unknown field kind %r" % (kind,))
         self.kind = kind
         self.is_gf2 = kind == "prime" and p == 2
+        self.zero = Fraction(0) if kind == "rationals" else 0
+        self.one = Fraction(1) if kind == "rationals" else 1
 
     def __eq__(self, other):
-        return isinstance(other, Field) and (self.kind, self.p) == (other.kind, other.p)
+        return self is other or (isinstance(other, Field) and
+                                 (self.kind, self.p) == (other.kind, other.p))
 
     def __hash__(self):
         return hash((self.kind, self.p))
 
     def __repr__(self):
         return "Q" if self.kind == "rationals" else "F_%d" % self.p
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == "rationals" else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == "rationals" else 1
 
     def of_int(self, n):
         """Canonical representative of the integer n in this field."""
@@ -130,8 +131,8 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "entries", "_hash")
 
     def __init__(self, field, rows, cols, entries):
-        entries = tuple(tuple(r) for r in entries)
-        if len(entries) != rows or any(len(r) != cols for r in entries):
+        entries = tuple(map(tuple, entries))
+        if len(entries) != rows or (entries and set(map(len, entries)) != {cols}):
             raise ValueError("entry grid does not match %dx%d" % (rows, cols))
         self.field = field
         self.rows = rows
@@ -140,7 +141,9 @@ class Matrix:
         self._hash = None
 
     @staticmethod
+    @lru_cache(maxsize=ZEROS_CACHE_SIZE)
     def zeros(field, rows, cols):
+        """The rows x cols zero matrix, one shared object per arguments."""
         z = field.zero
         return Matrix(field, rows, cols, [[z] * cols for _ in range(rows)])
 
@@ -150,9 +153,10 @@ class Matrix:
         return Matrix(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+        return self is other or (
+            isinstance(other, Matrix) and self.field == other.field
+            and self.rows == other.rows and self.cols == other.cols
+            and self.entries == other.entries)
 
     def __hash__(self):
         if self._hash is None:
@@ -168,8 +172,7 @@ class Matrix:
         return all(v == z for row in self.entries for v in row)
 
     def transpose(self):
-        return Matrix(self.field, self.cols, self.rows,
-                      [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Matrix(self.field, self.cols, self.rows, _columns(self))
 
     def __add__(self, other):
         _check_same_shape(self, other)
@@ -213,9 +216,10 @@ class Matrix:
                         acc ^= b
                 out.append(acc)
             return _from_bits(f, out, self.rows, other.cols)
-        ot = other.transpose().entries
+        ot = _columns(other)
         if f.kind == "rationals":
-            rows = [[sum((a * b for a, b in zip(r, c)), Fraction(0)) for c in ot]
+            z = f.zero
+            rows = [[sum((a * b for a, b in zip(r, c)), z) for c in ot]
                     for r in self.entries]
         else:
             p = f.p
@@ -226,6 +230,11 @@ class Matrix:
     def submatrix(self, row_range, col_range):
         return Matrix(self.field, len(row_range), len(col_range),
                       [[self.entries[i][j] for j in col_range] for i in row_range])
+
+
+def _columns(m):
+    """The columns of m as tuples."""
+    return list(zip(*m.entries)) if m.rows else [()] * m.cols
 
 
 def _check_same_shape(a, b):
@@ -424,16 +433,25 @@ def block(field, grid):
 def direct_sum(a, b):
     if a.field != b.field:
         raise ValueError("field mismatch")
-    f = a.field
-    return block(f, [[a, Matrix.zeros(f, a.rows, b.cols)],
-                     [Matrix.zeros(f, b.rows, a.cols), b]])
+    return direct_sum_many(a.field, (a, b))
 
 
 def direct_sum_many(field, mats):
-    acc = Matrix.zeros(field, 0, 0)
+    """The block-diagonal matrix of mats, built in one pass."""
+    if any(m.field != field for m in mats):
+        raise ValueError("field mismatch")
+    mats = [m for m in mats if m.rows or m.cols]
+    if len(mats) == 1:
+        return mats[0]
+    width = sum(m.cols for m in mats)
+    z = field.zero
+    rows = []
+    left = 0
     for m in mats:
-        acc = direct_sum(acc, m)
-    return acc
+        pad_l, pad_r = [z] * left, [z] * (width - left - m.cols)
+        rows.extend(pad_l + list(r) + pad_r for r in m.entries)
+        left += m.cols
+    return Matrix(field, len(rows), width, rows)
 
 
 def kronecker_product(a, b):

@@ -13,23 +13,28 @@ Conventions (fixed once, everything downstream depends on them):
 """
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import linalg
 from .linalg import Matrix
 from . import diagram
 
+# zero_presheaf and free_at share their results, which are immutable; each
+# keeps at most this many
+PRESHEAF_CACHE_SIZE = 256
+
 
 class Presheaf:
     """A functor shape° → vect, given by fiber dimensions and action
-    matrices on non-identity arrows."""
+    matrices on non-identity arrows.  dims and action are read-only."""
 
     __slots__ = ("field", "shape", "dims", "action", "free_parts", "_hash")
 
     def __init__(self, field, shape, dims, action, free_parts=None, validate=False):
         self.field = field
         self.shape = shape
-        self.dims = {x: int(dims[x]) for x in shape.objects}
-        self.action = dict(action)
+        self.dims = MappingProxyType({x: int(dims[x]) for x in shape.objects})
+        self.action = MappingProxyType(dict(action))
         self.free_parts = free_parts
         self._hash = None
         if validate:
@@ -72,7 +77,8 @@ class Presheaf:
                 tuple(sorted(self.action.items())))
 
     def __eq__(self, other):
-        return isinstance(other, Presheaf) and self._data() == other._data()
+        return self is other or (isinstance(other, Presheaf) and
+                                 self._data() == other._data())
 
     def __hash__(self):
         if self._hash is None:
@@ -84,7 +90,8 @@ class Presheaf:
 
 
 class PresheafMap:
-    """A natural transformation between presheaves on the same shape."""
+    """A natural transformation between presheaves on the same shape;
+    comps is read-only."""
 
     __slots__ = ("source", "target", "comps", "_hash")
 
@@ -93,7 +100,7 @@ class PresheafMap:
             raise ValueError("source and target live in different categories")
         self.source = source
         self.target = target
-        self.comps = {x: comps[x] for x in source.shape.objects}
+        self.comps = MappingProxyType({x: comps[x] for x in source.shape.objects})
         self._hash = None
         if validate:
             self.validate()
@@ -151,7 +158,8 @@ class PresheafMap:
                 tuple(self.comps[x] for x in self.source.shape.objects))
 
     def __eq__(self, other):
-        return isinstance(other, PresheafMap) and self._data() == other._data()
+        return self is other or (isinstance(other, PresheafMap) and
+                                 self._data() == other._data())
 
     def __hash__(self):
         if self._hash is None:
@@ -202,6 +210,13 @@ def is_conflation(i, p):
 
 
 def zero_presheaf(field, shape):
+    """The zero presheaf, one shared object per field and shape."""
+    return _zero_presheaf(field, diagram.shape_key(shape))
+
+
+@lru_cache(maxsize=PRESHEAF_CACHE_SIZE)
+def _zero_presheaf(field, key):
+    shape = key[0]
     z = {x: 0 for x in shape.objects}
     act = {a: Matrix.zeros(field, 0, 0) for a in shape.nonidentity_arrows()}
     return Presheaf(field, shape, z, act, free_parts=())
@@ -218,9 +233,16 @@ def identity_map(f):
 
 
 def free_at(field, shape, v, i):
-    """The free presheaf V ⊗ i with (V ⊗ i)_j = ⊕_{hom(j,i)} V."""
+    """The free presheaf V ⊗ i with (V ⊗ i)_j = ⊕_{hom(j,i)} V, one shared
+    object per arguments."""
     if i not in shape.objects:
         raise ValueError("unknown object %r" % (i,))
+    return _free_at(field, diagram.shape_key(shape), v, i)
+
+
+@lru_cache(maxsize=PRESHEAF_CACHE_SIZE)
+def _free_at(field, key, v, i):
+    shape = key[0]
     dims = {j: v * len(shape.hom(j, i)) for j in shape.objects}
     action = {}
     for a in shape.nonidentity_arrows():
@@ -241,20 +263,21 @@ def direct_sum(f, g):
     """Direct sum presheaf; free_parts concatenate when both are free."""
     if f.shape != g.shape or f.field != g.field:
         raise ValueError("summands live in different categories")
-    dims = {x: f.dims[x] + g.dims[x] for x in f.shape.objects}
-    action = {a: linalg.direct_sum(f.act(a), g.act(a))
-              for a in f.shape.nonidentity_arrows()}
-    parts = None
-    if f.free_parts is not None and g.free_parts is not None:
-        parts = f.free_parts + g.free_parts
-    return Presheaf(f.field, f.shape, dims, action, free_parts=parts)
+    return direct_sum_many(f.field, f.shape, (f, g))
 
 
 def direct_sum_many(field, shape, summands):
-    acc = zero_presheaf(field, shape)
-    for s in summands:
-        acc = direct_sum(acc, s)
-    return acc
+    """The direct sum of summands over shape, built in one pass; free_parts
+    concatenate when every summand is free."""
+    if not summands:
+        return zero_presheaf(field, shape)
+    dims = {x: sum(s.dims[x] for s in summands) for x in shape.objects}
+    action = {a: linalg.direct_sum_many(field, [s.action[a] for s in summands])
+              for a in shape.nonidentity_arrows()}
+    parts = None
+    if all(s.free_parts is not None for s in summands):
+        parts = tuple(part for s in summands for part in s.free_parts)
+    return Presheaf(field, shape, dims, action, free_parts=parts)
 
 
 def sum_maps(summands):

@@ -63,6 +63,32 @@ def test_cone_of_quasi_iso_is_acyclic():
         assert cx.is_acyclic(cx.cone(rho))
 
 
+def test_per_object_quasi_iso_matches_cone_homology():
+    # reference: the homology of the whole cone, by rank arithmetic
+    r = gen.rng_for(22)
+    verdicts = []
+    for field in (F2, F3, QQ):
+        for _ in range(6):
+            shape = gen.rand_poset(r, 3)
+            x = gen.rand_complex(r, field, shape, lo=-1, hi=1, max_parts=1)
+            p, rho = cx.proj_resolution(x)
+            for f in (rho, cx.zero_chain_map(p, x), cx.identity_chain_map(x)):
+                c = cx.cone(f)
+                ref = all(v == 0 for q in c.degrees()
+                          for v in cx.homology_dims(c, q).values())
+                assert cx.is_quasi_iso(f) == ref == cx.is_acyclic(c)
+                verdicts.append(ref)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_complex_terms_are_read_only():
+    x = cx.stalk(simple(F2, diagram.delta(1), 0))
+    with pytest.raises(TypeError):
+        x.terms[1] = x.term(0)
+    with pytest.raises(TypeError):
+        x.diffs[0] = ps.zero_map(x.term(0), x.term(1))
+
+
 def test_ext_table_of_simples_over_delta1():
     d1 = diagram.delta(1)
     s = {i: cx.stalk(simple(F2, d1, i)) for i in (0, 1)}

@@ -130,6 +130,26 @@ def test_conflation_squares_have_acyclic_total_cofiber():
         gen.conflation_square(nonsplit_conflation(), diagram.delta(1)))
 
 
+def test_bicartesian_restricts_each_corner_once(monkeypatch):
+    r = gen.rng_for(14)
+    base = gen.rand_poset(r, 2)
+    prod = diagram.product(diagram.square(), base)
+    s = dv.square_over(gen.rand_complex(r, F3, prod, lo=-1, hi=1,
+                                        max_parts=1))
+    verdict = dv.is_cocartesian(s)[0]
+    corners = []
+    restrict = dv.fiber_complex
+
+    def counted(x, i_obj):
+        corners.append(i_obj)
+        return restrict(x, i_obj)
+    monkeypatch.setattr(dv, "fiber_complex", counted)
+    assert dv.is_bicartesian(s) == verdict
+    assert sorted(corners) == sorted(diagram.square().objects)
+    assert dv.is_bicartesian(s) == verdict
+    assert len(corners) == 4
+
+
 def test_suspension_matches_shift():
     r = gen.rng_for(6)
     for field in (F2, F3):
@@ -194,6 +214,6 @@ def test_structure_chain_map_composition():
     a10 = d2.hom(1, 0)[0]
     a21 = d2.hom(2, 1)[0]
     a20 = d2.hom(2, 0)[0]
-    lhs = dv.structure_chain_map(x, a21).compose(
-        dv.structure_chain_map(x, a10))
-    assert lhs == dv.structure_chain_map(x, a20)
+    fibers = dv.Fibers(x)
+    lhs = fibers.structure_map(a21).compose(fibers.structure_map(a10))
+    assert lhs == dv.Fibers(x).structure_map(a20)

@@ -4,6 +4,7 @@ validation rules."""
 import pytest
 
 from dercat import diagram
+from dercat import serialize as se
 
 
 def test_delta_counts():
@@ -128,3 +129,27 @@ def test_from_quiver_commuting_square():
 def test_max_chain_length_square():
     assert diagram.max_chain_length(diagram.square()) == 2
     assert diagram.max_chain_length(diagram.terminal_cat()) == 0
+
+
+def test_nonidentity_arrows_built_once():
+    cat = diagram.poset_category([0, 1, 2], lambda a, b: a <= b)
+    arrows = cat.nonidentity_arrows()
+    assert arrows is cat.nonidentity_arrows()
+    assert len(arrows) == 3 and not any(cat.is_identity(a) for a in arrows)
+
+
+def test_product_memo_keeps_factor_structure():
+    # a plain category equal to the square: FinCat equality ignores the
+    # product structure that serialize writes as a nested "product"
+    sq = diagram.square()
+    plain = diagram.FinCat(sq.objects, sq.hom_table, sq.identity, sq.comp)
+    assert plain == sq and plain.product_of is None
+    d1 = diagram.delta(1)
+    built = diagram.product(sq, d1)
+    assert diagram.product(diagram.square(), diagram.delta(1)) is built
+    shared = se.enc_diagram(diagram.product(plain, d1))
+    diagram._product.cache_clear()
+    fresh = se.enc_diagram(diagram.product(plain, d1))
+    assert shared == fresh
+    assert "objects" in fresh["product"][0]
+    assert "product" in se.enc_diagram(built)["product"][0]

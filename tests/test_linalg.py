@@ -135,6 +135,27 @@ def test_block_and_stacks():
     assert (d.rows, d.cols) == (5, 5) and linalg.rank(d) == 5
 
 
+def test_direct_sum_many_matches_pairwise_blocks():
+    mats = [mat(F5, [[1, 2]]), Matrix.zeros(F5, 0, 0), Matrix.zeros(F5, 2, 0),
+            Matrix.identity(F5, 2), Matrix.zeros(F5, 0, 3)]
+    acc = Matrix.zeros(F5, 0, 0)
+    for m in mats:
+        acc = linalg.block(F5, [[acc, Matrix.zeros(F5, acc.rows, m.cols)],
+                                [Matrix.zeros(F5, m.rows, acc.cols), m]])
+    assert linalg.direct_sum_many(F5, mats) == acc
+    assert (acc.rows, acc.cols) == (5, 7)
+    with pytest.raises(ValueError):
+        linalg.direct_sum_many(F5, [mat(F2, [[1]])])
+
+
+def test_zeros_are_shared_and_immutable():
+    z = Matrix.zeros(QQ, 2, 3)
+    assert z is Matrix.zeros(Field("rationals"), 2, 3)
+    assert z is not Matrix.zeros(QQ, 3, 2)
+    with pytest.raises(TypeError):
+        z.entries[0][0] = Fraction(1)
+
+
 def test_kronecker_oracle():
     a = mat(F5, [[2]])
     b = mat(F5, [[1, 2], [3, 4]])

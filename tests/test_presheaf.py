@@ -161,3 +161,35 @@ def test_restrict_and_dualize():
     assert rf.dims == {0: 1, 1: 1}
     df = ps.dualize(f)
     assert ps.dualize(df) == f
+
+
+def test_shared_presheaves_are_read_only():
+    shape = diagram.poset_category([0, 1, 2], lambda a, b: a <= b)
+    z = ps.zero_presheaf(F2, diagram.delta(2))
+    assert z is ps.zero_presheaf(F2, shape)
+    assert z is not ps.zero_presheaf(F3, shape)
+    with pytest.raises(TypeError):
+        z.dims[0] = 1
+    with pytest.raises(TypeError):
+        z.action[shape.nonidentity_arrows()[0]] = Matrix.identity(F2, 1)
+    f = ps.free_at(F2, shape, 1, 2)
+    assert f is ps.free_at(F2, diagram.delta(2), 1, 2)
+    with pytest.raises(TypeError):
+        ps.identity_map(f).comps[0] = Matrix.zeros(F2, 1, 1)
+
+
+def test_direct_sum_many_matches_pairwise_fold():
+    r = gen.rng_for(21)
+    for field in (F2, F3):
+        shape = gen.rand_poset(r, 4)
+        parts = [gen.rand_presheaf(r, field, shape) for _ in range(3)]
+        parts.insert(1, ps.free_at(field, shape, 2, shape.objects[0]))
+        for summands in (parts[1:2], parts[1:], parts):
+            acc = ps.zero_presheaf(field, shape)
+            for s in summands:
+                acc = ps.direct_sum(acc, s)
+            total = ps.direct_sum_many(field, shape, summands)
+            assert total == acc and total.free_parts == acc.free_parts
+    frees = [ps.free_at(F2, shape, 1, x) for x in shape.objects]
+    assert ps.direct_sum_many(F2, shape, frees).free_parts == tuple(
+        (1, x) for x in shape.objects)
