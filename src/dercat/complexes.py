@@ -406,10 +406,12 @@ def proj_resolution(x):
         if m < x.lo - bound - 2:
             raise AssertionError("resolution exceeded its width bound")
         xp = x.term(m)
-        pnext = p_terms.get(m + 1, ps.zero_presheaf(field, shape))
-        pi_next = pis.get(m + 1, ps.zero_map(pnext, x.term(m + 1)))
-        d_next = p_diffs.get(m + 1, ps.zero_map(
-            pnext, p_terms.get(m + 2, ps.zero_presheaf(field, shape))))
+        if m + 1 in p_terms:
+            pnext, pi_next, d_next = p_terms[m + 1], pis[m + 1], p_diffs[m + 1]
+        else:   # the first step, above every term built so far
+            pnext = ps.zero_presheaf(field, shape)
+            pi_next = ps.zero_map(pnext, x.term(m + 1))
+            d_next = ps.zero_map(pnext, pnext)
         src = ps.direct_sum(xp, pnext)
         comps = {}
         for o in shape.objects:

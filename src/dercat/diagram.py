@@ -52,6 +52,7 @@ class FinCat:
         self._key = None
         self._hash = None
         self._nonidentity = None
+        self._indecomposable = None
         # optional structure set by constructors
         self.product_of = None
         self.pair_of = None       # arrow id -> (a, b) when product
@@ -73,6 +74,21 @@ class FinCat:
             self._nonidentity = tuple(a for a in self.arrows
                                       if not self.is_identity(a))
         return self._nonidentity
+
+    def indecomposable_arrows(self):
+        """The non-identity arrows that are not a composite of two
+        non-identity arrows, in arrow order.  The category is directed, so
+        every non-identity arrow is a composite of these."""
+        if self._indecomposable is None:
+            composites = set()
+            for f in self.nonidentity_arrows():
+                for z in self.objects:
+                    for g in self.hom_table[(self.tgt[f], z)]:
+                        if not self.is_identity(g):
+                            composites.add(self.comp[(g, f)])
+            self._indecomposable = tuple(a for a in self.nonidentity_arrows()
+                                         if a not in composites)
+        return self._indecomposable
 
     def compose(self, g, f):
         """The composite g∘f for f: x→y, g: y→z."""

@@ -2,17 +2,24 @@
 
 Everything downstream (presheaf kernels, Hom spaces, Ext groups, homotopy
 systems) reduces to rank / nullspace / solve over an exact field, so these
-routines are deliberately boring: dense rows, fraction-free never needed,
-Gaussian elimination with leftmost pivot and smallest-row tie-breaking so
-that every basis is reproducible bit for bit.
+routines are deliberately boring: dense rows, Gauss-Jordan elimination
+with leftmost pivot and smallest-row tie-breaking, and every basis read
+off the reduced row echelon form, which depends on the row space alone,
+so that every basis is reproducible bit for bit.
 
-Matrices over F_2 get a fast path where rows are stored as Python ints
-(one bit per column) and elimination is XOR; this is what keeps the
-coherence-lifting suites inside their time budget.
+Elimination has one path per kind of field, chosen in rref and rank:
+  * F_2: rows are stored as Python ints (one bit per column) and
+    elimination is XOR; this is what keeps the coherence-lifting suites
+    inside their time budget;
+  * Q: each row is scaled to primitive integers and eliminated
+    fraction-free, the content of every new row divided out; pivot rows
+    go back to Fractions, divided by their pivots, only at the end;
+  * F_p: entries are ints in [0, p), with field arithmetic.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 # Zero matrices are immutable, so Matrix.zeros hands out one per
@@ -112,7 +119,10 @@ class Field:
     def parse(self, s):
         """Parse a scalar from its serialized string form."""
         if self.kind == "rationals":
-            return Fraction(s)
+            try:
+                return Fraction(s)
+            except ZeroDivisionError:
+                raise ValueError("zero denominator in %r" % (s,)) from None
         return int(s) % self.p
 
     def show(self, a):
@@ -322,6 +332,64 @@ def _rref_generic(rows, cols, field):
     return pivots
 
 
+# --- Q on primitive integer rows ---------------------------------------------
+
+def _integer_rows(m):
+    """Rows of a matrix over Q, each scaled to primitive integers."""
+    rows = []
+    for row in m.entries:
+        den = lcm(*[v.denominator for v in row])
+        ints = [v.numerator * (den // v.denominator) for v in row]
+        g = gcd(*ints)
+        rows.append([v // g for v in ints] if g > 1 else ints)
+    return rows
+
+
+def _rref_int(rows, cols, upward=True):
+    """In-place fraction-free elimination of integer rows; returns pivot
+    columns.  Each pivot row clears its column in every row below it and,
+    with upward, above it too, leaving the reduced row echelon form up to
+    one nonzero factor per row.  Every new row is divided by its content,
+    which keeps the entries from growing with each step."""
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(cols):
+        pivot = -1
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot = i
+                break
+        if pivot < 0:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(0 if upward else r + 1, nrows):
+            a = rows[i][c]
+            if a and i != r:
+                g = gcd(p, a)
+                s, t = p // g, a // g
+                row = [s * x - t * y for x, y in zip(rows[i], prow)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _unscale(field, rows, pivots, cols):
+    """The reduced rows of _rref_int as Fractions: each pivot row divided
+    by its pivot, the rows below it zero."""
+    z = field.zero
+    out = [[Fraction(v, row[c]) if v else z for v in row]
+           for row, c in zip(rows, pivots)]
+    out.extend([z] * cols for _ in range(len(rows) - len(pivots)))
+    return out
+
+
 def rref(m):
     """Reduced row echelon form of m; returns (matrix, pivot column tuple)."""
     f = m.field
@@ -329,6 +397,11 @@ def rref(m):
         bits = _to_bits(m)
         pivots = _rref_bits(bits, m.cols)
         return _from_bits(f, bits, m.rows, m.cols), tuple(pivots)
+    if f.kind == "rationals":
+        rows = _integer_rows(m)
+        pivots = _rref_int(rows, m.cols)
+        return (Matrix(f, m.rows, m.cols, _unscale(f, rows, pivots, m.cols)),
+                tuple(pivots))
     rows = [list(r) for r in m.entries]
     pivots = _rref_generic(rows, m.cols, f)
     return Matrix(f, m.rows, m.cols, rows), tuple(pivots)
@@ -339,6 +412,8 @@ def rank(m):
     if f.is_gf2:
         bits = _to_bits(m)
         return len(_rref_bits(bits, m.cols))
+    if f.kind == "rationals":
+        return len(_rref_int(_integer_rows(m), m.cols, upward=False))
     rows = [list(r) for r in m.entries]
     return len(_rref_generic(rows, m.cols, f))
 

@@ -511,6 +511,8 @@ def resolve(f):
 
 @lru_cache(maxsize=None)
 def _hom_space_cached(f, g):
+    """The hom_space basis, with the free columns of the system and the
+    flattened basis columns packed by linalg for the span check."""
     field, shape = f.field, f.shape
     order = list(shape.objects)
     sizes = [g.dims[x] * f.dims[x] for x in order]
@@ -521,7 +523,11 @@ def _hom_space_cached(f, g):
         off += s
     nvars = off
     rows = []
-    for a in shape.nonidentity_arrows():
+    # Naturality at the indecomposable arrows suffices: every other arrow
+    # is a composite of them, f and g are functors, and squares that
+    # commute paste to a square that commutes.  Both systems have the same
+    # solutions, so the same reduced echelon form and the same basis.
+    for a in shape.indecomposable_arrows():
         x, y = shape.src[a], shape.tgt[a]
         # constraint: φ_x · F(a) − G(a) · φ_y = 0  (maps F_y → G_x)
         left = linalg.kronecker_product(
@@ -542,7 +548,6 @@ def _hom_space_cached(f, g):
     basis, free = linalg.kernel_basis_and_free(system)
     flat_cols = tuple(tuple(basis.entries[i][k] for i in range(nvars))
                       for k in range(basis.cols))
-    _HOM_META[(f, g)] = (free, linalg.pack_columns(field, flat_cols))
     out = []
     for k in range(basis.cols):
         comps = {}
@@ -552,19 +557,14 @@ def _hom_space_cached(f, g):
                          [[basis.entries[offsets[x] + t][k]] for t in range(r * c)])
             comps[x] = linalg.unflatten_matrix(field, seg, r, c)
         out.append(PresheafMap(f, g, comps))
-    return tuple(out)
-
-
-# side table keyed like _hom_space_cached: free columns + flattened basis
-# columns, packed by linalg for the span check
-_HOM_META = {}
+    return tuple(out), free, linalg.pack_columns(field, flat_cols)
 
 
 def hom_space(f, g):
     """Deterministic basis of the space of natural transformations f → g."""
     if f.shape != g.shape or f.field != g.field:
         raise ValueError("presheaves live in different categories")
-    return list(_hom_space_cached(f, g))
+    return list(_hom_space_cached(f, g)[0])
 
 
 def hom_coordinates(f, g, phi):
@@ -574,7 +574,7 @@ def hom_coordinates(f, g, phi):
     Reads the coordinates off at the kernel-basis free positions; the span
     membership check reconstructs the flattened map.
     """
-    basis = _hom_space_cached(f, g)
+    basis, free, packed = _hom_space_cached(f, g)
     field = f.field
     flat = []
     for x in f.shape.objects:
@@ -582,7 +582,6 @@ def hom_coordinates(f, g, phi):
             flat.extend(row)
     if not basis:
         return [] if all(v == field.zero for v in flat) else None
-    free, packed = _HOM_META[(f, g)]
     coords = [flat[c] for c in free]
     if not linalg.is_combination(field, packed, coords, flat):
         return None

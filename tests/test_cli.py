@@ -326,3 +326,22 @@ def test_large_modulus_answers_quickly(tmp_path, modulus, code):
     assert proc.returncode == code
     if code:
         assert proc.stderr.decode().startswith("error:")
+
+
+def test_zero_denominator_is_input_error(tmp_path):
+    qq = Field("rationals")
+    p = tmp_path / "p.json"
+    se.save(p, ps.free_at(qq, diagram.delta(1), 1, 0))
+    doc = json.loads(p.read_text())
+    doc["action"][0][1]["entries"][0][0] = "1/0"
+    p.write_text(json.dumps(doc))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "dercat.cli", "--field", "q",
+         "check-presheaf", str(p)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=30)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: bad presheaf: bad matrix:") and \
+        err.count("\n") == 1

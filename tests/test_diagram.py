@@ -153,3 +153,48 @@ def test_product_memo_keeps_factor_structure():
     assert shared == fresh
     assert "objects" in fresh["product"][0]
     assert "product" in se.enc_diagram(built)["product"][0]
+
+
+def _composites(cat, arrows):
+    """Every composite of one or more of arrows."""
+    out = set(arrows)
+    while True:
+        more = {cat.compose(g, f) for f in out for g in out
+                if cat.tgt[f] == cat.src[g]} - out
+        if not more:
+            return out
+        out |= more
+
+
+def _parallel_quiver():
+    """f, g : a → b parallel, h : b → c, and k : a → c with k = h∘f."""
+    arrows = [("f", "a", "b"), ("g", "a", "b"), ("h", "b", "c"),
+              ("k", "a", "c")]
+    return diagram.from_quiver(["a", "b", "c"], arrows, [(["f", "h"], ["k"])])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_indecomposable_arrows_of_cubes(k):
+    cat = diagram.cube(k)
+    gens = cat.indecomposable_arrows()
+    assert len(gens) == k * 2 ** (k - 1)
+    assert gens is cat.indecomposable_arrows()
+    assert _composites(cat, gens) == set(cat.nonidentity_arrows())
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_indecomposable_arrows_of_deltas(n):
+    cat = diagram.delta(n)
+    gens = cat.indecomposable_arrows()
+    assert len(gens) == n
+    assert all(cat.src[a] == cat.tgt[a] + 1 for a in gens)
+
+
+def test_indecomposable_arrows_of_a_quiver_with_relation():
+    cat = _parallel_quiver()
+    g = cat.generators
+    assert len(cat.nonidentity_arrows()) == 5     # f, g, h, k = hf, hg
+    # k is a generator of the quiver, but the relation makes it h∘f
+    assert cat.indecomposable_arrows() == (g["f"], g["g"], g["h"])
+    assert _composites(cat, cat.indecomposable_arrows()) == \
+        set(cat.nonidentity_arrows())

@@ -167,3 +167,82 @@ def test_flatten_round_trip():
     m = mat(F5, [[1, 2, 3], [4, 0, 1]])
     v = linalg.flatten_matrix(m)
     assert linalg.unflatten_matrix(F5, v, 2, 3) == m
+
+
+def _reference_rref(m):
+    """Textbook Gauss-Jordan over Fractions: leftmost pivot, first nonzero
+    row below, pivot scaled to 1 before clearing its column."""
+    rows = [list(r) for r in m.entries]
+    pivots, r = [], 0
+    for c in range(m.cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = rows[r][c]
+        rows[r] = [v / lead for v in rows[r]]
+        for i in range(len(rows)):
+            factor = rows[i][c]
+            if i != r and factor != 0:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _random_rational(r, rows, cols):
+    """A rows x cols matrix over Q of random rank (at most 10, which keeps
+    the reference's Fractions small), with mixed denominators, negative
+    entries and some zero rows."""
+    def q():
+        return Fraction(r.randint(-9, 9), r.randint(1, 12))
+    k = r.randint(0, min(rows, cols, 10))
+    left = [[q() for _ in range(k)] for _ in range(rows)]
+    right = [[q() for _ in range(cols)] for _ in range(k)]
+    ent = [[sum((a * b for a, b in zip(lr, col)), Fraction(0))
+            for col in zip(*right)] if right else [Fraction(0)] * cols
+           for lr in left]
+    for i in r.sample(range(rows), rows // 5):
+        ent[i] = [Fraction(0)] * cols
+    return Matrix(QQ, rows, cols, ent)
+
+
+RATIONAL_SHAPES = [(1, 1), (1, 6), (6, 1), (2, 2), (4, 9), (9, 4), (12, 12),
+                   (25, 8), (8, 25), (30, 45), (60, 120)]
+
+
+@pytest.mark.parametrize("rows, cols", RATIONAL_SHAPES)
+def test_rational_elimination_matches_fraction_gauss_jordan(rows, cols):
+    import random
+    r = random.Random(rows * 1000 + cols)
+    for _ in range(3):
+        m = _random_rational(r, rows, cols)
+        ref, ref_piv = _reference_rref(m)
+        R, pivots = linalg.rref(m)
+        assert pivots == tuple(ref_piv)
+        assert [list(row) for row in R.entries] == ref
+        assert all(type(v) is Fraction for row in R.entries for v in row)
+        assert linalg.rank(m) == len(ref_piv)
+        free = [c for c in range(cols) if c not in ref_piv]
+        kernel = [[Fraction(1) if c == fc else Fraction(0) for c in range(cols)]
+                  for fc in free]
+        for v, fc in zip(kernel, free):
+            for pr, pc in enumerate(ref_piv):
+                v[pc] = -ref[pr][fc]
+        basis, got_free = linalg.kernel_basis_and_free(m)
+        assert got_free == tuple(free)
+        assert [list(col) for col in zip(*basis.entries)] == kernel
+        # one consistent right-hand side (a column of m) and one generic
+        b = Matrix(QQ, rows, 2, [[row[cols - 1], Fraction(i + 1, 3)]
+                                 for i, row in enumerate(m.entries)])
+        aug_ref, aug_piv = _reference_rref(linalg.hstack(QQ, [m, b]))
+        x = linalg.solve(m, b)
+        if any(p >= cols for p in aug_piv):
+            assert x is None
+        else:
+            want = [[Fraction(0)] * 2 for _ in range(cols)]
+            for pr, pc in enumerate(aug_piv):
+                want[pc] = aug_ref[pr][cols:]
+            assert [list(row) for row in x.entries] == want
+        x = linalg.solve(m, b.submatrix(range(rows), [0]))
+        assert x is not None and m * x == b.submatrix(range(rows), [0])

@@ -193,3 +193,61 @@ def test_direct_sum_many_matches_pairwise_fold():
     frees = [ps.free_at(F2, shape, 1, x) for x in shape.objects]
     assert ps.direct_sum_many(F2, shape, frees).free_parts == tuple(
         (1, x) for x in shape.objects)
+
+
+def _all_arrows_hom_basis(f, g):
+    """The hom space f → g as the kernel of naturality at every non-identity
+    arrow, written out entry by entry: one flattened column per basis
+    vector, unknowns ordered by object, each φ_x row-major."""
+    field, shape = f.field, f.shape
+    offsets, off = {}, 0
+    for x in shape.objects:
+        offsets[x] = off
+        off += g.dims[x] * f.dims[x]
+    rows = []
+    for a in shape.nonidentity_arrows():
+        x, y = shape.src[a], shape.tgt[a]
+        fa, ga = f.act(a).entries, g.act(a).entries
+        # entry (i, j) of φ_x · F(a) − G(a) · φ_y
+        for i in range(g.dims[x]):
+            for j in range(f.dims[y]):
+                row = [field.zero] * off
+                for k in range(f.dims[x]):
+                    row[offsets[x] + i * f.dims[x] + k] = fa[k][j]
+                for l in range(g.dims[y]):
+                    c = offsets[y] + l * f.dims[y] + j
+                    row[c] = field.sub(row[c], ga[i][l])
+                rows.append(row)
+    basis = linalg.kernel_basis(Matrix(field, len(rows), off, rows))
+    return [list(col) for col in zip(*basis.entries)] if off else []
+
+
+def _flat(phi):
+    return [v for x in phi.source.shape.objects
+            for row in phi.comps[x].entries for v in row]
+
+
+def _parallel_quiver():
+    """f, g : a → b parallel, h : b → c, and k : a → c with k = h∘f."""
+    arrows = [("f", "a", "b"), ("g", "a", "b"), ("h", "b", "c"),
+              ("k", "a", "c")]
+    return diagram.from_quiver(["a", "b", "c"], arrows, [(["f", "h"], ["k"])])
+
+
+@pytest.mark.parametrize("field", [F2, F3, Field("rationals")], ids=repr)
+def test_hom_space_on_generating_arrows_matches_all_arrows(field):
+    r = gen.rng_for(8)
+    shapes = [diagram.cube(3),
+              diagram.product(diagram.delta(2), diagram.delta(2)),
+              _parallel_quiver()]
+    for shape in shapes:
+        assert len(shape.indecomposable_arrows()) < \
+            len(shape.nonidentity_arrows())
+        for _ in range(4):
+            f = gen.rand_presheaf(r, field, shape, max_parts=3)
+            g = gen.rand_presheaf(r, field, shape, max_parts=3)
+            fg = ps.direct_sum(f, g)
+            for src, tgt in ((f, g), (g, f), (fg, fg)):
+                basis = ps.hom_space(src, tgt)
+                assert [_flat(phi) for phi in basis] == \
+                    _all_arrows_hom_basis(src, tgt)
