@@ -513,13 +513,18 @@ class HomComplex:
         out = [[field.zero] * cols for _ in range(rows)]
         sgn = field.of_int(-1 if n % 2 else 1)
         for p, basis in self.slots[n]:
+            # a differential outside diffs is zero, and so are its composites
+            dy = self.y.diffs.get(p + n)
+            dx = self.x.diffs.get(p - 1)
             for k, b in enumerate(basis):
                 col = self.offsets[n][p] + k
                 # d_Y ∘ b lands in slot p; b ∘ d_X in slot p − 1 of degree n+1
-                img1 = self.y.diff(p + n).compose(b)
-                self._add_into(out, n + 1, p, img1, col, field.one)
-                img2 = b.compose(self.x.diff(p - 1))
-                self._add_into(out, n + 1, p - 1, img2, col, field.neg(sgn))
+                if dy is not None:
+                    self._add_into(out, n + 1, p, dy.compose(b), col,
+                                   field.one)
+                if dx is not None:
+                    self._add_into(out, n + 1, p - 1, b.compose(dx), col,
+                                   field.neg(sgn))
         return Matrix(field, rows, cols, out)
 
     def _add_into(self, out, n, p, phi, col, scalar):

@@ -509,19 +509,11 @@ def resolve(f):
 # --- hom spaces --------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _hom_space_cached(f, g):
-    """The hom_space basis, with the free columns of the system and the
-    flattened basis columns packed by linalg for the span check."""
+def _naturality_basis(f, g, offsets, nvars):
+    """The kernel basis of the naturality system in the flattened unknowns,
+    as columns, with its free columns."""
     field, shape = f.field, f.shape
-    order = list(shape.objects)
-    sizes = [g.dims[x] * f.dims[x] for x in order]
-    offsets = {}
-    off = 0
-    for x, s in zip(order, sizes):
-        offsets[x] = off
-        off += s
-    nvars = off
+    z = field.zero
     rows = []
     # Naturality at the indecomposable arrows suffices: every other arrow
     # is a composite of them, f and g are functors, and squares that
@@ -529,35 +521,95 @@ def _hom_space_cached(f, g):
     # solutions, so the same reduced echelon form and the same basis.
     for a in shape.indecomposable_arrows():
         x, y = shape.src[a], shape.tgt[a]
-        # constraint: φ_x · F(a) − G(a) · φ_y = 0  (maps F_y → G_x)
-        left = linalg.kronecker_product(
-            Matrix.identity(field, g.dims[x]), f.act(a).transpose())
-        right = linalg.kronecker_product(
-            g.act(a), Matrix.identity(field, f.dims[y]))
-        nrows = g.dims[x] * f.dims[y]
-        for r in range(nrows):
-            row = [field.zero] * nvars
-            for c in range(left.cols):
-                row[offsets[x] + c] = left.entries[r][c]
-            for c in range(right.cols):
-                row[offsets[y] + c] = field.sub(row[offsets[y] + c],
-                                                right.entries[r][c])
-            rows.append(row)
+        fx, fy = f.dims[x], f.dims[y]
+        ox, oy = offsets[x], offsets[y]
+        fa_cols = f.act(a).transpose().entries
+        # row (i, j) of φ_x · F(a) − G(a) · φ_y = 0  (maps F_y → G_x)
+        for i, ga_row in enumerate(g.act(a).entries):
+            for j in range(fy):
+                row = [z] * nvars
+                for c, v in enumerate(fa_cols[j]):
+                    if v:
+                        row[ox + i * fx + c] = v
+                for r, v in enumerate(ga_row):
+                    if v:
+                        row[oy + r * fy + j] = field.neg(v)
+                rows.append(row)
     system = Matrix(field, len(rows), nvars, rows) if rows else \
         Matrix.zeros(field, 0, nvars)
     basis, free = linalg.kernel_basis_and_free(system)
-    flat_cols = tuple(tuple(basis.entries[i][k] for i in range(nvars))
-                      for k in range(basis.cols))
+    return list(zip(*basis.entries)), free
+
+
+def _yoneda_basis(f, g, offsets, nvars):
+    """The same columns and free columns as _naturality_basis, for a
+    recorded free source, read off the Yoneda lemma.
+
+    Hom(V ⊗ i, G) ≅ Hom(V, G_i): for each part (v, i) of f, each basis
+    vector t of V and each basis vector e of G_i, the map sending the
+    generator t at id_i to e is, at x, column e of G(h) in the column of
+    block (h ∈ hom(x, i), t).  These maps span the solution space S of the
+    naturality system.  A column c is free in the system's reduced echelon
+    form iff some vector of S has its last nonzero entry at c, so with
+    columns reversed the free columns are the pivots of S's reduced
+    echelon form, and its rows, reversed back, are the vectors of S with 1
+    at their own free column and 0 at the others: the kernel basis, which
+    that property determines.
+    """
+    field, shape = f.field, f.shape
+    z = field.zero
+    rows = []
+    start = {x: 0 for x in shape.objects}
+    for v, i in f.free_parts:
+        blocks = []  # (fiber row offset, row length, first column, G(h)^T)
+        for x in shape.objects:
+            fx = f.dims[x]
+            for pos, h in enumerate(shape.hom(x, i)):
+                blocks.append((offsets[x], fx, start[x] + pos * v,
+                               g.act(h).transpose().entries))
+            start[x] += v * len(shape.hom(x, i))
+        for t in range(v):
+            for e in range(g.dims[i]):
+                row = [z] * nvars
+                for off, fx, col, gh_cols in blocks:
+                    for r, val in enumerate(gh_cols[e]):
+                        if val:
+                            row[off + r * fx + col + t] = val
+                rows.append(row[::-1])
+    mirrored = Matrix(field, len(rows), nvars, rows) if rows else \
+        Matrix.zeros(field, 0, nvars)
+    reduced, pivots = linalg.rref(mirrored)
+    if len(pivots) != len(rows):
+        raise AssertionError("the free parts do not present the source")
+    free = tuple(nvars - 1 - c for c in reversed(pivots))
+    return [row[::-1] for row in reversed(reduced.entries[:len(pivots)])], free
+
+
+@lru_cache(maxsize=None)
+def _hom_space_cached(f, g):
+    """The hom_space basis, with the free columns of the naturality system
+    and the flattened basis columns packed by linalg for the span check.
+
+    Unknowns are ordered by object, each φ_x row-major.  Out of a recorded
+    free presheaf the basis is read off by Yoneda, otherwise it is the
+    kernel basis of the naturality system; both give the same basis."""
+    field = f.field
+    order = list(f.shape.objects)
+    offsets, nvars = {}, 0
+    for x in order:
+        offsets[x] = nvars
+        nvars += g.dims[x] * f.dims[x]
+    basis_of = _naturality_basis if f.free_parts is None else _yoneda_basis
+    cols, free = basis_of(f, g, offsets, nvars)
     out = []
-    for k in range(basis.cols):
+    for col in cols:
         comps = {}
         for x in order:
-            r, c = g.dims[x], f.dims[x]
-            seg = Matrix(field, r * c, 1,
-                         [[basis.entries[offsets[x] + t][k]] for t in range(r * c)])
-            comps[x] = linalg.unflatten_matrix(field, seg, r, c)
+            r, c, off = g.dims[x], f.dims[x], offsets[x]
+            comps[x] = Matrix(field, r, c, [col[off + k * c:off + (k + 1) * c]
+                                            for k in range(r)])
         out.append(PresheafMap(f, g, comps))
-    return tuple(out), free, linalg.pack_columns(field, flat_cols)
+    return tuple(out), free, linalg.pack_columns(field, tuple(cols))
 
 
 def hom_space(f, g):

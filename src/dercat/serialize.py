@@ -187,16 +187,35 @@ def _dec_presheaf_body(field, shape, obj):
         dims = {dec_label(x): int(d) for x, d in obj["dims"]}
         action = {dec_label(a): dec_matrix(field, m)
                   for a, m in obj["action"]}
+        parts = None
+        if "free" in obj:
+            parts = tuple((int(v), dec_label(i)) for v, i in obj["free"])
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError("bad presheaf: %s" % (e,))
-    parts = None
-    if "free" in obj:
-        parts = tuple((int(v), dec_label(i)) for v, i in obj["free"])
     try:
-        return ps.Presheaf(field, shape, dims, action, free_parts=parts,
-                           validate=True)
+        f = ps.Presheaf(field, shape, dims, action, free_parts=parts,
+                        validate=True)
     except (ValueError, KeyError) as e:
         raise FormatError("presheaf does not validate: %s" % (e,))
+    if parts is not None:
+        _check_free_parts(f)
+    return f
+
+
+def _check_free_parts(f):
+    """Hom spaces and resolutions out of f trust its free parts, so they
+    must present f exactly; the dimensions are compared first, which also
+    bounds the multiplicities before any matrix is built."""
+    field, shape = f.field, f.shape
+    for v, i in f.free_parts:
+        if v < 0 or i not in shape.objects:
+            raise FormatError("bad free part %r" % ([v, i],))
+    if any(sum(v * len(shape.hom(x, i)) for v, i in f.free_parts) != f.dims[x]
+           for x in shape.objects) or f != ps.direct_sum_many(
+               field, shape, [ps.free_at(field, shape, v, i)
+                              for v, i in f.free_parts]):
+        raise FormatError("the free parts %r do not present the presheaf"
+                          % ([list(p) for p in f.free_parts],))
 
 
 def enc_presheaf(f):

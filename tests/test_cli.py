@@ -345,3 +345,27 @@ def test_zero_denominator_is_input_error(tmp_path):
     assert "Traceback" not in err
     assert err.startswith("error: bad presheaf: bad matrix:") and \
         err.count("\n") == 1
+
+
+def test_false_free_claim_is_input_error(tmp_path):
+    # S_0 over Δ1 is not free; claimed free, its resolution and its hom
+    # spaces would be read off the claim and Ext^1(S_0, S_1) = 1 lost
+    d1 = diagram.delta(1)
+    a, b, bad = (tmp_path / n for n in ("s0.json", "s1.json", "bad.json"))
+    se.save(a, cx.stalk(simple(F2, d1, 0)))
+    se.save(b, cx.stalk(simple(F2, d1, 1)))
+    doc = json.loads(a.read_text())
+    doc["terms"][0][1]["free"] = [[1, 0]]
+    bad.write_text(json.dumps(doc))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for source, code, out in ((a, 0, "dim Ext^1 = 1\n"), (bad, 2, "")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dercat.cli", "ext", "--source",
+             str(source), "--target", str(b), "--n", "1"],
+            env=env, capture_output=True, timeout=30)
+        err = proc.stderr.decode()
+        assert proc.returncode == code and proc.stdout.decode() == out
+        assert "Traceback" not in err
+        assert err == "" if code == 0 else \
+            err.startswith("error:") and err.count("\n") == 1

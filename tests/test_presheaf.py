@@ -7,6 +7,8 @@ from dercat import linalg
 from dercat.linalg import Field, Matrix
 from dercat import diagram
 from dercat import presheaf as ps
+from dercat import complexes as cx
+from dercat import derivator as dv
 from dercat import generators as gen
 
 F2 = Field("prime", 2)
@@ -198,7 +200,8 @@ def test_direct_sum_many_matches_pairwise_fold():
 def _all_arrows_hom_basis(f, g):
     """The hom space f → g as the kernel of naturality at every non-identity
     arrow, written out entry by entry: one flattened column per basis
-    vector, unknowns ordered by object, each φ_x row-major."""
+    vector, unknowns ordered by object, each φ_x row-major; returns the
+    columns and the free columns of the system."""
     field, shape = f.field, f.shape
     offsets, off = {}, 0
     for x in shape.objects:
@@ -218,8 +221,9 @@ def _all_arrows_hom_basis(f, g):
                     c = offsets[y] + l * f.dims[y] + j
                     row[c] = field.sub(row[c], ga[i][l])
                 rows.append(row)
-    basis = linalg.kernel_basis(Matrix(field, len(rows), off, rows))
-    return [list(col) for col in zip(*basis.entries)] if off else []
+    basis, free = linalg.kernel_basis_and_free(
+        Matrix(field, len(rows), off, rows))
+    return ([list(col) for col in zip(*basis.entries)] if off else []), free
 
 
 def _flat(phi):
@@ -250,4 +254,92 @@ def test_hom_space_on_generating_arrows_matches_all_arrows(field):
             for src, tgt in ((f, g), (g, f), (fg, fg)):
                 basis = ps.hom_space(src, tgt)
                 assert [_flat(phi) for phi in basis] == \
-                    _all_arrows_hom_basis(src, tgt)
+                    _all_arrows_hom_basis(src, tgt)[0]
+
+
+def _free_sources(field, shape):
+    """Recorded free presheaves: multiplicities v >= 2, sums that repeat an
+    object, and the zero presheaf."""
+    objs = shape.objects
+    return [ps.free_at(field, shape, 2, objs[0]),
+            ps.free_at(field, shape, 3, objs[-1]),
+            ps.direct_sum_many(field, shape, [
+                ps.free_at(field, shape, 1, objs[1]),
+                ps.free_at(field, shape, 2, objs[0]),
+                ps.free_at(field, shape, 1, objs[1])]),
+            ps.direct_sum_many(field, shape, [
+                ps.free_at(field, shape, 2, x) for x in objs[::2]]),
+            ps.zero_presheaf(field, shape)]
+
+
+@pytest.mark.parametrize("field", [F2, F3, Field("rationals")],
+                         ids=("F2", "F3", "Q"))
+def test_free_hom_space_matches_naturality_system(field):
+    # out of a recorded free source the basis is read off by Yoneda; it
+    # must be the kernel basis of the naturality system, free columns too
+    r = gen.rng_for(12)
+    unnatural = 0
+    for shape in (diagram.cube(3),
+                  diagram.product(diagram.delta(2), diagram.delta(2)),
+                  _parallel_quiver()):
+        for src in _free_sources(field, shape):
+            assert src.free_parts is not None
+            for _ in range(3):
+                tgt = gen.rand_presheaf(r, field, shape, max_parts=3)
+                basis = ps.hom_space(src, tgt)
+                cols, free = _all_arrows_hom_basis(src, tgt)
+                assert [_flat(phi) for phi in basis] == cols
+                assert ps._hom_space_cached(src, tgt)[1] == free
+                assert len(basis) == sum(v * tgt.dims[i]
+                                         for v, i in src.free_parts)
+                phi = ps.PresheafMap(src, tgt, {
+                    x: gen.rand_matrix(r, field, tgt.dims[x], src.dims[x])
+                    for x in shape.objects})
+                try:
+                    phi.validate()
+                except ValueError:
+                    unnatural += 1
+                    assert ps.hom_coordinates(src, tgt, phi) is None
+                else:
+                    assert ps.hom_coordinates(src, tgt, phi) is not None
+    assert unnatural >= 10
+
+
+def _presented(p):
+    """The direct sum of the free_at of p's recorded parts."""
+    return ps.direct_sum_many(p.field, p.shape, [
+        ps.free_at(p.field, p.shape, v, i) for v, i in p.free_parts])
+
+
+@pytest.mark.parametrize("field", [F2, Field("rationals")], ids=("F2", "Q"))
+def test_recorded_free_parts_present_the_presheaf(field):
+    # hom spaces and resolutions trust free_parts: every constructor that
+    # records them builds exactly the direct sum of the parts' free_at
+    r = gen.rng_for(13)
+    seen = []
+    for _ in range(4):
+        shape = gen.rand_poset(r, 4)
+        frees = [ps.free_at(field, shape, v, x)
+                 for x in shape.objects for v in (1, 2)]
+        sums = [ps.direct_sum_many(field, shape, [r.choice(frees)
+                                                  for _ in range(3)]),
+                ps.direct_sum_many(field, shape, frees[:1] * 2),
+                ps.direct_sum_many(field, shape, [])]
+        x = gen.rand_complex(r, field, shape, max_parts=2)
+        resolved = cx.proj_resolution(x)[0]
+        stalk = cx.stalk(gen.rand_free(r, field, shape, 3))
+        u = gen.rand_functor(r)
+        on_u = [gen.rand_free(r, field, u.source, 3) for _ in range(2)]
+        rec = dv.product_recollement(shape)[0]
+        lifted = [z for y in (resolved, stalk)
+                  for z in (cx.over_point(y), rec.j_shriek(y),
+                            rec.i_lower(y))]
+        candidates = (frees + sums + [resolved.term(p)
+                                      for p in resolved.degrees()]
+                      + [dv.transport_presheaf(u, p) for p in on_u]
+                      + [z.term(p) for z in lifted for p in z.degrees()])
+        for p in candidates:
+            if p.free_parts is not None:
+                assert p == _presented(p)
+                seen.append(p)
+    assert len(seen) >= 60

@@ -67,6 +67,26 @@ def test_free_parts_survive_roundtrip():
     assert g.free_parts == f.free_parts
 
 
+@pytest.mark.parametrize("free, zero_action", [
+    ([[1, 0], [1, 1]], True),            # the dimensions, not the action
+    ([[1, 0]], False),                   # a part short
+    ([[1, 0], [2, 1], [-1, 1]], False),  # the dimensions, a part negative
+    ([[1, 0], [1, 7]], False),           # no such object
+    ([[1]], False),                      # not a pair
+])
+def test_false_free_parts_are_rejected(free, zero_action):
+    d1 = diagram.delta(1)
+    doc = se.encode(ps.direct_sum_many(F2, d1, [ps.free_at(F2, d1, 1, 0),
+                                                 ps.free_at(F2, d1, 1, 1)]))
+    assert se.decode(doc).free_parts == ((1, 0), (1, 1))
+    if zero_action:
+        for _, m in doc["action"]:
+            m["entries"] = [["0"] * m["cols"] for _ in range(m["rows"])]
+    doc["free"] = free
+    with pytest.raises(se.FormatError):
+        se.decode(doc)
+
+
 def test_incoherent_roundtrip_and_lift_determinism():
     r = gen.rng_for(4)
     d = gen.rand_incoherent(r, F2, diagram.delta(2), diagram.delta(1),
