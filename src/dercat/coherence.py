@@ -44,8 +44,6 @@ class IncoherentDiagram:
         return self.values[i]
 
     def map(self, a):
-        if self.shape.is_identity(a):
-            return cx.identity_chain_map(self.values[self.shape.src[a]])
         return self.maps[a]
 
     def composable_pairs(self):
@@ -266,11 +264,10 @@ def _face_map(icat, base, prod, layer_l, layer_prev, resolutions, arrow_lifts,
 class LiftCertificate:
     """Witnesses that a lifted complex restricts to the input diagram."""
 
-    def __init__(self, lift, diagram_, fiber_maps, iotas, arrow_homotopies):
+    def __init__(self, lift, diagram_, fiber_maps, arrow_homotopies):
         self.lift = lift
         self.diagram = diagram_
         self.fiber_maps = fiber_maps
-        self.iotas = iotas
         self.arrow_homotopies = arrow_homotopies
 
     def verify(self):
@@ -295,12 +292,11 @@ class _LiftData:
     """Internal record kept per lift so that morphisms can descend through
     the same tower."""
 
-    def __init__(self, prod, resolutions, res_maps, arrow_lifts, layers,
-                 stage_maps, lift, cert):
+    def __init__(self, prod, resolutions, res_maps, layers, stage_maps, lift,
+                 cert):
         self.prod = prod
         self.resolutions = resolutions
         self.res_maps = res_maps
-        self.arrow_lifts = arrow_lifts
         self.layers = layers
         self.stage_maps = stage_maps
         self.lift = lift
@@ -329,8 +325,8 @@ def _lift_data(f):
     prod = diagram.product(icat, base)
     if not icat.objects:
         lift = cx.zero_complex(field, prod)
-        cert = LiftCertificate(lift, f, {}, {}, {})
-        data = _LiftData(prod, {}, {}, {}, [], [], lift, cert)
+        cert = LiftCertificate(lift, f, {}, {})
+        data = _LiftData(prod, {}, {}, [], [], lift, cert)
         _LIFT_CACHE[key] = data
         return data
     if not icat.nonidentity_arrows():
@@ -373,10 +369,9 @@ def _lift_data(f):
         stage_maps.append(phi)
     lift = cx.cone(phi)
 
-    cert = _certify(f, prod, lift, layers[0], resolutions, res_maps,
-                    arrow_lifts)
-    data = _LiftData(prod, resolutions, res_maps, arrow_lifts, layers,
-                     stage_maps, lift, cert)
+    cert = _certify(f, prod, lift, layers[0], resolutions, res_maps)
+    data = _LiftData(prod, resolutions, res_maps, layers, stage_maps, lift,
+                     cert)
     _LIFT_CACHE[key] = data
     return data
 
@@ -399,20 +394,19 @@ def _lift_discrete(f, prod):
         diffs[p] = ps.PresheafMap(terms[p], terms[p + 1], {
             (i, m): f.values[i].diff(p).comps[m] for (i, m) in prod.objects})
     lift = cx.Complex(field, prod, terms, diffs)
-    fiber_maps, iotas, arrow_h = {}, {}, {}
+    fiber_maps = {}
     for i in icat.objects:
         fiber_maps[i] = cx.termwise_map(
             dv.fiber_complex(lift, i), f.values[i],
             lambda p, m: Matrix.identity(field, f.values[i].term(p).dims[m]))
-        iotas[i] = None
-    cert = LiftCertificate(lift, f, fiber_maps, iotas, arrow_h)
-    return _LiftData(prod, {}, {}, {}, [], [], lift, cert)
+    cert = LiftCertificate(lift, f, fiber_maps, {})
+    return _LiftData(prod, {}, {}, [], [], lift, cert)
 
 
-def _certify(f, prod, lift, layer0, resolutions, res_maps, arrow_lifts):
+def _certify(f, prod, lift, layer0, resolutions, res_maps):
     """Build the per-object comparisons and per-arrow homotopies."""
     icat, base, field = f.shape, f.base, f.field
-    iotas, fiber_maps, arrow_h = {}, {}, {}
+    fiber_maps, arrow_h = {}, {}
     obj_chain_idx = {c[0]: k for k, c in enumerate(layer0.chains)}
     fibers = dv.Fibers(lift)
     for i in icat.objects:
@@ -434,9 +428,7 @@ def _certify(f, prod, lift, layer0, resolutions, res_maps, arrow_lifts):
                 for (gpart, g), off, w in dv._part_offsets(base_term, (i, m)):
                     if not (coff <= gpart < coff + nparts):
                         continue
-                    aa, bb = prod.pair_of[g]
-                    if not icat.is_identity(aa):
-                        continue
+                    _, bb = prod.pair_of[g]
                     lo_, _ = rpos[(gpart - coff, bb)]
                     for t in range(w):
                         rows[upper[m] + off + t][lo_ + t] = field.one
@@ -446,7 +438,6 @@ def _certify(f, prod, lift, layer0, resolutions, res_maps, arrow_lifts):
         iota = cx.ChainMap(r, fib, comps, validate=True)
         if not cx.is_quasi_iso(iota):
             raise AssertionError("layer inclusion at %r not invertible" % (i,))
-        iotas[i] = iota
         extended = cx.extend_along_qis(res_maps[i], iota)
         if extended is None:
             raise AssertionError("fiber comparison at %r unsolvable" % (i,))
@@ -460,7 +451,7 @@ def _certify(f, prod, lift, layer0, resolutions, res_maps, arrow_lifts):
         if h is None:
             raise AssertionError("arrow comparison at %r unsolvable" % (a,))
         arrow_h[a] = h
-    return LiftCertificate(lift, f, fiber_maps, iotas, arrow_h)
+    return LiftCertificate(lift, f, fiber_maps, arrow_h)
 
 
 def _tower_map(data, y, phis):
@@ -530,7 +521,7 @@ def lift_morphism(f, g, phi):
                                            lg.pieces):
             ff = dv.fiber_functor(prod, start)
             pieces.append(dv.transport_chain_map(
-                ff, comp_lifts[end], src_t=pf, tgt_t=pg,
+                ff, comp_lifts[end], pg, src_t=pf,
                 src_rec=df.resolutions[end], tgt_rec=dg.resolutions[end]))
         layer_maps.append(_block_diagonal(lf.complex, lg.complex, pieces))
     max_len = len(df.layers) - 1
@@ -572,50 +563,6 @@ def _morphism_witnesses(f, g, phi, df, dg, m):
 
 
 # --- Hom comparison ----------------------------------------------------------
-
-
-def point_extension_counit(x, i):
-    """E_i(i*x) together with its counit chain map into x, both honest."""
-    prod = x.shape
-    icat, base = prod.product_of
-    field = x.field
-    fib = dv.fiber_complex(x, i)
-    terms, diffs = {}, {}
-    for p in fib.degrees():
-        dims = {(j, m): len(icat.hom(j, i)) * fib.term(p).dims[m]
-                for (j, m) in prod.objects}
-        action = {}
-        for arr in prod.nonidentity_arrows():
-            aa, bb = prod.pair_of[arr]
-            (j, m), (j2, m2) = prod.src[arr], prod.tgt[arr]
-            homs_src = icat.hom(j, i)
-            homs_tgt = icat.hom(j2, i)
-            w2 = fib.term(p).dims[m2]
-            w = fib.term(p).dims[m]
-            rows = [[field.zero] * (len(homs_tgt) * w2)
-                    for _ in range(len(homs_src) * w)]
-            act = fib.term(p).act(bb)
-            for ci, aprime in enumerate(homs_tgt):
-                composed = icat.compose(aprime, aa)
-                ri = homs_src.index(composed)
-                for r in range(act.rows):
-                    for c in range(act.cols):
-                        rows[ri * w + r][ci * w2 + c] = act.entries[r][c]
-            action[arr] = Matrix(field, len(homs_src) * w,
-                                 len(homs_tgt) * w2, rows)
-        terms[p] = ps.Presheaf(field, prod, dims, action)
-    for p in range(fib.lo, fib.hi):
-        diffs[p] = ps.PresheafMap(terms[p], terms[p + 1], {
-            (j, m): linalg.direct_sum_many(field, [
-                fib.diff(p).comp(m) for _ in icat.hom(j, i)])
-            for (j, m) in prod.objects})
-    e = cx.Complex(field, prod, terms, diffs)
-    eps = cx.termwise_map(e, x, lambda p, jm: (
-        linalg.hstack(field, [
-            x.term(p).act(prod.pair_arrow[(a, base.identity[jm[1]])])
-            for a in icat.hom(jm[0], i)]) if icat.hom(jm[0], i)
-        else Matrix.zeros(field, x.term(p).dims[jm], 0))).validate()
-    return e, eps
 
 
 class HomCompareReport:
@@ -862,9 +809,8 @@ def extend_functor(kernel, x):
 
 
 class ExtensionCompatReport:
-    def __init__(self, passes, witness):
+    def __init__(self, passes):
         self.passes = passes
-        self.witness = witness
 
 
 def verify_extension_compat(u, kernel, x):
@@ -890,4 +836,4 @@ def verify_extension_compat(u, kernel, x):
         w = _tower_map(data, lhs, {
             i: cx.lift_through_qis(data.res_maps[i], q[i])[0]
             for i in u.source.objects})
-    return ExtensionCompatReport(w is not None and cx.is_quasi_iso(w), w)
+    return ExtensionCompatReport(w is not None and cx.is_quasi_iso(w))

@@ -146,14 +146,6 @@ class ChainMap:
         return ChainMap(self.source, self.target,
                         {p: self.comp(p) - other.comp(p) for p in degs})
 
-    def __neg__(self):
-        return ChainMap(self.source, self.target,
-                        {p: -m for p, m in self.comps.items()})
-
-    def scale(self, c):
-        return ChainMap(self.source, self.target,
-                        {p: m.scale(c) for p, m in self.comps.items()})
-
     def is_zero(self):
         return all(m.is_zero() for m in self.comps.values())
 
@@ -437,11 +429,8 @@ def proj_resolution(x):
             o: iota_p[o] * counit.comps[o] for o in shape.objects})
         p_terms[m] = pm
         m -= 1
-    if p_terms:
-        pcx = Complex(field, shape, p_terms,
-                      {p: d for p, d in p_diffs.items() if p + 1 in p_terms})
-    else:
-        pcx = zero_complex(field, shape)
+    pcx = Complex(field, shape, p_terms,
+                  {p: d for p, d in p_diffs.items() if p + 1 in p_terms})
     rho = ChainMap(pcx, x, {p: pis[p] for p in p_terms if p in pis})
     if not is_quasi_iso(rho):
         raise AssertionError("resolution comparison map is not a quasi-isomorphism")
@@ -481,8 +470,6 @@ class HomComplex:
         self.x = x
         self.y = y
         self.field = x.field
-        self.lo_n = y.lo - x.hi
-        self.hi_n = y.hi - x.lo
         self.offsets = {}
         self.dims = {}
         self.slots = _ByDegree(self._build_slot)

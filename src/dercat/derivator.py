@@ -62,21 +62,15 @@ def transport_presheaf(u, p):
         ps.free_at(p.field, u.target, v, u.obj_map[i]) for (v, i) in p.free_parts])
 
 
-def transport_free_map(u, phi, src_t=None, tgt_t=None, p_rec=None, q_rec=None):
-    """u_! of a map between recorded free presheaves.
+def transport_free_map(u, phi, src_t, tgt_t, p, q):
+    """u_! : src_t → tgt_t of a map φ between recorded free presheaves.
 
     Each adjunct value decomposes into blocks indexed by arrows g of the
     source shape; the transported value places block g at position u(g),
-    summing when u identifies arrows.  p_rec/q_rec supply recorded-free
-    models of φ's endpoints when φ came out of a cache that dropped them.
+    summing when u identifies arrows.  p/q are recorded-free models of φ's
+    endpoints, since φ may come out of a cache that dropped them.
     """
-    p = p_rec if p_rec is not None else phi.source
-    q = q_rec if q_rec is not None else phi.target
     field = p.field
-    if src_t is None:
-        src_t = transport_presheaf(u, p)
-    if tgt_t is None:
-        tgt_t = transport_presheaf(u, q)
     vals = free_values_of(phi, src=p)
     new_vals = []
     for k, (v, i) in enumerate(p.free_parts):
@@ -101,24 +95,22 @@ def transport_complex(u, x):
     """u_! of a complex of recorded free presheaves."""
     terms = {p: transport_presheaf(u, x.term(p)) for p in x.degrees()}
     diffs = {p: transport_free_map(u, x.diff(p), terms[p], terms[p + 1],
-                                   p_rec=x.term(p), q_rec=x.term(p + 1))
+                                   x.term(p), x.term(p + 1))
              for p in range(x.lo, x.hi)}
     return cx.Complex(x.field, u.target, terms, diffs)
 
 
-def transport_chain_map(u, f, src_t=None, tgt_t=None, src_rec=None,
+def transport_chain_map(u, f, tgt_t, src_t=None, src_rec=None,
                         tgt_rec=None):
     src_rec = src_rec if src_rec is not None else f.source
     tgt_rec = tgt_rec if tgt_rec is not None else f.target
     if src_t is None:
         src_t = transport_complex(u, src_rec)
-    if tgt_t is None:
-        tgt_t = transport_complex(u, tgt_rec)
     return cx.ChainMap(src_t, tgt_t,
                        {p: transport_free_map(u, f.comp(p), src_t.term(p),
                                               tgt_t.term(p),
-                                              p_rec=src_rec.term(p),
-                                              q_rec=tgt_rec.term(p))
+                                              src_rec.term(p),
+                                              tgt_rec.term(p))
                         for p in src_rec.degrees()})
 
 
@@ -135,10 +127,8 @@ def adjunct_chain_map(u, phi, target, src_t=None):
     return cx.ChainMap(src_t, target, comps)
 
 
-def unit_chain_map(u, p, transported=None):
-    """The unit P → u*(u_!P) on a complex of recorded free presheaves."""
-    if transported is None:
-        transported = transport_complex(u, p)
+def unit_chain_map(u, p, transported):
+    """The unit P → u*(transported = u_!P) on recorded free presheaves."""
     restr = cx.restrict_complex(u, transported)
     comps = {}
     for deg in p.degrees():
@@ -170,17 +160,12 @@ class KanCertificate:
     resolution of u* of the output).
     """
 
-    def __init__(self, functor, direction, input_complex, resolution_map,
-                 output, unit):
+    def __init__(self, functor, direction, resolution_map, output, unit):
         self.functor = functor
         self.direction = direction
-        self.input = input_complex
         self.resolution_map = resolution_map
         self.output = output
         self.unit = unit
-        self.counit = None
-        self.triangle_witness_1 = None
-        self.triangle_witness_2 = None
 
     def verify(self):
         """Check both triangle identities up to recorded homotopies."""
@@ -191,23 +176,20 @@ class KanCertificate:
         ul = cx.restrict_complex(u, l)
         r2, rho2 = cx.proj_resolution(ul)
         counit = adjunct_chain_map(u, rho2, l)
-        self.counit = counit
         lifted = cx.lift_through_qis(self.unit, rho2)
         if lifted is None:
             raise AssertionError("unit fails to lift through the resolution")
         eta_t, _ = lifted
         composite = counit.compose(transport_chain_map(u, eta_t,
-                                                       tgt_t=counit.source))
+                                                       counit.source))
         w1 = cx.homotopy_solve(composite, cx.identity_chain_map(l))
         if w1 is None:
             raise AssertionError("first triangle identity has no witness")
-        self.triangle_witness_1 = w1
         eta_r2 = unit_chain_map(u, r2, transported=counit.source)
         composite2 = cx.restrict_chain_map(u, counit).compose(eta_r2)
         w2 = cx.homotopy_solve(composite2, rho2)
         if w2 is None:
             raise AssertionError("second triangle identity has no witness")
-        self.triangle_witness_2 = w2
         return True
 
 
@@ -218,7 +200,7 @@ def lan(u, x):
     p, rho = cx.proj_resolution(x)
     out = transport_complex(u, p)
     unit = unit_chain_map(u, p, transported=out)
-    cert = KanCertificate(u, "left", x, rho, out, unit)
+    cert = KanCertificate(u, "left", rho, out, unit)
     return out, cert
 
 
@@ -230,7 +212,7 @@ def ran(u, x):
     xd = cx.dualize_complex(x, u_op.source)
     ld, cert_d = lan(u_op, xd)
     out = cx.dualize_complex(ld, u.target)
-    cert = KanCertificate(u, "right", x, cert_d.resolution_map, out,
+    cert = KanCertificate(u, "right", cert_d.resolution_map, out,
                           cert_d.unit)
     cert._dual = cert_d
     return out, cert
@@ -466,16 +448,6 @@ def _extend_map(emb, phi, src_e, tgt_e):
     return ps.PresheafMap(src_e, tgt_e, comps)
 
 
-class TriangleCertificate:
-    """A distinguished triangle A → B → C → ΣA with verification data."""
-
-    def __init__(self, f, g, delta, witnesses=None):
-        self.f = f
-        self.g = g
-        self.delta = delta
-        self.witnesses = witnesses or {}
-
-
 class Recollement:
     """The six functors of a recollement along an open/closed decomposition.
 
@@ -498,7 +470,6 @@ class Recollement:
             raise ValueError("images do not partition the objects")
         self.j = j
         self.i = i
-        self.ambient = j.target
 
     def j_shriek(self, x):
         return extension_by_zero(self.j, x)
@@ -524,12 +495,11 @@ class Recollement:
                                  cx.cone_projection(eps, c))
 
     def glue_triangles(self, x):
-        """The two recollement triangles at x, fully materialized.
-
-        Returns (T1, T2) where T1 : i_!i^*X → X → j_!j^?X → Σ· and
-        T2 : j_!j^*X → X → i_*i^*X is a degreewise short exact pair.
-        The Hom-vanishing pinning down the connecting map of T1 is verified
-        (a zero-dimensional Ext).
+        """Verify the two recollement triangles at x, fully materialized:
+        T1 : i_!i^*X → X → j_!j^?X → Σ· and the degreewise short exact pair
+        T2 : j_!j^*X → X → i_*i^*X.  The Hom-vanishing pinning down the
+        connecting map of T1 is verified (a zero-dimensional Ext).  Returns
+        T1's witnesses: cone, incl, delta and identification (j_!j^?X ≃ cone).
         """
         # T2: degreewise exact extension-by-zero sequence
         jx = self.j_upper(x)
@@ -547,7 +517,6 @@ class Recollement:
         for p in x.degrees():
             if not ps.is_conflation(kappa.comp(p), pi.comp(p)):
                 raise AssertionError("extension-by-zero sequence not exact")
-        t2 = TriangleCertificate(kappa, pi, None)
         # T1: cone of the closed counit, identified with j_!j^? through the
         # open counit (a quasi-isomorphism because i* of the cone is acyclic)
         jq, (eps, c, incl, proj) = self.j_question(x)
@@ -564,8 +533,7 @@ class Recollement:
         dim, _ = cx.ext(eps.source, jjq, -1)
         if dim != 0:
             raise AssertionError("connecting map is not pinned down")
-        t1 = TriangleCertificate(eps, incl, proj, witnesses)
-        return t1, t2
+        return witnesses
 
 
 def product_recollement(icat):
@@ -621,10 +589,7 @@ class StandardTriangle:
     cross-check.  Every bicartesian verdict behind it is the total-cofiber
     criterion of stable derivators (`is_bicartesian`)."""
 
-    def __init__(self, f, g, delta_rep, delta_class, cone_class):
-        self.f = f
-        self.g = g
-        self.delta_rep = delta_rep
+    def __init__(self, delta_class, cone_class):
         self.delta_class = delta_class
         self.cone_class = cone_class
 
@@ -733,4 +698,4 @@ def standard_triangle(s):
     lam3, _ = lifted3
     cone_rep = cx.cone_projection(f, cf).compose(lam3)
     cone_class = cx.ext_coordinates(zf, xf, 1, cone_rep)
-    return StandardTriangle(f, g, delta_rep, delta_class, cone_class)
+    return StandardTriangle(delta_class, cone_class)

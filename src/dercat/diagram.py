@@ -53,11 +53,11 @@ class FinCat:
         self._hash = None
         self._nonidentity = None
         self._indecomposable = None
+        self._max_chain = None
         # optional structure set by constructors
         self.product_of = None
         self.pair_of = None       # arrow id -> (a, b) when product
         self.pair_arrow = None    # (a, b) -> arrow id when product
-        self.generators = None    # generator name -> arrow id (from_quiver)
         if validate:
             self._validate()
 
@@ -165,9 +165,6 @@ class DiagFunctor:
         if validate:
             self._validate()
 
-    def __call__(self, x):
-        return self.obj_map[x]
-
     def _validate(self):
         for x in self.source.objects:
             if self.obj_map.get(x) not in self.target.objects:
@@ -189,16 +186,6 @@ class DiagFunctor:
                     if self.arrow_map[self.source.compose(g, f)] != \
                             self.target.compose(self.arrow_map[g], self.arrow_map[f]):
                         raise ValueError("composition not preserved at (%r,%r)" % (g, f))
-
-    def __eq__(self, other):
-        return (isinstance(other, DiagFunctor) and self.source == other.source
-                and self.target == other.target and self.obj_map == other.obj_map
-                and self.arrow_map == other.arrow_map)
-
-    def __hash__(self):
-        return hash((self.source, self.target,
-                     tuple(sorted(self.obj_map.items())),
-                     tuple(sorted(self.arrow_map.items()))))
 
     def __repr__(self):
         return "DiagFunctor(%r -> %r)" % (self.source, self.target)
@@ -230,169 +217,6 @@ class NatTrans:
             right = tcat.compose(self.target.arrow_map[a], self.components[x])
             if left != right:
                 raise ValueError("naturality fails at arrow %r" % (a,))
-
-
-# --- construction from quivers ------------------------------------------
-
-
-def from_quiver(objects, generating_arrows, relations=()):
-    """Build a FinCat as paths of an acyclic quiver modulo relations.
-
-    Args:
-        objects: list of object names.
-        generating_arrows: list of (name, src, tgt) triples.
-        relations: list of pairs of parallel paths, each path a list of
-            generator names in order of application (first applied first).
-
-    Arrows of the result are canonical representative paths; generator
-    names are recorded in cat.generators.
-    """
-    objects = list(objects)
-    gens = {}
-    out_of = {x: [] for x in objects}
-    for name, s, t in generating_arrows:
-        if s not in out_of or t not in objects:
-            raise ValueError("generator %r has unknown endpoint" % (name,))
-        if name in gens:
-            raise ValueError("duplicate generator name %r" % (name,))
-        gens[name] = (s, t)
-        out_of[s].append(name)
-
-    # acyclicity of the generating quiver
-    color = {}
-
-    def dfs(x, stack):
-        color[x] = 1
-        for g in out_of[x]:
-            t = gens[g][1]
-            if t == x or color.get(t) == 1:
-                raise ValueError("cycle detected through %r" % (t,))
-            if color.get(t, 0) == 0:
-                dfs(t, stack)
-        color[x] = 2
-
-    for x in objects:
-        if color.get(x, 0) == 0:
-            dfs(x, None)
-
-    # enumerate all paths (finite by acyclicity); a path is keyed by
-    # (source object, tuple of generators in order of application)
-    paths = []  # (src, tgt, key)
-    def extend(src, cur, at):
-        for g in out_of[at]:
-            t = gens[g][1]
-            p = cur + (g,)
-            paths.append((src, t, (src, p)))
-            extend(src, p, t)
-    for x in objects:
-        paths.append((x, x, (x, ())))
-        extend(x, (), x)
-
-    ends = {p: (s, t) for s, t, p in paths}
-
-    # congruence closure via union-find over path keys
-    parent = {p: p for _, _, p in paths}
-
-    def plen(key):
-        return (len(key[1]), key[1])
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    def union(p, q):
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            parent[max(rp, rq, key=plen)] = min(rp, rq, key=plen)
-            return True
-        return False
-
-    pending = []
-    for lhs, rhs in relations:
-        lhs, rhs = tuple(lhs), tuple(rhs)
-        if not lhs or not rhs:
-            raise ValueError("relation paths must be nonempty")
-        lk = (gens[lhs[0]][0], lhs) if lhs[0] in gens else None
-        rk = (gens[rhs[0]][0], rhs) if rhs[0] in gens else None
-        if lk not in ends or rk not in ends:
-            raise ValueError("relation path not a path of the quiver")
-        if ends[lk] != ends[rk]:
-            raise ValueError("relation between non-parallel paths")
-        pending.append((lk, rk))
-
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in pending:
-            if union(lhs, rhs):
-                changed = True
-        # close under pre/post composition with generators
-        classes = {}
-        for _, _, p in paths:
-            classes.setdefault(find(p), []).append(p)
-        new_pending = list(pending)
-        for members in classes.values():
-            if len(members) < 2:
-                continue
-            base = members[0]
-            for other in members[1:]:
-                s, t = ends[base]
-                for g, (gs, gt) in gens.items():
-                    if gs == t:
-                        a = (base[0], base[1] + (g,))
-                        b = (other[0], other[1] + (g,))
-                        if a in ends and b in ends and find(a) != find(b):
-                            new_pending.append((a, b))
-                    if gt == s:
-                        a = (gs, (g,) + base[1])
-                        b = (gs, (g,) + other[1])
-                        if a in ends and b in ends and find(a) != find(b):
-                            new_pending.append((a, b))
-        if len(new_pending) != len(pending):
-            pending = new_pending
-            changed = True
-
-    # materialize arrows: canonical representative = shortest, then lexic.
-    classes = {}
-    for s, t, p in paths:
-        classes.setdefault(find(p), []).append(p)
-    canon = {}
-    for members in classes.values():
-        best = min(members, key=plen)
-        for m in members:
-            canon[m] = best
-
-    def arrow_id(key):
-        if not key[1]:
-            return "id@%s" % (key[0],)
-        return ".".join(key[1])
-
-    hom = {}
-    seen = set()
-    for s, t, p in paths:
-        c = canon[p]
-        if c in seen:
-            continue
-        seen.add(c)
-        hom.setdefault((s, t), []).append(arrow_id(c))
-    for k in hom:
-        hom[k] = tuple(sorted(hom[k], key=lambda a: (len(a.split(".")), a)))
-
-    identity = {x: "id@%s" % (x,) for x in objects}
-    by_id = {}
-    for s, t, p in paths:
-        c = canon[p]
-        by_id[arrow_id(c)] = c
-    comp = {}
-    for fid, fkey in by_id.items():
-        for gid, gkey in by_id.items():
-            if ends[fkey][1] == ends[gkey][0]:
-                comp[(gid, fid)] = arrow_id(canon[(fkey[0], fkey[1] + gkey[1])])
-    cat = FinCat(objects, hom, identity, comp)
-    cat.generators = {g: arrow_id(canon[(gens[g][0], (g,))]) for g in gens}
-    return cat
 
 
 def poset_category(objects, leq):
@@ -772,7 +596,10 @@ def is_closed_immersion(u):
 
 
 def max_chain_length(i):
-    """Length of the longest composable chain of non-identity arrows."""
+    """Length of the longest composable chain of non-identity arrows,
+    computed once per category."""
+    if i._max_chain is not None:
+        return i._max_chain
     memo = {}
 
     def longest(x):
@@ -788,4 +615,5 @@ def max_chain_length(i):
         memo[x] = best
         return best
 
-    return max((longest(x) for x in i.objects), default=0)
+    i._max_chain = max((longest(x) for x in i.objects), default=0)
+    return i._max_chain

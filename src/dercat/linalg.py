@@ -486,13 +486,9 @@ def solve(a, b):
 
 
 def block(field, grid):
-    """Assemble a matrix from a 2D grid of matrices (row of column blocks)."""
-    if not grid:
-        return Matrix.zeros(field, 0, 0)
+    """Assemble a matrix from a nonempty grid of nonempty block rows."""
     rows = []
     for brow in grid:
-        if not brow:
-            continue
         h = brow[0].rows
         if any(m.rows != h for m in brow):
             raise ValueError("inconsistent block heights")
@@ -501,7 +497,7 @@ def block(field, grid):
             for m in brow:
                 row.extend(m.entries[i])
             rows.append(row)
-    width = sum(m.cols for m in grid[0]) if grid[0] else 0
+    width = sum(m.cols for m in grid[0])
     return Matrix(field, len(rows), width, rows)
 
 
@@ -529,21 +525,6 @@ def direct_sum_many(field, mats):
     return Matrix(field, len(rows), width, rows)
 
 
-def kronecker_product(a, b):
-    if a.field != b.field:
-        raise ValueError("field mismatch")
-    f = a.field
-    rows = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            row = []
-            for j in range(a.cols):
-                aij = a.entries[i][j]
-                row.extend(f.mul(aij, v) for v in b.entries[k])
-            rows.append(row)
-    return Matrix(f, a.rows * b.rows, a.cols * b.cols, rows)
-
-
 def hstack(field, mats):
     return block(field, [list(mats)]) if mats else Matrix.zeros(field, 0, 0)
 
@@ -556,12 +537,6 @@ def flatten_matrix(m):
     """Row-major flattening of m into a single column vector."""
     ent = [[v] for row in m.entries for v in row]
     return Matrix(m.field, m.rows * m.cols, 1, ent)
-
-
-def unflatten_matrix(field, vec, rows, cols):
-    """Inverse of flatten_matrix on a (rows*cols) x 1 column."""
-    ent = [[vec.entries[i * cols + j][0] for j in range(cols)] for i in range(rows)]
-    return Matrix(field, rows, cols, ent)
 
 
 def pack_columns(field, cols):

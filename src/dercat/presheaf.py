@@ -40,9 +40,6 @@ class Presheaf:
         if validate:
             self.validate()
 
-    def dim(self, x):
-        return self.dims[x]
-
     def act(self, a):
         """Action matrix of the arrow a : x → y, a map F_y → F_x."""
         if self.shape.is_identity(a):
@@ -135,10 +132,6 @@ class PresheafMap:
     def __sub__(self, other):
         return PresheafMap(self.source, self.target,
                            {x: self.comps[x] - other.comps[x] for x in self.comps})
-
-    def __neg__(self):
-        return PresheafMap(self.source, self.target,
-                           {x: -self.comps[x] for x in self.comps})
 
     def scale(self, c):
         return PresheafMap(self.source, self.target,
@@ -460,50 +453,34 @@ class Resolution:
     """The chain 0 → PK^nF → … → PKF → PF ↠ F of §-style free resolutions.
 
     Fields:
-        presheaf: the resolved F;
         terms: [PF, PKF, ..., PK^mF] (free presheaves with free_parts);
-        kernels: [K^0 F = F, KF, ..., K^m F, K^{m+1} F (zero)];
-        deflations: counits P K^l F ↠ K^l F;
-        inclusions: K^{l+1} F ↪ P K^l F;
-        u_maps: composites P K^{l+1} F → P K^l F (inclusion after counit).
+        kernels: [K^0 F = F, KF, ..., K^m F, K^{m+1} F (zero)].
     """
 
-    def __init__(self, presheaf, terms, kernels, deflations, inclusions, u_maps):
-        self.presheaf = presheaf
+    def __init__(self, terms, kernels):
         self.terms = terms
         self.kernels = kernels
-        self.deflations = deflations
-        self.inclusions = inclusions
-        self.u_maps = u_maps
-
-    @property
-    def length(self):
-        return len(self.terms) - 1
 
 
 def resolve(f):
     """Iterate the free hull: terminates within max_chain_length steps."""
     bound = diagram.max_chain_length(f.shape)
     kernels = [f]
-    terms, deflations, inclusions, u_maps = [], [], [], []
+    terms = []
     cur = f
     steps = 0
     while True:
         pf, counit = free_hull(cur)
         terms.append(pf)
-        deflations.append(counit)
-        k, incl = kernel(counit)
+        k, _ = kernel(counit)
         kernels.append(k)
-        inclusions.append(incl)
-        if len(terms) >= 2:
-            u_maps.append(inclusions[-2].compose(counit))
         if k.is_zero():
             break
         cur = k
         steps += 1
         if steps > bound + 1:
             raise AssertionError("resolution exceeded the chain-length bound")
-    return Resolution(f, terms, kernels, deflations, inclusions, u_maps)
+    return Resolution(terms, kernels)
 
 
 # --- hom spaces --------------------------------------------------------------

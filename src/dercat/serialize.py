@@ -270,7 +270,7 @@ def _dec_complex_body(field, shape, obj):
         t = terms.get(p + 1, ps.zero_presheaf(field, shape))
         diffs[p] = _dec_map_body(s, t, rows)
     try:
-        return cx.Complex(field, shape, terms, diffs)
+        return cx.Complex(field, shape, terms, diffs, validate=True)
     except (ValueError, KeyError) as e:
         raise FormatError("complex does not validate: %s" % (e,))
 
@@ -459,23 +459,3 @@ def load_morphism(path, f, g):
         raise FormatError("%s: expected kind morphism" % (path,))
     return _decode_as("morphism", dec_morphism, obj, f, g)
 
-
-class Workspace:
-    """A named store of loaded values sharing one field."""
-
-    def __init__(self, field):
-        self.field = field
-        self.values = {}
-
-    def add(self, name, value):
-        if name in self.values:
-            raise FormatError("name %r already in use" % (name,))
-        vf = getattr(value, "field", None)
-        if vf is not None and vf != self.field:
-            raise FormatError("value %r is over %r, workspace uses %r"
-                              % (name, vf, self.field))
-        self.values[name] = value
-        return value
-
-    def load(self, path):
-        return self.add(path, load(path, field=None))

@@ -369,3 +369,22 @@ def test_false_free_claim_is_input_error(tmp_path):
         assert "Traceback" not in err
         assert err == "" if code == 0 else \
             err.startswith("error:") and err.count("\n") == 1
+
+
+def test_complex_with_nonzero_d_squared_is_input_error(tmp_path):
+    # k → k → k over the point with both differentials 1: d∘d = 1 ≠ 0
+    e = diagram.terminal_cat()
+    k = ps.free_at(F2, e, 1, e.objects[0])
+    one = ps.identity_map(k)
+    p = tmp_path / "dd.json"
+    se.save(p, cx.Complex(F2, e, {0: k, 1: k, 2: k}, {0: one, 1: one}))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["resolve", str(p)],
+                 ["ext", "--source", str(p), "--target", str(p)]):
+        proc = subprocess.run([sys.executable, "-m", "dercat.cli"] + argv,
+                              env=env, capture_output=True, timeout=30)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2 and proc.stdout.decode() == ""
+        assert "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1

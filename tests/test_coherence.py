@@ -7,7 +7,6 @@ from dercat.linalg import Field, Matrix
 from dercat import diagram
 from dercat import presheaf as ps
 from dercat import complexes as cx
-from dercat import derivator as dv
 from dercat import coherence as co
 from dercat import generators as gen
 
@@ -72,7 +71,7 @@ def test_failed_lift_certificate_verifies_false():
                 if not cx.is_acyclic(q.target))
     fiber_maps = dict(cert.fiber_maps)
     fiber_maps[i] = cx.zero_chain_map(q.source, q.target)
-    bad = co.LiftCertificate(cert.lift, cert.diagram, fiber_maps, cert.iotas,
+    bad = co.LiftCertificate(cert.lift, cert.diagram, fiber_maps,
                              cert.arrow_homotopies)
     assert bad.verify() is False
     assert cert.verify() is True
@@ -103,17 +102,20 @@ def test_lift_refuses_toda_failure():
 
 def test_lift_morphism_identity_and_zero():
     r = gen.rng_for(4)
-    x = gen.rand_honest(r, F2, diagram.delta(2), diagram.delta(1),
-                        max_parts=1)
-    d = co.dia(x)
-    ident = {i: cx.identity_chain_map(d.values[i]) for i in d.shape.objects}
-    m, wits = co.lift_morphism(d, d, ident)
-    assert set(wits) == set(d.shape.objects)
-    assert cx.is_quasi_iso(m)
-    zero = {i: cx.zero_chain_map(d.values[i], d.values[i])
-            for i in d.shape.objects}
-    mz, _ = co.lift_morphism(d, d, zero)
-    assert cx.homotopy_solve(mz) is not None
+    discrete = diagram.poset_category([0, 1], lambda a, b: a == b)
+    for field, icat in ((F2, diagram.delta(2)), (F2, discrete),
+                        (F5, discrete), (QQ, discrete)):
+        x = gen.rand_honest(r, field, icat, diagram.delta(1), max_parts=1)
+        d = co.dia(x)
+        ident = {i: cx.identity_chain_map(d.values[i])
+                 for i in d.shape.objects}
+        m, wits = co.lift_morphism(d, d, ident)
+        assert set(wits) == set(d.shape.objects)
+        assert cx.is_quasi_iso(m)
+        zero = {i: cx.zero_chain_map(d.values[i], d.values[i])
+                for i in d.shape.objects}
+        mz, _ = co.lift_morphism(d, d, zero)
+        assert cx.homotopy_solve(mz) is not None
 
 
 def test_lift_morphism_between_different_lifts():
@@ -138,21 +140,6 @@ def test_hom_compare_on_random_pairs():
         rep = co.hom_compare(x, z)
         assert rep.passes
         assert rep.coherent_dim == rep.incoherent_dim
-
-
-def test_point_extension_counit():
-    r = gen.rng_for(7)
-    icat, base = diagram.delta(1), diagram.delta(1)
-    prod = diagram.product(icat, base)
-    x = gen.rand_stalkish_complex(r, F2, prod, max_parts=1)
-    for i in icat.objects:
-        e, eps = co.point_extension_counit(x, i)
-        fib = dv.fiber_complex(x, i)
-        for p in e.degrees():
-            assert e.term(p).dims[(i, 0)] == fib.term(p).dims[0]
-        # the counit restricts to an equivalence on the defining fiber
-        at_i = dv.point_restriction(eps, i)
-        assert cx.is_quasi_iso(at_i)
 
 
 def test_tensor_with_kernel_of_unit():
@@ -202,3 +189,89 @@ def test_extend_functor_compat_with_collapse():
         u = diagram.terminal_functor(diagram.delta(1))
         rep = co.verify_extension_compat(u, kernel, x)
         assert rep.passes
+
+
+def _resolution_of_s0(field):
+    """P_1 → P_0, the projective resolution of the simple S_0 over Δ1: two
+    terms and a nonzero differential."""
+    d1 = diagram.delta(1)
+    dims = {0: 1, 1: 0}
+    s0 = ps.Presheaf(field, d1, dims, {
+        a: Matrix.zeros(field, dims[d1.src[a]], dims[d1.tgt[a]])
+        for a in d1.nonidentity_arrows()})
+    r = cx.proj_resolution(cx.stalk(s0))[0]
+    assert r.lo < r.hi and not r.diff(r.lo).is_zero()
+    return r
+
+
+def _over_point(field, dims, diffs):
+    """The complex over the one-point shape with k^dims[p] in degree p and
+    the matrices diffs[p] (lists of rows) as differentials."""
+    e = diagram.terminal_cat()
+    pt = e.objects[0]
+    terms = {p: ps.free_at(field, e, n, pt) for p, n in dims.items()}
+    return cx.Complex(field, e, terms, {
+        p: ps.PresheafMap(terms[p], terms[p + 1], {
+            pt: Matrix(field, len(rows), len(rows[0]), rows)})
+        for p, rows in diffs.items()})
+
+
+@pytest.mark.parametrize("field", [F2, F5, QQ], ids=repr)
+def test_tensor_with_kernel_koszul_signs(field):
+    # d(x ⊗ k) = dx ⊗ k + (−1)^p x ⊗ dk: A has terms in degrees 0 and 1 and
+    # a nonzero differential, so the sign −1 meets the kernel's differential
+    kernel = _resolution_of_s0(field)
+    z, one = field.zero, field.one
+    a = _over_point(field, {0: 2, 1: 2}, {0: [[one, z], [z, z]]})
+    t = co.tensor_with_kernel(a, kernel).validate()
+    pt = a.shape.objects[0]
+    for n in range(t.lo - 1, t.hi + 2):
+        assert cx.homology_dims(t, n) == {
+            o: sum(cx.homology_dims(a, p)[pt]
+                   * cx.homology_dims(kernel, n - p)[o] for p in a.degrees())
+            for o in kernel.shape.objects}
+    # a nonzero chain map A → k[−1], the second coordinate of A¹
+    b = _over_point(field, {1: 1}, {})
+    f = cx.ChainMap(a, b, {1: ps.PresheafMap(a.term(1), b.term(1), {
+        pt: Matrix(field, 1, 2, [[z, one]])})}, validate=True)
+    assert not f.is_zero()
+    co.tensor_map_with_kernel(f, kernel).validate()
+
+
+def _perturbed(d, a):
+    """d with the map at a changed by the boundary dh + hd of the first
+    hom-space homotopy whose boundary is nonzero."""
+    f = d.maps[a]
+    for p in f.source.degrees():
+        for b in ps.hom_space(f.source.term(p), f.target.term(p - 1)):
+            dh = cx.Homotopy(f.source, f.target, {p: b}).boundary()
+            if not dh.is_zero():
+                maps = dict(d.maps)
+                maps[a] = f + dh
+                return co.IncoherentDiagram(d.shape, d.base, d.values, maps)
+    raise AssertionError("no homotopy with a nonzero boundary")
+
+
+@pytest.mark.parametrize("field", [F2, F5, QQ], ids=repr)
+def test_lift_of_diagram_perturbed_by_a_boundary(field):
+    # the constant diagram over Δ2 on the resolution of S_0 plus the
+    # contractible P_0 → P_0, one map moved within its homotopy class: the
+    # tower must solve a nonzero homotopy system
+    icat = diagram.delta(2)
+    p0 = cx.stalk(ps.free_at(field, diagram.delta(1), 1, 0))
+    r = cx.direct_sum_complex(_resolution_of_s0(field),
+                              cx.cone(cx.identity_chain_map(p0)))
+    d = co._strict_witnesses(co.IncoherentDiagram(
+        icat, r.shape, {i: r for i in icat.objects},
+        {a: cx.identity_chain_map(r) for a in icat.nonidentity_arrows()}))
+    a = icat.indecomposable_arrows()[0]
+    pert = _perturbed(d, a).validate()
+    assert pert.maps[a] != d.maps[a]
+    assert any(h.comps and not h.boundary().is_zero()
+               for pair, h in pert.witnesses.items() if a in pair)
+    lift, cert = co.lift_object(pert)
+    assert cert.verify()
+    strict, _ = co.lift_object(d)
+    for n in range(min(lift.lo, strict.lo), max(lift.hi, strict.hi) + 1):
+        assert cx.homology_dims(lift, n) == cx.homology_dims(strict, n)
+

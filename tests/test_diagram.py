@@ -114,18 +114,6 @@ def test_comma_under_identity():
     assert len(c.objects) == 2
 
 
-def test_from_quiver_commuting_square():
-    objects = ["a", "b", "c", "d"]
-    arrows = [("f", "a", "b"), ("g", "b", "d"), ("h", "a", "c"),
-              ("k", "c", "d")]
-    free = diagram.from_quiver(objects, arrows)
-    assert len(free.nonidentity_arrows()) == 6
-    sq = diagram.from_quiver(objects, arrows, [(["f", "g"], ["h", "k"])])
-    assert len(sq.nonidentity_arrows()) == 5
-    gen = sq.generators
-    assert sq.compose(gen["g"], gen["f"]) == sq.compose(gen["k"], gen["h"])
-
-
 def test_max_chain_length_square():
     assert diagram.max_chain_length(diagram.square()) == 2
     assert diagram.max_chain_length(diagram.terminal_cat()) == 0
@@ -167,10 +155,17 @@ def _composites(cat, arrows):
 
 
 def _parallel_quiver():
-    """f, g : a → b parallel, h : b → c, and k : a → c with k = h∘f."""
-    arrows = [("f", "a", "b"), ("g", "a", "b"), ("h", "b", "c"),
-              ("k", "a", "c")]
-    return diagram.from_quiver(["a", "b", "c"], arrows, [(["f", "h"], ["k"])])
+    """f, g : a → b parallel, h : b → c, k = h∘f and g.h = h∘g : a → c."""
+    hom = {("a", "b"): ("f", "g"), ("a", "c"): ("k", "g.h"),
+           ("b", "c"): ("h",)}
+    identity = {x: "id@" + x for x in "abc"}
+    comp = {("h", "f"): "k", ("h", "g"): "g.h"}
+    for x, i in identity.items():
+        hom[(x, x)] = (i,)
+    for (x, y), arrows in hom.items():
+        for a in arrows:
+            comp[(identity[y], a)] = comp[(a, identity[x])] = a
+    return diagram.FinCat(["a", "b", "c"], hom, identity, comp)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -192,9 +187,8 @@ def test_indecomposable_arrows_of_deltas(n):
 
 def test_indecomposable_arrows_of_a_quiver_with_relation():
     cat = _parallel_quiver()
-    g = cat.generators
     assert len(cat.nonidentity_arrows()) == 5     # f, g, h, k = hf, hg
     # k is a generator of the quiver, but the relation makes it h∘f
-    assert cat.indecomposable_arrows() == (g["f"], g["g"], g["h"])
+    assert cat.indecomposable_arrows() == ("f", "g", "h")
     assert _composites(cat, cat.indecomposable_arrows()) == \
         set(cat.nonidentity_arrows())

@@ -4,13 +4,21 @@ the library, the tests or the benchmark; an unreferenced one is dead code.
 Dunder names are read by the language and its tools and are not checked.
 Only reads count as references: an assignment does not use its target.
 Likewise every name a library function assigns is read in that function or
-in a scope nested in it; `_` takes the values that are thrown away."""
+in a scope nested in it; `_` takes the values that are thrown away.
+Every attribute a library class stores on self is read somewhere, and a
+library name that only tests refer to is one of the kept references."""
 
 import ast
 import os
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 LIB = os.path.join(ROOT, "src", "dercat")
+TESTS = os.path.dirname(__file__)
+BENCH = os.path.join(ROOT, "perfbench")
+# Library names that only tests use, kept as references: homology_dims is
+# the rank count the quasi-isomorphism tests compare against, homology its
+# presheaf form, loop_via_recollement the Ω half of the shift lemma.
+KEPT_FOR_TESTS = {"homology_dims", "homology", "loop_via_recollement"}
 
 
 def _trees(*dirs):
@@ -55,6 +63,56 @@ def _definitions(tree):
                 if isinstance(item, ast.FunctionDef) \
                         and not item.name.startswith("__"):
                     yield node.name + "." + item.name, item.name
+
+
+def _attribute_reads(trees):
+    return {node.attr for _, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _stored_attributes(tree):
+    """(Class.attribute, attribute) of the non-dunder attributes that the
+    methods of tree's top-level classes store on self."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Store) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "self" \
+                    and not node.attr.startswith("__"):
+                yield cls.name + "." + node.attr, node.attr
+
+
+def unread_attributes(lib_dir, *use_dirs):
+    """(module, Class.attribute) of the attributes that a class of lib_dir
+    stores on self and no code in lib_dir or use_dirs reads."""
+    read = _attribute_reads(_trees(lib_dir, *use_dirs))
+    return sorted({(os.path.basename(path), qualname)
+                   for path, tree in _trees(lib_dir)
+                   for qualname, name in _stored_attributes(tree)
+                   if name not in read})
+
+
+def only_tests_use(lib_dir, test_dir, *use_dirs):
+    """(module, qualified name) of the definitions and stored attributes of
+    lib_dir that code in test_dir refers to and code in lib_dir and
+    use_dirs does not."""
+    used = _referenced_names(_trees(lib_dir, *use_dirs))
+    tested = _referenced_names(_trees(test_dir))
+    used_attrs = _attribute_reads(_trees(lib_dir, *use_dirs))
+    tested_attrs = _attribute_reads(_trees(test_dir))
+    out = set()
+    for path, tree in _trees(lib_dir):
+        module = os.path.basename(path)
+        out |= {(module, qualname) for qualname, name in _definitions(tree)
+                if name in tested and name not in used}
+        out |= {(module, qualname)
+                for qualname, name in _stored_attributes(tree)
+                if name in tested_attrs and name not in used_attrs}
+    return sorted(out)
 
 
 def dead_definitions(lib_dir, *use_dirs):
@@ -102,12 +160,19 @@ def unused_locals(lib_dir):
 
 
 def test_no_unreferenced_top_level_definitions():
-    assert dead_definitions(LIB, os.path.dirname(__file__),
-                            os.path.join(ROOT, "perfbench")) == []
+    assert dead_definitions(LIB, TESTS, BENCH) == []
 
 
 def test_no_unread_local_names():
     assert unused_locals(LIB) == []
+
+
+def test_no_unread_attributes():
+    assert unread_attributes(LIB, TESTS, BENCH) == []
+
+
+def test_no_library_code_only_tests_use():
+    assert {q for _, q in only_tests_use(LIB, TESTS, BENCH)} == KEPT_FOR_TESTS
 
 
 def test_the_check_sees_an_unreferenced_definition(tmp_path):
@@ -136,3 +201,28 @@ def test_the_check_sees_an_unreferenced_definition(tmp_path):
                                                ("m.py", "unused"),
                                                ("v.py", "IDLE")]
     assert unused_locals(str(tmp_path)) == [("u.py", "f", "idle")]
+
+
+def test_the_check_sees_unread_attributes_and_test_only_names(tmp_path):
+    lib, tests = tmp_path / "lib", tmp_path / "tests"
+    lib.mkdir()
+    tests.mkdir()
+    (lib / "m.py").write_text("class C:\n"
+                              "    def __init__(self):\n"
+                              "        self.read = 1\n"
+                              "        self.idle = 2\n"
+                              "        self.tested = 3\n"
+                              "        self.__private = 4\n\n"
+                              "    def value(self):\n"
+                              "        return self.read\n\n\n"
+                              "def helper():\n"
+                              "    return C().value()\n\n\n"
+                              "def probe():\n"
+                              "    pass\n\n\n"
+                              "helper()\n")
+    (tests / "t.py").write_text("from m import C, probe\n"
+                                "assert C().tested == 3\n"
+                                "probe()\n")
+    assert unread_attributes(str(lib), str(tests)) == [("m.py", "C.idle")]
+    assert only_tests_use(str(lib), str(tests)) == [
+        ("m.py", "C.tested"), ("m.py", "probe")]

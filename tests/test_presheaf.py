@@ -232,10 +232,17 @@ def _flat(phi):
 
 
 def _parallel_quiver():
-    """f, g : a → b parallel, h : b → c, and k : a → c with k = h∘f."""
-    arrows = [("f", "a", "b"), ("g", "a", "b"), ("h", "b", "c"),
-              ("k", "a", "c")]
-    return diagram.from_quiver(["a", "b", "c"], arrows, [(["f", "h"], ["k"])])
+    """f, g : a → b parallel, h : b → c, k = h∘f and g.h = h∘g : a → c."""
+    hom = {("a", "b"): ("f", "g"), ("a", "c"): ("k", "g.h"),
+           ("b", "c"): ("h",)}
+    identity = {x: "id@" + x for x in "abc"}
+    comp = {("h", "f"): "k", ("h", "g"): "g.h"}
+    for x, i in identity.items():
+        hom[(x, x)] = (i,)
+    for (x, y), arrows in hom.items():
+        for a in arrows:
+            comp[(identity[y], a)] = comp[(a, identity[x])] = a
+    return diagram.FinCat(["a", "b", "c"], hom, identity, comp)
 
 
 @pytest.mark.parametrize("field", [F2, F3, Field("rationals")], ids=repr)

@@ -139,12 +139,3 @@ def test_field_mismatch_detection():
         se.decode(obj, field=F2)
 
 
-def test_workspace_enforces_consistency(tmp_path):
-    ws = se.Workspace(F2)
-    x = cx.stalk(ps.free_at(F2, diagram.delta(1), 1, 0))
-    ws.add("x", x)
-    with pytest.raises(ValueError):
-        ws.add("x", x)
-    y = cx.stalk(ps.free_at(F5, diagram.delta(1), 1, 0))
-    with pytest.raises(se.FormatError):
-        ws.add("y", y)
