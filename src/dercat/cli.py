@@ -544,8 +544,15 @@ def _build_parser():
     p = sub.add_parser("verify")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=50)
+    p.add_argument("--cases", type=_positive_int, default=50)
     return parser
+
+
+def _positive_int(s):
+    n = int(s)
+    if n < 1:
+        raise argparse.ArgumentTypeError("%d is not a positive count" % n)
+    return n
 
 
 def main(argv=None):

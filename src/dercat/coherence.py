@@ -323,12 +323,6 @@ def _lift_data(f):
     f.validate()
     icat, base, field = f.shape, f.base, f.field
     prod = diagram.product(icat, base)
-    if not icat.objects:
-        lift = cx.zero_complex(field, prod)
-        cert = LiftCertificate(lift, f, {}, {})
-        data = _LiftData(prod, {}, {}, [], [], lift, cert)
-        _LIFT_CACHE[key] = data
-        return data
     if not icat.nonidentity_arrows():
         data = _lift_discrete(f, prod)
         _LIFT_CACHE[key] = data

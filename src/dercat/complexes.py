@@ -405,15 +405,15 @@ def proj_resolution(x):
             pi_next = ps.zero_map(pnext, x.term(m + 1))
             d_next = ps.zero_map(pnext, pnext)
         src = ps.direct_sum(xp, pnext)
+        dx = x.diff(m)
         comps = {}
         for o in shape.objects:
-            top = linalg.hstack(field, [x.diff(m).comp(o), -pi_next.comps[o]])
+            top = linalg.hstack(field, [dx.comps[o], -pi_next.comps[o]])
             bot = linalg.hstack(field, [
                 Matrix.zeros(field, d_next.target.dims[o], xp.dims[o]),
                 d_next.comps[o]])
             comps[o] = linalg.vstack(field, [top, bot])
-        tgt = ps.direct_sum(x.term(m + 1), d_next.target)
-        v, incl = ps.kernel(ps.PresheafMap(src, tgt, comps))
+        v, incl = ps.kernel_of(src, comps)
         if v.is_zero() and m < x.lo:
             break
         pm, counit = ps.free_hull(v)
@@ -585,10 +585,10 @@ def ext(x, y, n):
     dprev = hc.delta[n - 1]
     cycles = linalg.kernel_basis(dn)
     boundaries = linalg.image_basis(dprev)
-    dim = cycles.cols - linalg.rank(dprev)
+    dim = cycles.cols - boundaries.cols
     # pick cycle columns extending the boundary span, deterministically
     combined = linalg.hstack(field, [boundaries, cycles])
-    _, pivots = linalg.rref(combined)
+    pivots = linalg.pivot_columns(combined)
     reps = []
     for piv in pivots:
         if piv < boundaries.cols:

@@ -53,6 +53,7 @@ class FinCat:
         self._hash = None
         self._nonidentity = None
         self._indecomposable = None
+        self._factorizations = None
         self._max_chain = None
         # optional structure set by constructors
         self.product_of = None
@@ -89,6 +90,28 @@ class FinCat:
             self._indecomposable = tuple(a for a in self.nonidentity_arrows()
                                          if a not in composites)
         return self._indecomposable
+
+    def factorizations(self):
+        """Triples (c, g, f) with c = g∘f, one for each non-identity arrow
+        c that is not indecomposable, where f is indecomposable and g is
+        indecomposable or the c of an earlier triple.  So a contravariant
+        action given on the indecomposable arrows extends to every arrow
+        by F(c) = F(f)·F(g), taken in this order."""
+        if self._factorizations is None:
+            gens = self.indecomposable_arrows()
+            known = set(gens)
+            queue = list(gens)
+            out = []
+            for g in queue:
+                for f in gens:
+                    if self.tgt[f] == self.src[g]:
+                        c = self.comp[(g, f)]
+                        if c not in known:
+                            known.add(c)
+                            queue.append(c)
+                            out.append((c, g, f))
+            self._factorizations = tuple(out)
+        return self._factorizations
 
     def compose(self, g, f):
         """The composite g∘f for f: x→y, g: y→z."""

@@ -7,7 +7,8 @@ with leftmost pivot and smallest-row tie-breaking, and every basis read
 off the reduced row echelon form, which depends on the row space alone,
 so that every basis is reproducible bit for bit.
 
-Elimination has one path per kind of field, chosen in rref and rank:
+Elimination has one path per kind of field, chosen in rref and
+pivot_columns:
   * F_2: rows are stored as Python ints (one bit per column) and
     elimination is XOR; this is what keeps the coherence-lifting suites
     inside their time budget;
@@ -15,11 +16,15 @@ Elimination has one path per kind of field, chosen in rref and rank:
     fraction-free, the content of every new row divided out; pivot rows
     go back to Fractions, divided by their pivots, only at the end;
   * F_p: entries are ints in [0, p), with field arithmetic.
+
+Products over Q likewise scale each row and column to integers over its
+common denominator and build one Fraction per entry.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import attrgetter, mul
 
 
 # Zero matrices are immutable, so Matrix.zeros hands out one per
@@ -226,15 +231,12 @@ class Matrix:
                         acc ^= b
                 out.append(acc)
             return _from_bits(f, out, self.rows, other.cols)
-        ot = _columns(other)
         if f.kind == "rationals":
-            z = f.zero
-            rows = [[sum((a * b for a, b in zip(r, c)), z) for c in ot]
-                    for r in self.entries]
-        else:
-            p = f.p
-            rows = [[sum(a * b for a, b in zip(r, c)) % p for c in ot]
-                    for r in self.entries]
+            return _mul_rational(self, other)
+        p = f.p
+        ot = _columns(other)
+        rows = [[sum(a * b for a, b in zip(r, c)) % p for c in ot]
+                for r in self.entries]
         return Matrix(f, self.rows, other.cols, rows)
 
     def submatrix(self, row_range, col_range):
@@ -245,6 +247,34 @@ class Matrix:
 def _columns(m):
     """The columns of m as tuples."""
     return list(zip(*m.entries)) if m.rows else [()] * m.cols
+
+
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+
+
+def _scaled(vec):
+    """A vector over Q as (integers, d) with vec = integers / d."""
+    d = lcm(*map(_denominator, vec))
+    if d == 1:
+        return list(map(_numerator, vec)), 1
+    return [v.numerator * (d // v.denominator) for v in vec], d
+
+
+def _mul_rational(a, b):
+    """a * b over Q: each row of a and each column of b is scaled to
+    integers over its common denominator, so an entry is one integer dot
+    product and one Fraction."""
+    z = a.field.zero
+    cols = [_scaled(c) for c in _columns(b)]
+    rows = []
+    for r in a.entries:
+        ri, rd = _scaled(r)
+        row = []
+        for ci, cd in cols:
+            n = sum(map(mul, ri, ci))
+            row.append(Fraction(n, rd * cd) if n else z)
+        rows.append(row)
+    return Matrix(a.field, a.rows, b.cols, rows)
 
 
 def _check_same_shape(a, b):
@@ -338,8 +368,7 @@ def _integer_rows(m):
     """Rows of a matrix over Q, each scaled to primitive integers."""
     rows = []
     for row in m.entries:
-        den = lcm(*[v.denominator for v in row])
-        ints = [v.numerator * (den // v.denominator) for v in row]
+        ints, _ = _scaled(row)
         g = gcd(*ints)
         rows.append([v // g for v in ints] if g > 1 else ints)
     return rows
@@ -407,15 +436,19 @@ def rref(m):
     return Matrix(f, m.rows, m.cols, rows), tuple(pivots)
 
 
-def rank(m):
+def pivot_columns(m):
+    """The pivot columns of rref(m): the columns outside the span of the
+    columns before them.  Over Q the elimination runs downward only."""
     f = m.field
     if f.is_gf2:
-        bits = _to_bits(m)
-        return len(_rref_bits(bits, m.cols))
+        return tuple(_rref_bits(_to_bits(m), m.cols))
     if f.kind == "rationals":
-        return len(_rref_int(_integer_rows(m), m.cols, upward=False))
-    rows = [list(r) for r in m.entries]
-    return len(_rref_generic(rows, m.cols, f))
+        return tuple(_rref_int(_integer_rows(m), m.cols, upward=False))
+    return tuple(_rref_generic([list(r) for r in m.entries], m.cols, f))
+
+
+def rank(m):
+    return len(pivot_columns(m))
 
 
 def kernel_basis(m):
@@ -455,7 +488,7 @@ def kernel_basis_and_free(m):
 
 def image_basis(m):
     """Matrix whose columns are the pivot columns of m (a basis of the image)."""
-    _, pivots = rref(m)
+    pivots = pivot_columns(m)
     return Matrix(m.field, m.rows, len(pivots),
                   [[m.entries[i][j] for j in pivots] for i in range(m.rows)])
 

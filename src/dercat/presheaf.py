@@ -328,83 +328,124 @@ def free_hull(f):
     Because the shape is directed, F is generated by these tops, so the
     counit out of ⊕_i (T_i ⊗ i) is a deflation.  Minimality keeps
     resolution terms from growing along chains of the shape.
+
+    The indecomposable arrows span the radical, as im F(g∘f) ⊆ im F(f).
+    The tops are the unit vectors e_k outside the span of the radical and
+    e_0, …, e_{k-1}: the pivot columns of [radical | I].
     """
     field, shape = f.field, f.shape
+    z, o = field.zero, field.one
     parts, values = [], []
     for i in shape.objects:
         d = f.dims[i]
         if d == 0:
             continue
-        rad_cols = [f.act(a) for a in shape.nonidentity_arrows()
-                    if shape.src[a] == i]
-        cur = (linalg.image_basis(linalg.hstack(field, rad_cols))
-               if rad_cols else Matrix.zeros(field, d, 0))
-        comp_cols = []
-        for k in range(d):
-            e = Matrix(field, d, 1,
-                       [[field.one if r == k else field.zero]
-                        for r in range(d)])
-            if linalg.solve(cur, e) is None:
-                comp_cols.append(e)
-                cur = linalg.hstack(field, [cur, e])
-        if comp_cols:
-            parts.append(free_at(field, shape, len(comp_cols), i))
-            values.append(linalg.hstack(field, comp_cols))
+        cols = [f.act(a) for a in shape.indecomposable_arrows()
+                if shape.src[a] == i]
+        n = sum(m.cols for m in cols)
+        cols.append(Matrix.identity(field, d))
+        tops = [c - n for c in linalg.pivot_columns(linalg.hstack(field, cols))
+                if c >= n]
+        if tops:
+            parts.append(free_at(field, shape, len(tops), i))
+            values.append(Matrix(field, d, len(tops),
+                                 [[o if r == t else z for t in tops]
+                                  for r in range(d)]))
     pf = direct_sum_many(field, shape, parts)
     return pf, free_map_to(pf, f, values)
 
 
 # --- kernels, cokernels, images -------------------------------------------
+#
+# Each computes the induced action on the indecomposable arrows only and
+# extends it by F(g∘f) = F(f)·F(g): the induced action is unique, so this
+# is the action every arrow would get on its own.
 
 
-def _subpresheaf(g, bases, what):
+def _with_composites(shape, action):
+    """action, given on the indecomposable arrows, on every non-identity
+    arrow."""
+    for c, g, f in shape.factorizations():
+        action[c] = action[f] * action[g]
+    return action
+
+
+def _subpresheaf(g, bases, action):
     """The sub-presheaf of g spanned objectwise by the columns of bases,
-    with the induced action, and its inclusion into g."""
+    with the induced action given on the indecomposable arrows, and its
+    inclusion into g."""
     shape = g.shape
-    action = {}
-    for a in shape.nonidentity_arrows():
-        x, y = shape.src[a], shape.tgt[a]
-        m = linalg.solve(bases[x], g.act(a) * bases[y])
-        if m is None:
-            raise AssertionError("%s not preserved by the action" % what)
-        action[a] = m
     sub = Presheaf(g.field, shape, {x: bases[x].cols for x in shape.objects},
-                   action)
+                   _with_composites(shape, action))
     return sub, PresheafMap(sub, g, bases)
+
+
+def kernel_of(g, comps):
+    """The objectwise kernel of the map out of g with components comps,
+    with induced action; returns (K, inclusion).  The map's target is not
+    read.
+
+    Each basis K_x is the identity on its free rows, so the action of
+    a : x → y is G(a)·K_y read at those rows.  It is induced iff G(a)·K_y
+    lies in the kernel at x."""
+    shape = g.shape
+    bases, free = {}, {}
+    for x in shape.objects:
+        bases[x], free[x] = linalg.kernel_basis_and_free(comps[x])
+    action = {}
+    for a in shape.indecomposable_arrows():
+        x, y = shape.src[a], shape.tgt[a]
+        moved = g.act(a) * bases[y]
+        if not (comps[x] * moved).is_zero():
+            raise AssertionError("kernel not preserved by the action")
+        action[a] = moved.submatrix(free[x], range(moved.cols))
+    return _subpresheaf(g, bases, action)
 
 
 def kernel(f):
     """Objectwise kernel with induced action; returns (K, inclusion)."""
-    bases = {x: linalg.kernel_basis(f.comps[x]) for x in f.source.shape.objects}
-    return _subpresheaf(f.source, bases, "kernel")
+    return kernel_of(f.source, f.comps)
 
 
 def cokernel(f):
-    """Objectwise cokernel with induced action; returns (C, projection)."""
-    field, shape = f.target.field, f.target.shape
-    projs = {}
+    """Objectwise cokernel with induced action; returns (C, projection).
+
+    Each projection P_x is the transpose of a kernel basis, the identity
+    on its free columns, so the action of a : x → y is P_x·G(a) read at
+    the free columns of P_y.  It is induced iff G(a) maps the image at y
+    into the image at x."""
+    field, g = f.target.field, f.target
+    shape = g.shape
+    projs, free = {}, {}
     for x in shape.objects:
         im = linalg.image_basis(f.comps[x])
-        projs[x] = linalg.kernel_basis(im.transpose()).transpose()
-    dims = {x: projs[x].rows for x in shape.objects}
+        basis, free[x] = linalg.kernel_basis_and_free(im.transpose())
+        projs[x] = basis.transpose()
     action = {}
-    for a in shape.nonidentity_arrows():
+    for a in shape.indecomposable_arrows():
         x, y = shape.src[a], shape.tgt[a]
-        rhs = (projs[x] * f.target.act(a)).transpose()
-        m = linalg.solve(projs[y].transpose(), rhs)
-        if m is None:
+        moved = projs[x] * g.act(a)
+        if not (moved * f.comps[y]).is_zero():
             raise AssertionError("image not preserved by the action")
-        action[a] = m.transpose()
-    c = Presheaf(field, shape, dims, action)
-    proj = PresheafMap(f.target, c, {x: projs[x] for x in shape.objects})
-    return c, proj
+        action[a] = moved.submatrix(range(moved.rows), free[y])
+    c = Presheaf(field, shape, {x: projs[x].rows for x in shape.objects},
+                 _with_composites(shape, action))
+    return c, PresheafMap(g, c, projs)
 
 
 def image(f):
     """Objectwise image with induced action; returns (I, inclusion into
     the target, corestriction from the source)."""
-    bases = {x: linalg.image_basis(f.comps[x]) for x in f.source.shape.objects}
-    im, incl = _subpresheaf(f.target, bases, "image")
+    g, shape = f.target, f.target.shape
+    bases = {x: linalg.image_basis(f.comps[x]) for x in shape.objects}
+    action = {}
+    for a in shape.indecomposable_arrows():
+        x, y = shape.src[a], shape.tgt[a]
+        m = linalg.solve(bases[x], g.act(a) * bases[y])
+        if m is None:
+            raise AssertionError("image not preserved by the action")
+        action[a] = m
+    im, incl = _subpresheaf(g, bases, action)
     cores = {x: linalg.solve(bases[x], f.comps[x]) for x in bases}
     return im, incl, PresheafMap(f.source, im, cores)
 

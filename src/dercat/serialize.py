@@ -28,7 +28,8 @@ KINDS = ("diagram", "functor", "presheaf", "complex", "incoherent")
 
 
 class FormatError(ValueError):
-    """Raised on malformed input files; the CLI maps this to exit 2."""
+    """Raised on malformed input files and on paths that cannot be read or
+    written; the CLI maps this to exit 2."""
 
 
 # --- field and scalars -------------------------------------------------------
@@ -350,16 +351,27 @@ def enc_incoherent(d):
                                                   key=lambda kv: repr(kv[0]))]}
 
 
+def _check_keys(what, keys, expected, name):
+    if len(keys) != len(expected) or set(keys) != set(expected):
+        raise FormatError("bad incoherent diagram: %s must be given once "
+                          "at each %s" % (what, name))
+
+
 def dec_incoherent(obj, field=None):
     file_field = _file_field(obj, field)
     icat = dec_diagram(obj["index"])
     base = dec_diagram(obj["base"])
     try:
-        values = {dec_label(i): _dec_complex_body(file_field, base, body)
-                  for i, body in obj["values"]}
+        value_rows = [(dec_label(i), body) for i, body in obj["values"]]
+        map_rows = [(dec_label(a), rows) for a, rows in obj["maps"]]
+        _check_keys("values", [i for i, _ in value_rows], icat.objects,
+                    "index object")
+        _check_keys("maps", [a for a, _ in map_rows],
+                    icat.nonidentity_arrows(), "non-identity index arrow")
+        values = {i: _dec_complex_body(file_field, base, body)
+                  for i, body in value_rows}
         maps = {}
-        for a, rows in obj["maps"]:
-            a = dec_label(a)
+        for a, rows in map_rows:
             src = values[icat.tgt[a]]
             tgt = values[icat.src[a]]
             maps[a] = _dec_chain_map_body(src, tgt, rows)
@@ -432,9 +444,12 @@ def decode(obj, field=None):
 
 
 def save(path, value):
-    with open(path, "w") as fh:
-        json.dump(encode(value), fh, indent=1)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(encode(value), fh, indent=1)
+            fh.write("\n")
+    except OSError as e:
+        raise FormatError("cannot write %s: %s" % (path, e))
 
 
 def _read(path):

@@ -197,13 +197,19 @@ def test_hom_compare_command(tmp_path, capsys):
     assert rep["coherent_dim"] == rep["incoherent_dim"]
 
 
-def test_verify_vacuous_and_small(capsys):
-    code, out = run(capsys, "verify", "--suite", "der7", "--cases", "0")
-    assert code == 0 and "0/0" in out
+def test_verify_small(capsys):
     code, out = run(capsys, "--json", "verify", "--suite", "adjunction",
                     "--seed", "5", "--cases", "3")
     rep = json.loads(out)
     assert code == 0 and rep["passed"] == 3 and not rep["failures"]
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_verify_rejects_nonpositive_cases(capsys, cases):
+    code = cli.main(["verify", "--suite", "der7", "--cases", cases])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert "--cases: %s is not a positive count" % cases in out.err
 
 
 def test_extension_exactness_runs_over_q(capsys):
@@ -265,7 +271,7 @@ def test_verify_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
 def test_bad_arguments_exit_2(capsys):
     assert cli.main(["no-such-command"]) == 2
     assert cli.main(["--field", "fp:9", "verify", "--suite", "der7",
-                     "--cases", "0"]) == 2
+                     "--cases", "1"]) == 2
 
 
 def small_incoherent(tmp_path):
@@ -388,3 +394,56 @@ def test_complex_with_nonzero_d_squared_is_input_error(tmp_path):
         assert proc.returncode == 2 and proc.stdout.decode() == ""
         assert "Traceback" not in err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _cli(argv):
+    """Run python -m dercat.cli in a fresh process; returns (code, out, err)."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-m", "dercat.cli"] + argv,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, timeout=60)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def test_unwritable_out_is_input_error(tmp_path):
+    p = tmp_path / "c.json"
+    se.save(p, cx.stalk(simple(F2, diagram.delta(1), 0)))
+    out = tmp_path / "no-such-dir" / "x.json"
+    code, stdout, err = _cli(["resolve", str(p), "--out", str(out)])
+    assert code == 2 and stdout == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+def test_incoherent_values_off_the_index_are_input_error(tmp_path):
+    # an index without objects and one value at an object it does not have
+    _, dp = small_incoherent(tmp_path)
+    doc = json.loads(dp.read_text())
+    doc["index"] = se.encode(diagram.FinCat([], {}, {}, {}))
+    doc["values"] = doc["values"][:1]
+    doc["maps"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, stdout, err = _cli(["lift", str(bad)])
+    assert code == 2 and stdout == ""
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit", ["drop value", "repeat value", "drop map",
+                                  "stray map"])
+def test_incoherent_keys_must_match_the_index(tmp_path, capsys, edit):
+    _, dp = small_incoherent(tmp_path)
+    doc = json.loads(dp.read_text())
+    if edit == "drop value":
+        doc["values"] = doc["values"][1:]
+    elif edit == "repeat value":
+        doc["values"] = doc["values"] + doc["values"][:1]
+    elif edit == "drop map":
+        doc["maps"] = []
+    else:
+        doc["maps"] = doc["maps"] + [["nowhere", doc["maps"][0][1]]]
+    dp.write_text(json.dumps(doc))
+    assert cli.main(["lift", str(dp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -192,3 +192,22 @@ def test_indecomposable_arrows_of_a_quiver_with_relation():
     assert cat.indecomposable_arrows() == ("f", "g", "h")
     assert _composites(cat, cat.indecomposable_arrows()) == \
         set(cat.nonidentity_arrows())
+
+
+@pytest.mark.parametrize("cat", [diagram.cube(3), diagram.delta(4),
+                                 diagram.product(diagram.delta(2),
+                                                 diagram.delta(2)),
+                                 _parallel_quiver(), diagram.terminal_cat()],
+                         ids=("cube3", "delta4", "delta2xdelta2", "quiver",
+                              "point"))
+def test_factorizations_reach_every_composite_in_order(cat):
+    gens = set(cat.indecomposable_arrows())
+    table = cat.factorizations()
+    assert table is cat.factorizations()
+    earlier = set(gens)
+    for c, g, f in table:
+        assert f in gens and g in earlier and c not in earlier
+        assert cat.compose(g, f) == c
+        earlier.add(c)
+    assert earlier == set(cat.nonidentity_arrows())
+    assert len(table) == len(earlier) - len(gens)

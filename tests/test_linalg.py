@@ -241,3 +241,41 @@ def test_rational_elimination_matches_fraction_gauss_jordan(rows, cols):
             assert [list(row) for row in x.entries] == want
         x = linalg.solve(m, b.submatrix(range(rows), [0]))
         assert x is not None and m * x == b.submatrix(range(rows), [0])
+
+
+def _textbook_product(a, b):
+    """a * b over Q with one Fraction multiply and add per term."""
+    cols = list(zip(*b.entries)) if b.rows else [()] * b.cols
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+             for col in cols] for row in a.entries]
+
+
+@pytest.mark.parametrize("n, k, m", [(1, 1, 1), (3, 4, 2), (5, 1, 6),
+                                     (7, 9, 8), (3, 0, 4), (0, 3, 2),
+                                     (2, 3, 0), (0, 0, 0)])
+def test_rational_product_matches_fraction_product(n, k, m):
+    import random
+    r = random.Random(100 * n + 10 * k + m)
+    for integral in (True, False):
+        def q():
+            if r.random() < 0.4:
+                return Fraction(0)
+            return Fraction(r.randint(-9, 9),
+                            1 if integral else r.randint(1, 12))
+        a = Matrix(QQ, n, k, [[q() for _ in range(k)] for _ in range(n)])
+        b = Matrix(QQ, k, m, [[q() for _ in range(m)] for _ in range(k)])
+        p = a * b
+        assert (p.rows, p.cols) == (n, m)
+        assert [list(row) for row in p.entries] == _textbook_product(a, b)
+        assert all(type(v) is Fraction for row in p.entries for v in row)
+
+
+def test_pivot_columns_match_rref():
+    import random
+    r = random.Random(4)
+    for field in (F2, F5, QQ):
+        for rows, cols in ((1, 1), (3, 5), (6, 4), (8, 8), (0, 3), (3, 0)):
+            m = Matrix(field, rows, cols, [
+                [field.of_int(r.choice((0, 0, 1, 2, 3))) for _ in range(cols)]
+                for _ in range(rows)])
+            assert linalg.pivot_columns(m) == linalg.rref(m)[1]

@@ -1,6 +1,8 @@
 """Presheaves of vector spaces: free objects, hom spaces, exactness and
 resolutions, with hand-derived dimension oracles."""
 
+import sys
+
 import pytest
 
 from dercat import linalg
@@ -350,3 +352,219 @@ def test_recorded_free_parts_present_the_presheaf(field):
                 assert p == _presented(p)
                 seen.append(p)
     assert len(seen) >= 60
+
+
+# --- kernels, cokernels, images and free hulls against solve-based
+# references, which solve for the induced action at every arrow
+
+
+def _solved_action(g, bases, what):
+    shape = g.shape
+    action = {}
+    for a in shape.nonidentity_arrows():
+        x, y = shape.src[a], shape.tgt[a]
+        m = linalg.solve(bases[x], g.act(a) * bases[y])
+        if m is None:
+            raise AssertionError("%s not preserved by the action" % what)
+        action[a] = m
+    return action
+
+
+def _reference_kernel(f):
+    bases = {x: linalg.kernel_basis(f.comps[x]) for x in f.source.shape.objects}
+    return _solved_action(f.source, bases, "kernel"), bases
+
+
+def _reference_image(f):
+    bases = {x: linalg.image_basis(f.comps[x]) for x in f.source.shape.objects}
+    return _solved_action(f.target, bases, "image"), bases
+
+
+def _reference_cokernel(f):
+    shape, g = f.target.shape, f.target
+    projs = {x: linalg.kernel_basis(
+        linalg.image_basis(f.comps[x]).transpose()).transpose()
+        for x in shape.objects}
+    action = {}
+    for a in shape.nonidentity_arrows():
+        x, y = shape.src[a], shape.tgt[a]
+        m = linalg.solve(projs[y].transpose(),
+                         (projs[x] * g.act(a)).transpose())
+        if m is None:
+            raise AssertionError("image not preserved by the action")
+        action[a] = m.transpose()
+    return action, projs
+
+
+def _same(m, n):
+    """Equal matrices whose entries also have the same types."""
+    return m == n and [type(v) for row in m.entries for v in row] == \
+        [type(v) for row in n.entries for v in row]
+
+
+ACTION_FIELDS = [F2, F3, Field("rationals")]
+ACTION_SHAPES = [diagram.cube(3),
+                   diagram.product(diagram.delta(2), diagram.delta(2)),
+                   _parallel_quiver()]
+
+
+def _maps(r, field, shape):
+    """Natural maps: out of frees by their values, and random elements of
+    the Hom spaces between random presheaves."""
+    out = []
+    for _ in range(3):
+        src = gen.rand_free(r, field, shape, 3)
+        tgt = gen.rand_free(r, field, shape, 3)
+        out.append(ps.free_map_to(src, tgt, [
+            gen.rand_matrix(r, field, tgt.dims[i], v)
+            for v, i in src.free_parts]))
+        f = gen.rand_presheaf(r, field, shape, max_parts=3)
+        g = gen.rand_presheaf(r, field, shape, max_parts=3)
+        out.append(gen.rand_hom_element(r, field, f, g))
+    return out
+
+
+@pytest.mark.parametrize("field", ACTION_FIELDS, ids=repr)
+def test_induced_actions_match_solving_at_every_arrow(field):
+    r = gen.rng_for(21)
+    for shape in ACTION_SHAPES:
+        for phi in _maps(r, field, shape):
+            for ours, (action, comps) in (
+                    (ps.kernel(phi), _reference_kernel(phi)),
+                    (ps.cokernel(phi), _reference_cokernel(phi)),
+                    (ps.image(phi)[:2], _reference_image(phi))):
+                sub, m = ours
+                for a in shape.nonidentity_arrows():
+                    assert _same(sub.action[a], action[a]), a
+                for x in shape.objects:
+                    assert _same(m.comps[x], comps[x])
+                sub.validate()
+                m.validate()
+
+
+@pytest.mark.parametrize("field", ACTION_FIELDS, ids=repr)
+def test_unnatural_maps_raise_where_solving_fails(field):
+    r = gen.rng_for(22)
+    raised = {"kernel": 0, "cokernel": 0, "image": 0}
+    for shape in ACTION_SHAPES:
+        for _ in range(8):
+            f = gen.rand_presheaf(r, field, shape, max_parts=3)
+            g = gen.rand_presheaf(r, field, shape, max_parts=3)
+            phi = ps.PresheafMap(f, g, {
+                x: gen.rand_matrix(r, field, g.dims[x], f.dims[x])
+                for x in shape.objects})
+            for name, ours, ref in (
+                    ("kernel", ps.kernel, _reference_kernel),
+                    ("cokernel", ps.cokernel, _reference_cokernel),
+                    ("image", ps.image, _reference_image)):
+                try:
+                    ref(phi)
+                except AssertionError:
+                    with pytest.raises(AssertionError,
+                                       match="not preserved by the action"):
+                        ours(phi)
+                    raised[name] += 1
+                else:
+                    ours(phi)
+    assert min(raised.values()) >= 3
+
+
+def test_kernel_of_an_unnatural_map_raises():
+    # P_0 over Δ1 is k at both objects, its arrow 1 → 0 acting by
+    # 1 : G_0 → G_1.  φ = 0 at 0 and 1 at 1 has kernel k at 0 and 0 at 1,
+    # which the arrow does not preserve; ψ = 1 at 0 and 0 at 1 has image
+    # k at 0 and 0 at 1, which it does not preserve either
+    d1 = diagram.delta(1)
+    p0 = ps.free_at(F2, d1, 1, 0)
+    one, zero = Matrix.identity(F2, 1), Matrix.zeros(F2, 1, 1)
+    phi = ps.PresheafMap(p0, p0, {0: zero, 1: one})
+    psi = ps.PresheafMap(p0, p0, {0: one, 1: zero})
+    with pytest.raises(AssertionError, match="kernel not preserved"):
+        ps.kernel(phi)
+    with pytest.raises(AssertionError, match="image not preserved"):
+        ps.cokernel(psi)
+    with pytest.raises(AssertionError, match="image not preserved"):
+        ps.image(psi)
+
+
+def _greedy_free_hull(f):
+    """free_hull as one solve per unit vector: e_k is a top iff it is not
+    in the span of the radical (over every arrow) and the tops so far."""
+    field, shape = f.field, f.shape
+    parts, values = [], []
+    for i in shape.objects:
+        d = f.dims[i]
+        if d == 0:
+            continue
+        rad = [f.act(a) for a in shape.nonidentity_arrows()
+               if shape.src[a] == i]
+        cur = (linalg.image_basis(linalg.hstack(field, rad)) if rad
+               else Matrix.zeros(field, d, 0))
+        tops = []
+        for k in range(d):
+            e = Matrix(field, d, 1, [[field.one if row == k else field.zero]
+                                     for row in range(d)])
+            if linalg.solve(cur, e) is None:
+                tops.append(e)
+                cur = linalg.hstack(field, [cur, e])
+        if tops:
+            parts.append(ps.free_at(field, shape, len(tops), i))
+            values.append(linalg.hstack(field, tops))
+    pf = ps.direct_sum_many(field, shape, parts)
+    return pf, ps.free_map_to(pf, f, values)
+
+
+@pytest.mark.parametrize("field", ACTION_FIELDS, ids=repr)
+def test_free_hull_matches_greedy_solving(field):
+    r = gen.rng_for(23)
+    for shape in ACTION_SHAPES:
+        for _ in range(6):
+            f = gen.rand_presheaf(r, field, shape, max_parts=3)
+            k = ps.kernel(ps.free_hull(f)[1])[0]
+            for g in (f, k):
+                pf, counit = ps.free_hull(g)
+                ref_pf, ref_counit = _greedy_free_hull(g)
+                assert pf == ref_pf and pf.free_parts == ref_pf.free_parts
+                for x in shape.objects:
+                    assert _same(counit.comps[x], ref_counit.comps[x])
+
+
+def test_resolving_over_q_solves_nothing_in_kernels_and_hulls(monkeypatch):
+    # kernel and cokernel read their actions off the reduced bases, and
+    # free_hull takes one echelon form per object: none of them solves
+    checked = ("kernel_of", "cokernel", "free_hull")
+    inside, calls = [], {name: 0 for name in checked}
+    solve = linalg.solve
+
+    def counting_solve(a, b):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_name in checked and \
+                    frame.f_globals.get("__name__") == ps.__name__:
+                inside.append(frame.f_code.co_name)
+            frame = frame.f_back
+        return solve(a, b)
+
+    def counted(name):
+        fn = getattr(ps, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "solve", counting_solve)
+    for name in checked:
+        monkeypatch.setattr(ps, name, counted(name))
+    qq, shape = Field("rationals"), diagram.cube(4)
+    r = gen.rng_for(24)
+    for _ in range(3):
+        src = gen.rand_free(r, qq, shape, 3)
+        tgt = gen.rand_free(r, qq, shape, 3)
+        phi = ps.free_map_to(src, tgt, [gen.rand_matrix(r, qq, tgt.dims[i], v)
+                                        for v, i in src.free_parts])
+        for x in (ps.kernel(phi)[0], ps.cokernel(phi)[0]):
+            cx.proj_resolution(cx.stalk(x))
+            ps.resolve(x)
+    assert inside == []
+    assert min(calls.values()) >= 3
