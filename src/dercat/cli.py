@@ -2,7 +2,8 @@
 operations on them, and run seeded verification suites.
 
 Exit codes: 0 on success, 1 when a mathematical check fails, 2 on input
-errors.  Every command honors --json for machine-readable reports; all
+errors, 3 on an internal error (any other exception, reported on one
+line).  Every command honors --json for machine-readable reports; all
 reports are deterministic functions of (inputs, seed, flags).
 """
 
@@ -22,6 +23,7 @@ from . import serialize as se
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _load(path, field, want=None):
@@ -574,6 +576,10 @@ def main(argv=None):
     except ValueError as e:
         sys.stderr.write("check failed: %s\n" % (e,))
         return EXIT_FAIL
+    except Exception as e:
+        sys.stderr.write("internal error: %s: %s\n"
+                         % (type(e).__name__, " ".join(str(e).split())))
+        return EXIT_INTERNAL
     _emit(report, args.json)
     return code
 

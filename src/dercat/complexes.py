@@ -497,6 +497,8 @@ class HomComplex:
         field = self.field
         rows = self._slot_dim(n + 1)
         cols = self._slot_dim(n)
+        if not (rows and cols):
+            return Matrix.zeros(field, rows, cols)
         out = [[field.zero] * cols for _ in range(rows)]
         sgn = field.of_int(-1 if n % 2 else 1)
         for p, basis in self.slots[n]:
@@ -543,22 +545,25 @@ class HomComplex:
                 return None
             for k, c in enumerate(coords):
                 vec[self.offsets[n][p] + k] = c
+        if not vec:
+            return Matrix.zeros(field, 0, 1)
         return Matrix(field, len(vec), 1, [[v] for v in vec])
 
     def element_of(self, n, vec):
         """The {p: PresheafMap} family with the given coordinates."""
+        field = self.field
         out = {}
         for p, basis in self.slots[n]:
             off = self.offsets[n][p]
-            acc = None
-            for k, b in enumerate(basis):
-                c = vec.entries[off + k][0]
-                if c == self.field.zero:
-                    continue
-                term = b.scale(c)
-                acc = term if acc is None else acc + term
-            if acc is not None:
-                out[p] = acc
+            coords = [row[0] for row in vec.entries[off:off + len(basis)]]
+            terms = [(c, b) for c, b in zip(coords, basis) if c != field.zero]
+            if terms:
+                coeffs, maps = zip(*terms)
+                out[p] = ps.PresheafMap(
+                    maps[0].source, maps[0].target,
+                    {x: linalg.combination(field, coeffs,
+                                           [b.comps[x] for b in maps])
+                     for x in maps[0].source.shape.objects})
         return out
 
 
@@ -694,8 +699,7 @@ def _solve_transfer(hm, hh, transfer, target):
             continue
         add = elem.scale(c)
         comps[deg] = comps.get(deg) + add if deg in comps else add
-    hvec = Matrix(field, nh, 1,
-                  [[sol.entries[nm + k][0]] for k in range(nh)])
+    hvec = sol.submatrix(range(nm, nm + nh), range(1))
     return comps, hh.element_of(-1, hvec)
 
 

@@ -338,11 +338,15 @@ def _product(i_key, j_key):
             hom[((x, y), (x2, y2))] = tuple(arrows)
     for (x, y) in objects:
         identity[(x, y)] = pair_arrow[(i.identity[x], j.identity[y])]
+    # arrows out of each object, so that only composable pairs are visited
+    i_out = {x: [c for z in i.objects for c in i.hom(x, z)] for x in i.objects}
+    j_out = {y: [d for z in j.objects for d in j.hom(y, z)] for y in j.objects}
     comp = {}
     for f, (a, b) in pair_of.items():
-        for g, (c, d) in pair_of.items():
-            if i.tgt[a] == i.src[c] and j.tgt[b] == j.src[d]:
-                comp[(g, f)] = pair_arrow[(i.compose(c, a), j.compose(d, b))]
+        for c in i_out[i.tgt[a]]:
+            ca = i.compose(c, a)
+            for d in j_out[j.tgt[b]]:
+                comp[(pair_arrow[(c, d)], f)] = pair_arrow[(ca, j.compose(d, b))]
     cat = FinCat(objects, hom, identity, comp, validate=False)
     cat.product_of = (i, j)
     cat.pair_of = pair_of

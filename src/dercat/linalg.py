@@ -19,6 +19,12 @@ pivot_columns:
 
 Products over Q likewise scale each row and column to integers over its
 common denominator and build one Fraction per entry.
+
+Emptiness costs nothing: every operation whose result has a zero
+dimension returns the shared Matrix.zeros(field, rows, cols) before doing
+any work, and elimination answers an empty input directly (the kernel of
+a 0 x n matrix is identity(n), every column free).  Identities are shared
+like zero matrices, one per (field, n).
 """
 
 from fractions import Fraction
@@ -27,8 +33,9 @@ from math import gcd, lcm
 from operator import attrgetter, mul
 
 
-# Zero matrices are immutable, so Matrix.zeros hands out one per
-# (field, rows, cols); the memo keeps at most this many.
+# Zero and identity matrices are immutable, so Matrix.zeros and
+# Matrix.identity hand out one per arguments; each memo keeps at most this
+# many.
 ZEROS_CACHE_SIZE = 2048
 
 # Miller-Rabin with these bases is deterministic below MAX_MODULUS
@@ -70,7 +77,7 @@ class Field:
     one are immutable scalars, built once per field.
     """
 
-    __slots__ = ("kind", "p", "is_gf2", "zero", "one")
+    __slots__ = ("kind", "p", "is_gf2", "zero", "one", "_hash")
 
     def __init__(self, kind, p=None):
         if kind == "prime":
@@ -85,13 +92,14 @@ class Field:
         self.is_gf2 = kind == "prime" and p == 2
         self.zero = Fraction(0) if kind == "rationals" else 0
         self.one = Fraction(1) if kind == "rationals" else 1
+        self._hash = hash((kind, self.p))
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Field) and
                                  (self.kind, self.p) == (other.kind, other.p))
 
     def __hash__(self):
-        return hash((self.kind, self.p))
+        return self._hash
 
     def __repr__(self):
         return "Q" if self.kind == "rationals" else "F_%d" % self.p
@@ -163,7 +171,11 @@ class Matrix:
         return Matrix(field, rows, cols, [[z] * cols for _ in range(rows)])
 
     @staticmethod
+    @lru_cache(maxsize=ZEROS_CACHE_SIZE)
     def identity(field, n):
+        """The n x n identity matrix, one shared object per arguments."""
+        if not n:
+            return Matrix.zeros(field, 0, 0)
         z, o = field.zero, field.one
         return Matrix(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
 
@@ -187,11 +199,15 @@ class Matrix:
         return all(v == z for row in self.entries for v in row)
 
     def transpose(self):
+        if not (self.rows and self.cols):
+            return Matrix.zeros(self.field, self.cols, self.rows)
         return Matrix(self.field, self.cols, self.rows, _columns(self))
 
     def __add__(self, other):
         _check_same_shape(self, other)
         f = self.field
+        if not (self.rows and self.cols):
+            return Matrix.zeros(f, self.rows, self.cols)
         return Matrix(f, self.rows, self.cols,
                       [[f.add(a, b) for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.entries, other.entries)])
@@ -199,17 +215,23 @@ class Matrix:
     def __sub__(self, other):
         _check_same_shape(self, other)
         f = self.field
+        if not (self.rows and self.cols):
+            return Matrix.zeros(f, self.rows, self.cols)
         return Matrix(f, self.rows, self.cols,
                       [[f.sub(a, b) for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.entries, other.entries)])
 
     def __neg__(self):
         f = self.field
+        if not (self.rows and self.cols):
+            return Matrix.zeros(f, self.rows, self.cols)
         return Matrix(f, self.rows, self.cols,
                       [[f.neg(a) for a in row] for row in self.entries])
 
     def scale(self, c):
         f = self.field
+        if not (self.rows and self.cols):
+            return Matrix.zeros(f, self.rows, self.cols)
         return Matrix(f, self.rows, self.cols,
                       [[f.mul(c, a) for a in row] for row in self.entries])
 
@@ -221,6 +243,8 @@ class Matrix:
             raise ValueError("shape mismatch: %dx%d * %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
         f = self.field
+        if not (self.rows and other.cols):
+            return Matrix.zeros(f, self.rows, other.cols)
         if f.is_gf2:
             bits = _to_bits(other)
             out = []
@@ -240,6 +264,8 @@ class Matrix:
         return Matrix(f, self.rows, other.cols, rows)
 
     def submatrix(self, row_range, col_range):
+        if not (row_range and col_range):
+            return Matrix.zeros(self.field, len(row_range), len(col_range))
         return Matrix(self.field, len(row_range), len(col_range),
                       [[self.entries[i][j] for j in col_range] for i in row_range])
 
@@ -275,6 +301,35 @@ def _mul_rational(a, b):
             row.append(Fraction(n, rd * cd) if n else z)
         rows.append(row)
     return Matrix(a.field, a.rows, b.cols, rows)
+
+
+def combination(field, coeffs, mats):
+    """The linear combination sum_k coeffs[k] * mats[k] of a nonempty list
+    of matrices of one shape, one pass per entry; over Q the coefficients
+    and each entry's column of values are scaled to integers, as in
+    products, so an entry is one integer dot product and one Fraction."""
+    rows, cols = mats[0].rows, mats[0].cols
+    if not (rows and cols):
+        return Matrix.zeros(field, rows, cols)
+    if len(mats) == 1 and coeffs[0] == field.one:
+        return mats[0]      # entries are canonical scalars, so 1 * m is m
+    grids = zip(*(m.entries for m in mats))
+    if field.kind == "rationals":
+        z = field.zero
+        ci, cd = _scaled(coeffs)
+        out = []
+        for rs in grids:
+            row = []
+            for vec in zip(*rs):
+                vi, vd = _scaled(vec)
+                n = sum(map(mul, ci, vi))
+                row.append(Fraction(n, cd * vd) if n else z)
+            out.append(row)
+    else:
+        p = field.p
+        out = [[sum(map(mul, coeffs, vec)) % p for vec in zip(*rs)]
+               for rs in grids]
+    return Matrix(field, rows, cols, out)
 
 
 def _check_same_shape(a, b):
@@ -422,6 +477,8 @@ def _unscale(field, rows, pivots, cols):
 def rref(m):
     """Reduced row echelon form of m; returns (matrix, pivot column tuple)."""
     f = m.field
+    if not (m.rows and m.cols):
+        return Matrix.zeros(f, m.rows, m.cols), ()
     if f.is_gf2:
         bits = _to_bits(m)
         pivots = _rref_bits(bits, m.cols)
@@ -440,6 +497,8 @@ def pivot_columns(m):
     """The pivot columns of rref(m): the columns outside the span of the
     columns before them.  Over Q the elimination runs downward only."""
     f = m.field
+    if not (m.rows and m.cols):
+        return ()
     if f.is_gf2:
         return tuple(_rref_bits(_to_bits(m), m.cols))
     if f.kind == "rationals":
@@ -469,9 +528,13 @@ def kernel_basis_and_free(m):
     read off at the free positions.
     """
     f = m.field
+    if not m.rows:
+        return Matrix.identity(f, m.cols), tuple(range(m.cols))
     R, pivots = rref(m)
     pivset = set(pivots)
     free = [c for c in range(m.cols) if c not in pivset]
+    if not free:
+        return Matrix.zeros(f, m.cols, 0), ()
     z, o = f.zero, f.one
     cols = []
     for fc in free:
@@ -489,6 +552,8 @@ def kernel_basis_and_free(m):
 def image_basis(m):
     """Matrix whose columns are the pivot columns of m (a basis of the image)."""
     pivots = pivot_columns(m)
+    if not pivots:
+        return Matrix.zeros(m.field, m.rows, 0)
     return Matrix(m.field, m.rows, len(pivots),
                   [[m.entries[i][j] for j in pivots] for i in range(m.rows)])
 
@@ -505,11 +570,11 @@ def solve(a, b):
         raise ValueError("shape mismatch: a has %d rows, b has %d" % (a.rows, b.rows))
     f = a.field
     n, k = a.cols, b.cols
-    aug = Matrix(f, a.rows, n + k,
-                 [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)])
-    R, pivots = rref(aug)
+    R, pivots = rref(hstack(f, (a, b)))
     if any(p >= n for p in pivots):
         return None
+    if not (n and k):
+        return Matrix.zeros(f, n, k)
     z = f.zero
     x = [[z] * k for _ in range(n)]
     for r, pc in enumerate(pivots):
@@ -520,18 +585,25 @@ def solve(a, b):
 
 def block(field, grid):
     """Assemble a matrix from a nonempty grid of nonempty block rows."""
-    rows = []
+    height = 0
     for brow in grid:
         h = brow[0].rows
         if any(m.rows != h for m in brow):
             raise ValueError("inconsistent block heights")
-        for i in range(h):
+        height += h
+    width = sum(m.cols for m in grid[0])
+    if not (height and width):
+        if any(sum(m.cols for m in brow) != width for brow in grid):
+            raise ValueError("inconsistent block widths")
+        return Matrix.zeros(field, height, width)
+    rows = []
+    for brow in grid:
+        for i in range(brow[0].rows):
             row = []
             for m in brow:
                 row.extend(m.entries[i])
             rows.append(row)
-    width = sum(m.cols for m in grid[0])
-    return Matrix(field, len(rows), width, rows)
+    return Matrix(field, height, width, rows)
 
 
 def direct_sum(a, b):
@@ -545,9 +617,11 @@ def direct_sum_many(field, mats):
     if any(m.field != field for m in mats):
         raise ValueError("field mismatch")
     mats = [m for m in mats if m.rows or m.cols]
+    height, width = sum(m.rows for m in mats), sum(m.cols for m in mats)
+    if not (height and width):
+        return Matrix.zeros(field, height, width)
     if len(mats) == 1:
         return mats[0]
-    width = sum(m.cols for m in mats)
     z = field.zero
     rows = []
     left = 0
@@ -555,7 +629,7 @@ def direct_sum_many(field, mats):
         pad_l, pad_r = [z] * left, [z] * (width - left - m.cols)
         rows.extend(pad_l + list(r) + pad_r for r in m.entries)
         left += m.cols
-    return Matrix(field, len(rows), width, rows)
+    return Matrix(field, height, width, rows)
 
 
 def hstack(field, mats):
@@ -568,6 +642,8 @@ def vstack(field, mats):
 
 def flatten_matrix(m):
     """Row-major flattening of m into a single column vector."""
+    if not (m.rows and m.cols):
+        return Matrix.zeros(m.field, 0, 1)
     ent = [[v] for row in m.entries for v in row]
     return Matrix(m.field, m.rows * m.cols, 1, ent)
 

@@ -242,13 +242,17 @@ def _free_at(field, key, v, i):
         x, y = shape.src[a], shape.tgt[a]
         hy = shape.hom(y, i)
         hx = shape.hom(x, i)
+        rows, cols = v * len(hx), v * len(hy)
+        if not (rows and cols):
+            action[a] = Matrix.zeros(field, rows, cols)
+            continue
         pos = {f: k for k, f in enumerate(hx)}
-        m = [[field.zero] * (v * len(hy)) for _ in range(v * len(hx))]
+        m = [[field.zero] * cols for _ in range(rows)]
         for k, f in enumerate(hy):
             fk = pos[shape.compose(f, a)]
             for t in range(v):
                 m[fk * v + t][k * v + t] = field.one
-        action[a] = Matrix(field, v * len(hx), v * len(hy), m)
+        action[a] = Matrix(field, rows, cols, m)
     return Presheaf(field, shape, dims, action, free_parts=((v, i),))
 
 
@@ -624,6 +628,9 @@ def _hom_space_cached(f, g):
         comps = {}
         for x in order:
             r, c, off = g.dims[x], f.dims[x], offsets[x]
+            if not (r and c):
+                comps[x] = Matrix.zeros(field, r, c)
+                continue
             comps[x] = Matrix(field, r, c, [col[off + k * c:off + (k + 1) * c]
                                             for k in range(r)])
         out.append(PresheafMap(f, g, comps))

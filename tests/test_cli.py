@@ -268,6 +268,24 @@ def test_verify_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
     assert se.load(path, field=F2) == witness
 
 
+@pytest.mark.parametrize("exc", [
+    AssertionError("invariant broken\nat degree 2"),
+    RecursionError("maximum recursion depth")])
+def test_internal_error_exits_3_on_one_line(tmp_path, capsys, monkeypatch,
+                                            exc):
+    def broken(args, field):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "check-diagram", broken)
+    p = tmp_path / "c.json"
+    se.save(p, diagram.delta(1))
+    assert cli.main(["check-diagram", str(p)]) == cli.EXIT_INTERNAL == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert out.err == "internal error: %s: %s\n" % (
+        type(exc).__name__, " ".join(str(exc).split()))
+
+
 def test_bad_arguments_exit_2(capsys):
     assert cli.main(["no-such-command"]) == 2
     assert cli.main(["--field", "fp:9", "verify", "--suite", "der7",

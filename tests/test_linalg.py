@@ -9,6 +9,7 @@ from dercat import linalg
 from dercat.linalg import Field, Matrix
 
 F2 = Field("prime", 2)
+F3 = Field("prime", 3)
 F5 = Field("prime", 5)
 QQ = Field("rationals")
 
@@ -154,6 +155,115 @@ def test_zeros_are_shared_and_immutable():
     assert z is not Matrix.zeros(QQ, 3, 2)
     with pytest.raises(TypeError):
         z.entries[0][0] = Fraction(1)
+
+
+def test_identities_are_shared():
+    i = Matrix.identity(F5, 3)
+    assert i is Matrix.identity(Field("prime", 5), 3)
+    assert [list(r) for r in i.entries] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert Matrix.identity(QQ, 0) is Matrix.zeros(QQ, 0, 0)
+
+
+# --- empty shapes -----------------------------------------------------------
+
+EMPTY_SHAPES = ((0, 0), (0, 3), (3, 0))
+
+
+def _filled(field, rows, cols, seed):
+    import random
+    r = random.Random(seed)
+    return Matrix(field, rows, cols, [[field.of_int(r.randint(0, 4))
+                                       for _ in range(cols)]
+                                      for _ in range(rows)])
+
+
+def _assert_matches(m, field, rows, cols, ref):
+    """m is rows x cols with the reference grid's entries and entry types;
+    an empty result is the shared zero matrix itself."""
+    assert (m.rows, m.cols) == (rows, cols)
+    assert [list(r) for r in m.entries] == ref
+    assert [[type(v) for v in r] for r in m.entries] == \
+        [[type(v) for v in r] for r in ref]
+    if not (rows and cols):
+        assert m is Matrix.zeros(field, rows, cols)
+
+
+def _ref_product(a, b):
+    f = a.field
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = f.zero
+            for k in range(a.cols):
+                acc = f.add(acc, f.mul(a.entries[i][k], b.entries[k][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+@pytest.mark.parametrize("n, k, m", [(0, 0, 0), (0, 3, 2), (2, 3, 0),
+                                     (3, 0, 2), (0, 0, 3), (3, 0, 0),
+                                     (2, 3, 2)])
+def test_products_with_an_empty_dimension_match_reference(field, n, k, m):
+    a, b = _filled(field, n, k, 1), _filled(field, k, m, 2)
+    _assert_matches(a * b, field, n, m, _ref_product(a, b))
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+@pytest.mark.parametrize("rows, cols", EMPTY_SHAPES + ((2, 3),))
+def test_entrywise_operations_on_empty_shapes_match_reference(field, rows,
+                                                              cols):
+    f = field
+    a, b = _filled(f, rows, cols, 3), _filled(f, rows, cols, 4)
+    ea, eb = a.entries, b.entries
+    c = f.of_int(2)
+    _assert_matches(a.transpose(), f, cols, rows,
+                    [[ea[i][j] for i in range(rows)] for j in range(cols)])
+    _assert_matches(a.scale(c), f, rows, cols,
+                    [[f.mul(c, v) for v in r] for r in ea])
+    _assert_matches(-a, f, rows, cols, [[f.neg(v) for v in r] for r in ea])
+    _assert_matches(a + b, f, rows, cols,
+                    [[f.add(x, y) for x, y in zip(ra, rb)]
+                     for ra, rb in zip(ea, eb)])
+    _assert_matches(a - b, f, rows, cols,
+                    [[f.sub(x, y) for x, y in zip(ra, rb)]
+                     for ra, rb in zip(ea, eb)])
+    for rr, cr in ((range(rows), range(0)), (range(0), range(cols)),
+                   (range(rows), range(cols))):
+        _assert_matches(a.submatrix(rr, cr), f, len(rr), len(cr),
+                        [[ea[i][j] for j in cr] for i in rr])
+    _assert_matches(linalg.hstack(f, [a, b]), f, rows, 2 * cols,
+                    [list(ra) + list(rb) for ra, rb in zip(ea, eb)])
+    _assert_matches(linalg.vstack(f, [a, b]), f, 2 * rows, cols,
+                    [list(r) for r in ea + eb])
+    z = f.zero
+    _assert_matches(linalg.direct_sum_many(f, [a, b]), f, 2 * rows, 2 * cols,
+                    [list(r) + [z] * cols for r in ea] +
+                    [[z] * cols + list(r) for r in eb])
+    _assert_matches(linalg.flatten_matrix(a), f, rows * cols, 1,
+                    [[v] for r in ea for v in r])
+    coeffs = [f.of_int(3), f.of_int(1)]
+    _assert_matches(linalg.combination(f, coeffs, [a, b]), f, rows, cols,
+                    [[f.add(f.mul(coeffs[0], x), f.mul(coeffs[1], y))
+                      for x, y in zip(ra, rb)] for ra, rb in zip(ea, eb)])
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+@pytest.mark.parametrize("rows, cols", EMPTY_SHAPES)
+def test_elimination_answers_empty_inputs_directly(field, rows, cols):
+    m = _filled(field, rows, cols, 5)
+    r, pivots = linalg.rref(m)
+    _assert_matches(r, field, rows, cols, [[] for _ in range(rows)])
+    assert pivots == () and linalg.pivot_columns(m) == ()
+    _assert_matches(linalg.image_basis(m), field, rows, 0,
+                    [[] for _ in range(rows)])
+    basis, free = linalg.kernel_basis_and_free(m)
+    assert free == tuple(range(cols))
+    _assert_matches(basis, field, cols, cols,
+                    [[field.one if i == j else field.zero
+                      for j in range(cols)] for i in range(cols)])
 
 
 def test_flatten_round_trip():
