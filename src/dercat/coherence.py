@@ -415,6 +415,10 @@ def _certify(f, prod, lift, layer0, resolutions, res_maps):
             nparts = len(resolutions[i].term(p).free_parts)
             mats = {}
             for m in base.objects:
+                if not (r.term(p).dims[m] and fib.term(p).dims[m]):
+                    mats[m] = Matrix.zeros(field, fib.term(p).dims[m],
+                                           r.term(p).dims[m])
+                    continue
                 rows = [[field.zero] * r.term(p).dims[m]
                         for _ in range(fib.term(p).dims[m])]
                 rpos = {key: (o, w) for key, o, w in
@@ -617,8 +621,8 @@ def hom_compare(x, z):
             for r_, c_ in enumerate(coords):
                 block_rows[r_][col] = field.add(block_rows[r_][col], c_)
         rows.extend(block_rows)
-    constraint = Matrix(field, len(rows), total, rows) if rows else \
-        Matrix.zeros(field, 0, total)
+    constraint = Matrix(field, len(rows), total, rows) if rows and total \
+        else Matrix.zeros(field, len(rows), total)
     sol_basis = linalg.kernel_basis(constraint)
     inc_dim = sol_basis.cols
     # canonical map: restrict each coherent basis class to its family,
@@ -680,6 +684,9 @@ def tensor_with_kernel(a, kernel):
         for o in shape.objects:
             srcdim = terms[n].dims[o]
             tgtdim = terms[n + 1].dims[o]
+            if not (srcdim and tgtdim):
+                mats[o] = Matrix.zeros(field, tgtdim, srcdim)
+                continue
             rows = [[field.zero] * srcdim for _ in range(tgtdim)]
             soff = 0
             toffs = {}
@@ -732,6 +739,10 @@ def tensor_map_with_kernel(fmap, kernel):
                      for r in range(fmap.target.term(p).dims[e_obj])
                      if kernel.lo <= n - p <= kernel.hi]
         for o in kernel.shape.objects:
+            if not (src.term(n).dims[o] and tgt.term(n).dims[o]):
+                mats[o] = Matrix.zeros(field, tgt.term(n).dims[o],
+                                       src.term(n).dims[o])
+                continue
             rows = [[field.zero] * src.term(n).dims[o]
                     for _ in range(tgt.term(n).dims[o])]
             toffs, off = {}, 0

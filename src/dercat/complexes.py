@@ -404,7 +404,6 @@ def proj_resolution(x):
             pnext = ps.zero_presheaf(field, shape)
             pi_next = ps.zero_map(pnext, x.term(m + 1))
             d_next = ps.zero_map(pnext, pnext)
-        src = ps.direct_sum(xp, pnext)
         dx = x.diff(m)
         comps = {}
         for o in shape.objects:
@@ -413,14 +412,17 @@ def proj_resolution(x):
                 Matrix.zeros(field, d_next.target.dims[o], xp.dims[o]),
                 d_next.comps[o]])
             comps[o] = linalg.vstack(field, [top, bot])
-        v, incl = ps.kernel_of(src, comps)
+        # V sits in X^m ⊕ P^{m+1}, whose action kernel_of reads on the
+        # indecomposable arrows only
+        v, incl = ps.kernel_of(field, shape, {
+            a: linalg.direct_sum(xp.act(a), pnext.act(a))
+            for a in shape.indecomposable_arrows()}, comps)
         if v.is_zero() and m < x.lo:
             break
         pm, counit = ps.free_hull(v)
-        iota_x = {o: incl.comps[o].submatrix(range(xp.dims[o]),
-                                             range(v.dims[o]))
+        iota_x = {o: incl[o].submatrix(range(xp.dims[o]), range(v.dims[o]))
                   for o in shape.objects}
-        iota_p = {o: incl.comps[o].submatrix(
+        iota_p = {o: incl[o].submatrix(
             range(xp.dims[o], xp.dims[o] + pnext.dims[o]), range(v.dims[o]))
             for o in shape.objects}
         pis[m] = ps.PresheafMap(pm, xp, {

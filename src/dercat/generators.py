@@ -31,6 +31,8 @@ def rand_scalar(r, field):
 
 
 def rand_matrix(r, field, rows, cols):
+    if not (rows and cols):
+        return Matrix.zeros(field, rows, cols)
     return Matrix(field, rows, cols,
                   [[rand_scalar(r, field) for _ in range(cols)]
                    for _ in range(rows)])

@@ -286,12 +286,11 @@ def sum_maps(summands):
     offs = {x: 0 for x in shape.objects}
     incls, projs = [], []
     for s in summands:
-        comps = {}
-        for x in shape.objects:
-            rows = [[field.zero] * total.dims[x] for _ in range(s.dims[x])]
-            for k in range(s.dims[x]):
-                rows[k][offs[x] + k] = field.one
-            comps[x] = Matrix(field, s.dims[x], total.dims[x], rows)
+        comps = {x: linalg.hstack(field, [
+            Matrix.zeros(field, s.dims[x], offs[x]),
+            Matrix.identity(field, s.dims[x]),
+            Matrix.zeros(field, s.dims[x], total.dims[x] - offs[x] - s.dims[x])])
+            for x in shape.objects}
         incls.append(PresheafMap(s, total, {x: m.transpose()
                                             for x, m in comps.items()}))
         projs.append(PresheafMap(total, s, comps))
@@ -374,41 +373,41 @@ def _with_composites(shape, action):
     return action
 
 
-def _subpresheaf(g, bases, action):
-    """The sub-presheaf of g spanned objectwise by the columns of bases,
-    with the induced action given on the indecomposable arrows, and its
-    inclusion into g."""
-    shape = g.shape
-    sub = Presheaf(g.field, shape, {x: bases[x].cols for x in shape.objects},
-                   _with_composites(shape, action))
-    return sub, PresheafMap(sub, g, bases)
+def _subpresheaf(field, shape, bases, action):
+    """The presheaf spanned objectwise by the columns of bases, with the
+    induced action given on the indecomposable arrows."""
+    return Presheaf(field, shape, {x: bases[x].cols for x in shape.objects},
+                    _with_composites(shape, action))
 
 
-def kernel_of(g, comps):
-    """The objectwise kernel of the map out of g with components comps,
-    with induced action; returns (K, inclusion).  The map's target is not
-    read.
+def kernel_of(field, shape, action, comps):
+    """The objectwise kernel of a map with components comps out of a
+    presheaf whose action on the indecomposable arrows is action, with
+    induced action; returns (K, bases), the columns of bases[x] spanning
+    K_x.  Neither the other arrows nor the map's target are read.
 
     Each basis K_x is the identity on its free rows, so the action of
     a : x → y is G(a)·K_y read at those rows.  It is induced iff G(a)·K_y
     lies in the kernel at x."""
-    shape = g.shape
     bases, free = {}, {}
     for x in shape.objects:
         bases[x], free[x] = linalg.kernel_basis_and_free(comps[x])
-    action = {}
+    induced = {}
     for a in shape.indecomposable_arrows():
         x, y = shape.src[a], shape.tgt[a]
-        moved = g.act(a) * bases[y]
+        moved = action[a] * bases[y]
         if not (comps[x] * moved).is_zero():
             raise AssertionError("kernel not preserved by the action")
-        action[a] = moved.submatrix(free[x], range(moved.cols))
-    return _subpresheaf(g, bases, action)
+        induced[a] = moved.submatrix(free[x], range(moved.cols))
+    return _subpresheaf(field, shape, bases, induced), bases
 
 
 def kernel(f):
     """Objectwise kernel with induced action; returns (K, inclusion)."""
-    return kernel_of(f.source, f.comps)
+    g, shape = f.source, f.source.shape
+    k, bases = kernel_of(g.field, shape, {
+        a: g.act(a) for a in shape.indecomposable_arrows()}, f.comps)
+    return k, PresheafMap(k, g, bases)
 
 
 def cokernel(f):
@@ -449,9 +448,9 @@ def image(f):
         if m is None:
             raise AssertionError("image not preserved by the action")
         action[a] = m
-    im, incl = _subpresheaf(g, bases, action)
+    im = _subpresheaf(g.field, shape, bases, action)
     cores = {x: linalg.solve(bases[x], f.comps[x]) for x in bases}
-    return im, incl, PresheafMap(f.source, im, cores)
+    return im, PresheafMap(im, g, bases), PresheafMap(f.source, im, cores)
 
 
 def pushout(i, f):
@@ -557,8 +556,8 @@ def _naturality_basis(f, g, offsets, nvars):
                     if v:
                         row[oy + r * fy + j] = field.neg(v)
                 rows.append(row)
-    system = Matrix(field, len(rows), nvars, rows) if rows else \
-        Matrix.zeros(field, 0, nvars)
+    system = Matrix(field, len(rows), nvars, rows) if rows and nvars else \
+        Matrix.zeros(field, len(rows), nvars)
     basis, free = linalg.kernel_basis_and_free(system)
     return list(zip(*basis.entries)), free
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from dercat import cli
 from dercat import linalg
 from dercat.linalg import Field, Matrix
 from dercat import diagram
@@ -257,9 +258,9 @@ def test_element_of_matches_scale_and_sum(field):
     assert slots >= 10
 
 
-def test_ext_over_q_on_cube4_builds_no_empty_matrix_outside_zeros(monkeypatch):
-    # every matrix with a zero dimension is the shared Matrix.zeros object,
-    # so resolving and taking Ext builds none of its own
+def _record_empty_matrices(monkeypatch):
+    """The list, filled from now on, of the callers that build a matrix
+    with a zero dimension themselves instead of taking Matrix.zeros."""
     zeros_code = inspect.unwrap(Matrix.zeros).__code__
     init = Matrix.__init__
     empty = []
@@ -271,6 +272,13 @@ def test_ext_over_q_on_cube4_builds_no_empty_matrix_outside_zeros(monkeypatch):
                 empty.append("%s:%d" % (caller.co_name, caller.co_firstlineno))
         init(self, field, rows, cols, entries)
 
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    return empty
+
+
+def test_ext_over_q_on_cube4_builds_no_empty_matrix_outside_zeros(monkeypatch):
+    # every matrix with a zero dimension is the shared Matrix.zeros object,
+    # so resolving and taking Ext builds none of its own
     shape, r = diagram.cube(4), gen.rng_for(57)
     xs = []
     for _ in range(2):
@@ -280,7 +288,18 @@ def test_ext_over_q_on_cube4_builds_no_empty_matrix_outside_zeros(monkeypatch):
                                         for v, i in src.free_parts])
         xs.append(cx.stalk(ps.kernel(phi)[0]))
         xs.append(cx.stalk(ps.cokernel(phi)[0]))
-    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    empty = _record_empty_matrices(monkeypatch)
     dims = [[cx.ext(x, y, n)[0] for n in range(5)] for x in xs for y in xs[:2]]
     assert any(any(row[1:]) for row in dims)
+    assert empty == []
+
+
+@pytest.mark.parametrize("field", [F2, F5, QQ], ids=repr)
+def test_suites_build_no_empty_matrix_outside_zeros(monkeypatch, field):
+    # one case of every verify suite, inputs drawn as `dercat verify` draws
+    # them, builds no empty matrix of its own either
+    empty = _record_empty_matrices(monkeypatch)
+    for name, suite in cli.SUITES.items():
+        ok, detail, _ = suite(gen.rng_for(7), field)
+        assert ok, (name, detail)
     assert empty == []

@@ -130,7 +130,65 @@ def test_conflation_squares_have_acyclic_total_cofiber():
         gen.conflation_square(nonsplit_conflation(), diagram.delta(1)))
 
 
-def test_bicartesian_restricts_each_corner_once(monkeypatch):
+SQUARE_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _cone_route(x, icat, corners):
+    """The verdict read off the restricted corner fibres: whether
+    diag(h, k) : cone(f) → cone(g) is a quasi-isomorphism."""
+    fibers = dv.Fibers(x)
+    c00, c01, c10, c11 = corners
+    f, g, h, k = (fibers.structure_map(icat.hom(b, a)[0]) for a, b in (
+        (c00, c01), (c10, c11), (c00, c10), (c01, c11)))
+    phi = cx.termwise_map(cx.cone(f), cx.cone(g), lambda p, o: (
+        linalg.direct_sum(h.comp(p + 1).comps[o], k.comp(p).comps[o])))
+    return cx.is_quasi_iso(phi)
+
+
+def _big_square(x):
+    """P = (i_squarearrow)_! (i_square)_* x over twosquare × J, built as
+    standard_triangle builds it."""
+    base = x.shape.product_of[1]
+    _, incl_sa = diagram.squarearrow()
+    v_emb = diagram.times_base(diagram.square_into_squarearrow(), base)
+    rsa, _ = cx.proj_resolution(dv.extension_by_zero(v_emb, x))
+    return dv.transport_complex(diagram.times_base(incl_sa, base), rsa)
+
+
+@pytest.mark.parametrize("field, seed", [(F2, 15), (F3, 16), (QQ, 17)],
+                         ids=["F2", "F3", "Q"])
+def test_total_cofiber_matches_cone_route(field, seed):
+    # the signs of the total cofiber matter over F_3 and Q: a sign flipped
+    # on one of f, h, k, g, d₀₁, d₁₀ changes verdicts there
+    r = gen.rng_for(seed)
+    sq, ts = diagram.square(), diagram.twosquare()
+    verdicts = []
+    for _ in range(100):
+        base = gen.rand_poset(r, 3)
+        x = gen.rand_complex(r, field, diagram.product(sq, base), lo=-2,
+                             hi=2, max_parts=2)
+        verdict = dv.is_bicartesian(x)
+        assert verdict == _cone_route(x, sq, SQUARE_CORNERS)
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
+    # the three sub-squares of P, for triangle inputs and for squares that
+    # are not bicartesian
+    for k in range(4):
+        base = gen.rand_poset(r, 3)
+        if k < 2:
+            conf = gen.rand_conflation(r, field, base, max_parts=1)
+            x = gen.conflation_square(conf, base).complex
+        else:
+            x = gen.rand_complex(r, field, diagram.product(sq, base), lo=-1,
+                                 hi=1, max_parts=1)
+        p_big = _big_square(x)
+        for cols in ((0, 1), (1, 2), (0, 2)):
+            corners = tuple((a, cols[b]) for a in (0, 1) for b in (0, 1))
+            assert dv._total_cofiber_is_acyclic(p_big, ts, corners) == \
+                _cone_route(p_big, ts, corners)
+
+
+def test_bicartesian_restricts_no_fibre(monkeypatch):
     r = gen.rng_for(14)
     base = gen.rand_poset(r, 2)
     prod = diagram.product(diagram.square(), base)
@@ -145,9 +203,43 @@ def test_bicartesian_restricts_each_corner_once(monkeypatch):
         return restrict(x, i_obj)
     monkeypatch.setattr(dv, "fiber_complex", counted)
     assert dv.is_bicartesian(s) == verdict
-    assert sorted(corners) == sorted(diagram.square().objects)
-    assert dv.is_bicartesian(s) == verdict
-    assert len(corners) == 4
+    assert dv.is_bicartesian(s.complex) == verdict
+    assert corners == []
+
+
+def test_standard_triangle_restricts_no_sub_square(monkeypatch):
+    restricted = []
+    restrict = cx.restrict_complex
+
+    def recording(u, x):
+        restricted.append((u.source.product_of, u.target.product_of))
+        return restrict(u, x)
+    monkeypatch.setattr(cx, "restrict_complex", recording)
+    r = gen.rng_for(18)
+    for _ in range(3):
+        base = gen.rand_poset(r, 3)
+        conf = gen.rand_conflation(r, F2, base, max_parts=1)
+        assert dv.standard_triangle(gen.conflation_square(conf, base)) \
+            .matches_cone
+    sq, ts = diagram.square(), diagram.twosquare()
+    assert restricted
+    assert [(s, t) for s, t in restricted if s and t and s[0] == sq
+            and t[0] == ts] == []
+
+
+def test_bicartesian_rejects_complexes_off_the_square():
+    r = gen.rng_for(19)
+    flat = gen.rand_complex(r, F2, diagram.delta(1), lo=-1, hi=1,
+                            max_parts=1)
+    with pytest.raises(TypeError):
+        dv.is_bicartesian(flat)
+    strip = diagram.product(diagram.delta(2), diagram.delta(1))
+    for x in (gen.rand_complex(r, F2, strip, lo=-1, hi=1, max_parts=1),
+              cx.zero_complex(F2, strip)):
+        with pytest.raises(KeyError):
+            dv.is_bicartesian(x)
+        with pytest.raises(ValueError):
+            dv.square_over(x)
 
 
 def test_suspension_matches_shift():

@@ -568,3 +568,37 @@ def test_resolving_over_q_solves_nothing_in_kernels_and_hulls(monkeypatch):
             ps.resolve(x)
     assert inside == []
     assert min(calls.values()) >= 3
+
+
+def test_resolution_steps_take_no_direct_sum(monkeypatch):
+    # each step of proj_resolution reads the actions of X^m ⊕ P^{m+1} on
+    # the generating arrows only; the one direct sum it builds is the free
+    # cover free_hull returns
+    from_resolution, from_hull = [], []
+    direct_sum_many = ps.direct_sum_many
+
+    def recording(*args):
+        frame = sys._getframe(1)
+        while frame is not None:
+            name = frame.f_code.co_name
+            if name == "free_hull":
+                from_hull.append(name)
+                break
+            if name == "proj_resolution":
+                from_resolution.append(frame.f_back.f_code.co_name)
+                break
+            frame = frame.f_back
+        return direct_sum_many(*args)
+
+    monkeypatch.setattr(ps, "direct_sum_many", recording)
+    qq, shape = Field("rationals"), diagram.cube(4)
+    r = gen.rng_for(58)
+    for _ in range(2):
+        src = gen.rand_free(r, qq, shape, 3)
+        tgt = gen.rand_free(r, qq, shape, 3)
+        phi = ps.free_map_to(src, tgt, [gen.rand_matrix(r, qq, tgt.dims[i], v)
+                                        for v, i in src.free_parts])
+        for x in (ps.kernel(phi)[0], ps.cokernel(phi)[0]):
+            cx.proj_resolution(cx.stalk(x))
+    assert from_resolution == []
+    assert from_hull
