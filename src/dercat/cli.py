@@ -5,6 +5,14 @@ Exit codes: 0 on success, 1 when a mathematical check fails, 2 on input
 errors, 3 on an internal error (any other exception, reported on one
 line).  Every command honors --json for machine-readable reports; all
 reports are deterministic functions of (inputs, seed, flags).
+
+Each command imports only the layers it runs, inside its own function:
+check-diagram and check-presheaf stop at presheaf, resolve and ext add
+complexes, kan, holim, hocolim, base-change, square-check, triangle,
+recollement and suspend add derivator, dia, lift, lift-map, hom-compare
+and extend add coherence, and only verify imports generators.  Without a
+bytecode cache (PYTHONDONTWRITEBYTECODE=1) every launch compiles the
+modules it imports, so start-up cost depends on the command.
 """
 
 import argparse
@@ -14,10 +22,6 @@ import time
 
 from . import diagram
 from . import presheaf as ps
-from . import complexes as cx
-from . import derivator as dv
-from . import coherence as co
-from . import generators as gen
 from . import serialize as se
 
 EXIT_OK = 0
@@ -42,6 +46,11 @@ def _save_out(args, value, lines):
     if args.out:
         se.save(args.out, value)
         lines.append("written to %s" % args.out)
+
+
+def _one_line(e):
+    """'<Type>: <message>' of an exception, its whitespace collapsed."""
+    return "%s: %s" % (type(e).__name__, " ".join(str(e).split()))
 
 
 def _emit(report, as_json):
@@ -78,6 +87,7 @@ def cmd_check_presheaf(args, field):
 
 
 def cmd_resolve(args, field):
+    from . import complexes as cx
     x = _load(args.file, field, cx.Complex)
     p, rho = cx.proj_resolution(x)
     ok = cx.is_quasi_iso(rho)
@@ -93,6 +103,7 @@ def cmd_resolve(args, field):
 
 
 def cmd_ext(args, field):
+    from . import complexes as cx
     x = _load(args.source, field, cx.Complex)
     y = _load(args.target, field, cx.Complex)
     dim, _ = cx.ext(x, y, args.n)
@@ -101,6 +112,7 @@ def cmd_ext(args, field):
 
 
 def cmd_kan(args, field):
+    from . import complexes as cx, derivator as dv
     x = _load(args.file, field, cx.Complex)
     u = _load(args.functor, None, diagram.DiagFunctor)
     out, _ = (dv.lan if args.dir == "left" else dv.ran)(u, x)
@@ -113,6 +125,7 @@ def cmd_kan(args, field):
 
 
 def _holim_common(args, field, which):
+    from . import complexes as cx, derivator as dv
     x = _load(args.file, field, cx.Complex)
     out = (dv.hocolim if which == "hocolim" else dv.holim)(x.shape, x)
     lines = ["%s: degrees [%d, %d], dims %r"
@@ -132,6 +145,7 @@ def cmd_hocolim(args, field):
 
 
 def cmd_base_change(args, field):
+    from . import complexes as cx, derivator as dv
     x = _load(args.file, field, cx.Complex)
     u = _load(args.functor, None, diagram.DiagFunctor)
     try:
@@ -148,6 +162,7 @@ def cmd_base_change(args, field):
 
 
 def cmd_square_check(args, field):
+    from . import complexes as cx, derivator as dv
     x = _load(args.file, field, cx.Complex)
     s = dv.square_over(x)
     co_ok, _ = dv.is_cocartesian(s)
@@ -158,6 +173,7 @@ def cmd_square_check(args, field):
 
 
 def cmd_triangle(args, field):
+    from . import complexes as cx, derivator as dv
     x = _load(args.file, field, cx.Complex)
     f = x.field
     tri = dv.standard_triangle(dv.square_over(x))
@@ -171,6 +187,7 @@ def cmd_triangle(args, field):
 
 
 def cmd_recollement(args, field):
+    from . import complexes as cx, derivator as dv
     x = _load(args.file, field, cx.Complex)
     if x.shape.product_of is None or x.shape.product_of[1] != diagram.delta(1):
         raise se.FormatError("shape must factor as I × Δ1")
@@ -182,6 +199,7 @@ def cmd_recollement(args, field):
 
 
 def cmd_suspend(args, field):
+    from . import complexes as cx, derivator as dv
     x = _load(args.file, field, cx.Complex)
     out, witness = dv.suspension_via_recollement(x)
     ok = cx.is_quasi_iso(witness)
@@ -192,6 +210,7 @@ def cmd_suspend(args, field):
 
 
 def cmd_dia(args, field):
+    from . import complexes as cx, coherence as co
     x = _load(args.file, field, cx.Complex)
     d = co.dia(x)
     lines = ["underlying diagram over %d objects, %d maps, witnesses recorded"
@@ -202,6 +221,7 @@ def cmd_dia(args, field):
 
 
 def cmd_lift(args, field):
+    from . import coherence as co
     d = _load(args.file, field, co.IncoherentDiagram)
     lift, cert = co.lift_object(d)
     ok = cert.verify()
@@ -213,6 +233,7 @@ def cmd_lift(args, field):
 
 
 def cmd_lift_map(args, field):
+    from . import derivator as dv, coherence as co
     f = _load(args.source, field, co.IncoherentDiagram)
     g = _load(args.target, field, co.IncoherentDiagram)
     phi = se.load_morphism(args.map, f, g)
@@ -225,6 +246,7 @@ def cmd_lift_map(args, field):
 
 
 def cmd_hom_compare(args, field):
+    from . import complexes as cx, coherence as co
     x = _load(args.source, field, cx.Complex)
     z = _load(args.target, field, cx.Complex)
     rep = co.hom_compare(x, z)
@@ -238,6 +260,7 @@ def cmd_hom_compare(args, field):
 
 
 def cmd_extend(args, field):
+    from . import complexes as cx, coherence as co
     x = _load(args.file, field, cx.Complex)
     kernel = _load(args.kernel, field, cx.Complex)
     out, cert = co.extend_functor(kernel, x)
@@ -253,6 +276,7 @@ def cmd_extend(args, field):
 
 
 def _suite_exact_axioms(r, field):
+    from . import generators as gen
     shape = gen.rand_poset(r, 5)
     conf = gen.rand_conflation(r, field, shape)
     if not ps.is_conflation(conf.inflation, conf.deflation):
@@ -276,6 +300,7 @@ def _suite_exact_axioms(r, field):
 
 
 def _suite_resolution(r, field):
+    from . import complexes as cx, generators as gen
     shape = gen.rand_poset(r, 5)
     f = gen.rand_presheaf(r, field, shape, 3)
     res = ps.resolve(f)
@@ -292,6 +317,7 @@ def _suite_resolution(r, field):
 
 
 def _suite_adjunction(r, field):
+    from . import complexes as cx, derivator as dv, generators as gen
     u = gen.rand_functor(r, 4)
     x = gen.rand_complex(r, field, u.source, lo=-1, hi=1, max_parts=1)
     y = gen.rand_complex(r, field, u.target, lo=-1, hi=1, max_parts=1)
@@ -306,6 +332,7 @@ def _suite_adjunction(r, field):
 
 
 def _suite_der1(r, field):
+    from . import complexes as cx, generators as gen
     cat, il, ir = diagram.disjoint_union(gen.rand_poset(r, 3),
                                          gen.rand_poset(r, 3))
     x = gen.rand_complex(r, field, cat, lo=-1, hi=1, max_parts=1)
@@ -319,6 +346,7 @@ def _suite_der1(r, field):
 
 
 def _suite_der2(r, field):
+    from . import complexes as cx, generators as gen
     shape = gen.rand_poset(r, 4)
     x = gen.rand_complex(r, field, shape, lo=-1, hi=1, max_parts=1)
     p, rho = cx.proj_resolution(x)
@@ -333,6 +361,7 @@ def _suite_der2(r, field):
 
 
 def _suite_der4(r, field):
+    from . import derivator as dv, generators as gen
     u = gen.rand_functor(r, 4)
     x = gen.rand_complex(r, field, u.source, lo=-1, hi=1, max_parts=1)
     y = r.choice(u.target.objects)
@@ -346,6 +375,7 @@ def _suite_der4(r, field):
 
 
 def _suite_der7(r, field):
+    from . import derivator as dv, generators as gen
     base = gen.rand_poset(r, 2)
     prod = diagram.product(diagram.square(), base)
     x = gen.rand_complex(r, field, prod, lo=-1, hi=1, max_parts=1)
@@ -359,6 +389,7 @@ def _suite_der7(r, field):
 
 
 def _suite_shift_lemma(r, field):
+    from . import complexes as cx, derivator as dv, generators as gen
     shape = gen.rand_poset(r, 4)
     x = gen.rand_complex(r, field, shape, lo=-1, hi=1, max_parts=1)
     _, witness = dv.suspension_via_recollement(x)
@@ -368,6 +399,7 @@ def _suite_shift_lemma(r, field):
 
 
 def _suite_lift_roundtrip(r, field):
+    from . import complexes as cx, coherence as co, generators as gen
     icat = gen.rand_poset(r, 3)
     base = gen.rand_poset(r, 2)
     d = gen.rand_incoherent(r, field, icat, base, max_parts=1)
@@ -385,6 +417,7 @@ def _suite_lift_roundtrip(r, field):
 
 
 def _suite_hom_bijection(r, field):
+    from . import coherence as co, generators as gen
     icat = gen.rand_poset(r, 3)
     base = gen.rand_poset(r, 2)
     x = gen.rand_honest(r, field, icat, base, max_parts=1)
@@ -397,6 +430,8 @@ def _suite_hom_bijection(r, field):
 
 
 def _suite_extension_exactness(r, field):
+    from . import (complexes as cx, derivator as dv,
+                   coherence as co, generators as gen)
     e = diagram.terminal_cat()
     conf = gen.rand_conflation(r, field, e, max_parts=1)
     sq = gen.conflation_square(conf, e)
@@ -431,36 +466,47 @@ SUITES = {
 
 
 def cmd_verify(args, field):
+    """Run the suite's cases in turn.  A case that raises becomes an error
+    entry, kept apart from the failures, and the run goes on; any error
+    makes the exit code EXIT_INTERNAL, else any failure EXIT_FAIL."""
+    from . import generators as gen
     fn = SUITES[args.suite]
     r = gen.rng_for(args.seed)
-    failures = []
-    lines = []
+    failures, errors, case_lines = [], [], []
     t0 = time.time()
     for k in range(args.cases):
-        ok, detail, witness = fn(r, field)
-        if not ok:
-            entry = {"case": k, "detail": detail}
-            if witness is not None:
-                path = "counterexample-%s-%d.json" % (args.suite, k)
-                try:
-                    se.save(path, witness)
-                    entry["counterexample"] = path
-                except se.FormatError:
-                    pass
-            failures.append(entry)
+        try:
+            ok, detail, witness = fn(r, field)
+        except Exception as e:
+            errors.append({"case": k, "seed": args.seed,
+                           "error": _one_line(e)})
+            case_lines.append("case %d: ERROR (%s)" % (k, errors[-1]["error"]))
+            continue
+        if ok:
+            continue
+        entry = {"case": k, "detail": detail}
+        line = "case %d: FAIL (%s)" % (k, detail)
+        if witness is not None:
+            path = "counterexample-%s-%d.json" % (args.suite, k)
+            try:
+                se.save(path, witness)
+                entry["counterexample"] = path
+                line += "; counterexample written to %s" % path
+            except se.FormatError:
+                pass
+        failures.append(entry)
+        case_lines.append(line)
     elapsed = time.time() - t0
-    lines.append("suite %s: %d/%d passed (%.2fs, seed %d)"
-                 % (args.suite, args.cases - len(failures), args.cases,
-                    elapsed, args.seed))
-    for entry in failures:
-        line = "case %d: FAIL (%s)" % (entry["case"], entry["detail"])
-        if "counterexample" in entry:
-            line += "; counterexample written to %s" % entry["counterexample"]
-        lines.append(line)
-    code = EXIT_OK if not failures else EXIT_FAIL
-    return code, {"suite": args.suite, "seed": args.seed, "cases": args.cases,
-                  "passed": args.cases - len(failures), "failures": failures,
-                  "lines": lines}
+    passed = args.cases - len(failures) - len(errors)
+    lines = ["suite %s: %d/%d passed (%.2fs, seed %d)"
+             % (args.suite, passed, args.cases, elapsed, args.seed)]
+    lines += case_lines
+    report = {"suite": args.suite, "seed": args.seed, "cases": args.cases,
+              "passed": passed, "failures": failures, "lines": lines}
+    if errors:
+        report["errors"] = errors
+        return EXIT_INTERNAL, report
+    return (EXIT_FAIL if failures else EXIT_OK), report
 
 
 # --- argument parsing --------------------------------------------------------
@@ -577,8 +623,7 @@ def main(argv=None):
         sys.stderr.write("check failed: %s\n" % (e,))
         return EXIT_FAIL
     except Exception as e:
-        sys.stderr.write("internal error: %s: %s\n"
-                         % (type(e).__name__, " ".join(str(e).split())))
+        sys.stderr.write("internal error: %s\n" % _one_line(e))
         return EXIT_INTERNAL
     _emit(report, args.json)
     return code

@@ -155,25 +155,25 @@ def unit_chain_map(u, p, transported):
 
 
 class KanCertificate:
-    """Audit record of a derived Kan extension.
+    """Audit record of a derived left Kan extension u_! along `functor`.
 
-    Always carries the resolution comparison and the unit; verify() builds
-    the counit at the output and the homotopy witnesses for the triangle
-    identities (they are lazily computed because they cost an extra
-    resolution of u* of the output).
+    Carries the output and the unit; verify() builds the counit at the
+    output and the homotopy witnesses for the triangle identities (they
+    are lazily computed because they cost an extra resolution of u* of the
+    output).  A right extension is computed as the dual of a left one, and
+    its certificate is that left extension's: the triangle identities of
+    u* ⊣ u_* read in the opposite categories.
     """
 
-    def __init__(self, functor, direction, resolution_map, output, unit):
+    def __init__(self, functor, output, unit):
         self.functor = functor
-        self.direction = direction
-        self.resolution_map = resolution_map
         self.output = output
         self.unit = unit
 
     def verify(self):
-        """Check both triangle identities up to recorded homotopies."""
-        if self.direction == "right":
-            return self._dual.verify()
+        """Whether both triangle identities hold up to homotopy: False when
+        the unit does not lift through the resolution of u* of the output
+        or either identity has no witness."""
         u = self.functor
         l = self.output
         ul = cx.restrict_complex(u, l)
@@ -181,44 +181,35 @@ class KanCertificate:
         counit = adjunct_chain_map(u, rho2, l)
         lifted = cx.lift_through_qis(self.unit, rho2)
         if lifted is None:
-            raise AssertionError("unit fails to lift through the resolution")
+            return False
         eta_t, _ = lifted
         composite = counit.compose(transport_chain_map(u, eta_t,
                                                        counit.source))
-        w1 = cx.homotopy_solve(composite, cx.identity_chain_map(l))
-        if w1 is None:
-            raise AssertionError("first triangle identity has no witness")
+        if cx.homotopy_solve(composite, cx.identity_chain_map(l)) is None:
+            return False
         eta_r2 = unit_chain_map(u, r2, transported=counit.source)
         composite2 = cx.restrict_chain_map(u, counit).compose(eta_r2)
-        w2 = cx.homotopy_solve(composite2, rho2)
-        if w2 is None:
-            raise AssertionError("second triangle identity has no witness")
-        return True
+        return cx.homotopy_solve(composite2, rho2) is not None
 
 
 def lan(u, x):
     """Derived left Kan extension u_! x; returns (complex, certificate)."""
     if x.shape != u.source:
         raise ValueError("complex does not live over the functor's source")
-    p, rho = cx.proj_resolution(x)
+    p, _ = cx.proj_resolution(x)
     out = transport_complex(u, p)
-    unit = unit_chain_map(u, p, transported=out)
-    cert = KanCertificate(u, "left", rho, out, unit)
-    return out, cert
+    return out, KanCertificate(u, out, unit_chain_map(u, p, transported=out))
 
 
 def ran(u, x):
-    """Derived right Kan extension u_* x, computed by duality."""
+    """Derived right Kan extension u_* x, computed by duality; the
+    certificate is that of the left extension along u^op."""
     if x.shape != u.source:
         raise ValueError("complex does not live over the functor's source")
     u_op = diagram.opposite_functor(u)
     xd = cx.dualize_complex(x, u_op.source)
-    ld, cert_d = lan(u_op, xd)
-    out = cx.dualize_complex(ld, u.target)
-    cert = KanCertificate(u, "right", cert_d.resolution_map, out,
-                          cert_d.unit)
-    cert._dual = cert_d
-    return out, cert
+    ld, cert = lan(u_op, xd)
+    return cx.dualize_complex(ld, u.target), cert
 
 
 def hocolim(i, x):

@@ -13,6 +13,11 @@ arrays and are turned back into tuples on load.
 Product shapes are stored as their two factors and rebuilt through
 diagram.product on load, so the generated arrow labels and the recorded
 pairing tables come back bit-identical.
+
+Importing this module loads diagram, presheaf and linalg only: the
+functions that read or write complexes, chain maps and incoherent
+diagrams import complexes and coherence themselves, and saving a complex
+imports no coherence.
 """
 
 import json
@@ -21,8 +26,6 @@ from . import linalg
 from .linalg import Matrix
 from . import diagram
 from . import presheaf as ps
-from . import complexes as cx
-from . import coherence as co
 
 KINDS = ("diagram", "functor", "presheaf", "complex", "incoherent")
 
@@ -259,6 +262,7 @@ def _enc_complex_body(x):
 
 
 def _dec_complex_body(field, shape, obj):
+    from . import complexes as cx
     try:
         terms = {int(p): _dec_presheaf_body(field, shape, body)
                  for p, body in obj["terms"]}
@@ -295,6 +299,7 @@ def _enc_chain_map_body(f):
 
 
 def _dec_chain_map_body(src, tgt, rows):
+    from . import complexes as cx
     comps = {}
     for p, body in rows:
         p = int(p)
@@ -319,6 +324,7 @@ def enc_morphism(comps):
 def dec_morphism(obj, f, g):
     """The family {i: φ_i : f_i → g_i} between the incoherent diagrams f
     and g; objects the value omits get zero maps."""
+    from . import complexes as cx
     _file_field(obj, f.field)
     comps = {}
     for i, rows in obj["components"]:
@@ -358,6 +364,7 @@ def _check_keys(what, keys, expected, name):
 
 
 def dec_incoherent(obj, field=None):
+    from . import complexes as cx, coherence as co
     file_field = _file_field(obj, field)
     icat = dec_diagram(obj["index"])
     base = dec_diagram(obj["base"])
@@ -402,8 +409,6 @@ _ENCODERS = {
     diagram.FinCat: lambda v: enc_diagram(v),
     diagram.DiagFunctor: enc_functor,
     ps.Presheaf: enc_presheaf,
-    cx.Complex: enc_complex,
-    co.IncoherentDiagram: enc_incoherent,
     dict: enc_morphism,
 }
 
@@ -416,8 +421,21 @@ _DECODERS = {
 }
 
 
+def _upper_encoder(t):
+    """The encoder of a complex or an incoherent diagram.  A value of
+    either type means its module is loaded, so these imports load nothing
+    new, and a complex is matched before coherence is imported."""
+    from . import complexes as cx
+    if t is cx.Complex:
+        return enc_complex
+    from . import coherence as co
+    if t is co.IncoherentDiagram:
+        return enc_incoherent
+    return None
+
+
 def encode(value):
-    enc = _ENCODERS.get(type(value))
+    enc = _ENCODERS.get(type(value)) or _upper_encoder(type(value))
     if enc is None:
         raise FormatError("cannot serialize %r" % (type(value).__name__,))
     return enc(value)

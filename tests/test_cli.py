@@ -268,6 +268,47 @@ def test_verify_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
     assert se.load(path, field=F2) == witness
 
 
+def scripted_suite(outcomes):
+    """A suite whose k-th case returns outcomes[k], or raises it when it is
+    an exception."""
+    cases = iter(outcomes)
+
+    def suite(r, field):
+        out = next(cases)
+        if isinstance(out, Exception):
+            raise out
+        return out
+    return suite
+
+
+def test_verify_reports_an_error_and_goes_on(tmp_path, capsys,
+                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    ok, fail = (True, None, None), (False, "synthetic failure", None)
+    boom = RuntimeError("broken\nat case one")
+    error_line = "case 1: ERROR (RuntimeError: broken at case one)"
+    monkeypatch.setitem(cli.SUITES, "der7", scripted_suite([ok, boom, ok]))
+    code, out = run(capsys, "--json", "verify", "--suite", "der7",
+                    "--seed", "4", "--cases", "3")
+    rep = json.loads(out)
+    assert code == cli.EXIT_INTERNAL
+    assert rep["passed"] == 2 and rep["failures"] == []
+    assert rep["errors"] == [{"case": 1, "seed": 4,
+                              "error": "RuntimeError: broken at case one"}]
+    assert rep["lines"][1:] == [error_line]
+    # a failure beside an error still exits 3; a failure alone exits 1 and
+    # its report has no errors entry
+    monkeypatch.setitem(cli.SUITES, "der7", scripted_suite([fail, boom, ok]))
+    code, out = run(capsys, "verify", "--suite", "der7", "--cases", "3")
+    assert code == cli.EXIT_INTERNAL
+    assert out.splitlines()[1:] == ["case 0: FAIL (synthetic failure)",
+                                    error_line]
+    monkeypatch.setitem(cli.SUITES, "der7", scripted_suite([fail, ok, ok]))
+    code, out = run(capsys, "--json", "verify", "--suite", "der7",
+                    "--cases", "3")
+    assert code == cli.EXIT_FAIL and "errors" not in json.loads(out)
+
+
 @pytest.mark.parametrize("exc", [
     AssertionError("invariant broken\nat degree 2"),
     RecursionError("maximum recursion depth")])
@@ -465,3 +506,64 @@ def test_incoherent_keys_must_match_the_index(tmp_path, capsys, edit):
     assert cli.main(["lift", str(dp)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+BASE_LAYERS = {"cli", "serialize", "presheaf", "diagram", "linalg"}
+COMPLEX_LAYERS = BASE_LAYERS | {"complexes"}
+DERIVATOR_LAYERS = COMPLEX_LAYERS | {"derivator"}
+COHERENCE_LAYERS = DERIVATOR_LAYERS | {"coherence"}
+
+
+@pytest.fixture(scope="module")
+def layer_inputs(tmp_path_factory):
+    """Small saved inputs for one run of each command below."""
+    d = tmp_path_factory.mktemp("layers")
+    r = gen.rng_for(5)
+    d1 = diagram.delta(1)
+    u = gen.rand_functor(r, 4)
+    values = {
+        "p": gen.rand_presheaf(r, F2, d1),
+        "s0": cx.stalk(simple(F2, d1, 0)),
+        "s1": cx.stalk(simple(F2, d1, 1)),
+        "sq": nonsplit_square_complex(),
+        "u": u,
+        "x": gen.rand_complex(r, F2, u.source, lo=0, hi=1, max_parts=1),
+        "d": gen.rand_incoherent(r, F2, d1, d1, 1)}
+    for name, value in values.items():
+        se.save(d / (name + ".json"), value)
+    return d
+
+
+LAYER_RUNS = [
+    (["check-presheaf", "p.json"], BASE_LAYERS),
+    (["resolve", "s0.json", "--out", "out.json"], COMPLEX_LAYERS),
+    (["ext", "--source", "s0.json", "--target", "s1.json", "--n", "1"],
+     COMPLEX_LAYERS),
+    (["triangle", "sq.json"], DERIVATOR_LAYERS),
+    (["kan", "x.json", "--dir", "left", "--functor", "u.json",
+      "--out", "out.json"], DERIVATOR_LAYERS),
+    (["lift", "d.json", "--out", "out.json"], COHERENCE_LAYERS),
+    (["verify", "--suite", "der7", "--cases", "1"],
+     COHERENCE_LAYERS | {"generators"}),
+]
+
+
+@pytest.mark.parametrize("argv, layers", LAYER_RUNS,
+                         ids=[argv[0] for argv, _ in LAYER_RUNS])
+def test_each_command_imports_only_its_layers(layer_inputs, argv, layers):
+    # a fresh interpreter, so that only the command's own imports load
+    probe = ("import sys\n"
+             "from dercat import cli\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "print(' '.join(sorted(m[7:] for m in sys.modules\n"
+             "                      if m.startswith('dercat.'))))\n"
+             "sys.exit(code)\n")
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "src"))
+    proc = subprocess.run([sys.executable, "-c", probe] + argv,
+                          cwd=layer_inputs,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    loaded = set(proc.stdout.decode().splitlines()[-1].split())
+    assert loaded == layers

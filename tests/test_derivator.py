@@ -68,6 +68,19 @@ def test_kan_certificate_verifies():
     assert cert.verify()
 
 
+@pytest.mark.parametrize("kan", [dv.lan, dv.ran], ids=["lan", "ran"])
+def test_kan_certificate_with_zero_unit_verifies_false(kan):
+    r = gen.rng_for(5)
+    u = gen.rand_functor(r, 4)
+    x = gen.rand_complex(r, F2, u.source, lo=-1, hi=1, max_parts=1)
+    _, cert = kan(u, x)
+    bad = dv.KanCertificate(cert.functor, cert.output,
+                            cx.zero_chain_map(cert.unit.source,
+                                              cert.unit.target))
+    assert bad.verify() is False
+    assert cert.verify() is True
+
+
 def test_base_change_both_directions():
     r = gen.rng_for(3)
     for _ in range(10):
