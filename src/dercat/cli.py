@@ -37,6 +37,18 @@ def _load(path, field, want=None):
     return value
 
 
+def _load_product(path, field, name, first=None, second=None):
+    """Load a complex whose shape factors as a product, with the given
+    factors where they are given; any other shape is bad input."""
+    from . import complexes as cx
+    x = _load(path, field, cx.Complex)
+    factors = x.shape.product_of
+    if factors is None or (first is not None and factors[0] != first) or \
+            (second is not None and factors[1] != second):
+        raise se.FormatError("shape must factor as %s" % name)
+    return x
+
+
 def _dims_by_degree(x):
     return {p: x.term(p).total_dim() for p in x.degrees()}
 
@@ -162,8 +174,8 @@ def cmd_base_change(args, field):
 
 
 def cmd_square_check(args, field):
-    from . import complexes as cx, derivator as dv
-    x = _load(args.file, field, cx.Complex)
+    from . import derivator as dv
+    x = _load_product(args.file, field, "□ × J", first=diagram.square())
     s = dv.square_over(x)
     co_ok, _ = dv.is_cocartesian(s)
     ca_ok, _ = dv.is_cartesian(s)
@@ -173,8 +185,8 @@ def cmd_square_check(args, field):
 
 
 def cmd_triangle(args, field):
-    from . import complexes as cx, derivator as dv
-    x = _load(args.file, field, cx.Complex)
+    from . import derivator as dv
+    x = _load_product(args.file, field, "□ × J", first=diagram.square())
     f = x.field
     tri = dv.standard_triangle(dv.square_over(x))
     delta = [f.show(c) for c in tri.delta_class]
@@ -187,10 +199,8 @@ def cmd_triangle(args, field):
 
 
 def cmd_recollement(args, field):
-    from . import complexes as cx, derivator as dv
-    x = _load(args.file, field, cx.Complex)
-    if x.shape.product_of is None or x.shape.product_of[1] != diagram.delta(1):
-        raise se.FormatError("shape must factor as I × Δ1")
+    from . import derivator as dv
+    x = _load_product(args.file, field, "I × Δ1", second=diagram.delta(1))
     rec, _, _ = dv.product_recollement(x.shape.product_of[0])
     rec.glue_triangles(x)
     lines = ["both recollement triangles verified "
@@ -210,8 +220,8 @@ def cmd_suspend(args, field):
 
 
 def cmd_dia(args, field):
-    from . import complexes as cx, coherence as co
-    x = _load(args.file, field, cx.Complex)
+    from . import coherence as co
+    x = _load_product(args.file, field, "I × J")
     d = co.dia(x)
     lines = ["underlying diagram over %d objects, %d maps, witnesses recorded"
              % (len(d.shape.objects), len(d.maps))]
@@ -246,9 +256,9 @@ def cmd_lift_map(args, field):
 
 
 def cmd_hom_compare(args, field):
-    from . import complexes as cx, coherence as co
-    x = _load(args.source, field, cx.Complex)
-    z = _load(args.target, field, cx.Complex)
+    from . import coherence as co
+    x = _load_product(args.source, field, "I × J")
+    z = _load_product(args.target, field, "I × J")
     rep = co.hom_compare(x, z)
     lines = ["coherent dim %d, incoherent dim %d, canonical map %s"
              % (rep.coherent_dim, rep.incoherent_dim,

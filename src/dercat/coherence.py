@@ -11,12 +11,18 @@ negative-degree Homs between the values) guarantee every system is
 solvable; failures after a passing check are invariant violations.
 """
 
+from functools import lru_cache
+
 from . import linalg
 from .linalg import Matrix
 from . import diagram
 from . import presheaf as ps
 from . import complexes as cx
 from . import derivator as dv
+
+# _lift_data shares its results, which are never changed; it keeps at most
+# this many and recomputes one it dropped
+LIFT_CACHE_SIZE = 256
 
 
 class IncoherentDiagram:
@@ -303,9 +309,6 @@ class _LiftData:
         self.cert = cert
 
 
-_LIFT_CACHE = {}
-
-
 def lift_object(f):
     """Lift an incoherent diagram to an honest complex over I × base.
 
@@ -316,17 +319,13 @@ def lift_object(f):
     return data.lift, data.cert
 
 
+@lru_cache(maxsize=LIFT_CACHE_SIZE)
 def _lift_data(f):
-    key = f
-    if key in _LIFT_CACHE:
-        return _LIFT_CACHE[key]
     f.validate()
     icat, base, field = f.shape, f.base, f.field
     prod = diagram.product(icat, base)
     if not icat.nonidentity_arrows():
-        data = _lift_discrete(f, prod)
-        _LIFT_CACHE[key] = data
-        return data
+        return _lift_discrete(f, prod)
     report = toda_check(f, f)
     if not report.passes:
         raise ValueError("Toda condition fails at %r" % (report.witnesses[:3],))
@@ -364,10 +363,8 @@ def _lift_data(f):
     lift = cx.cone(phi)
 
     cert = _certify(f, prod, lift, layers[0], resolutions, res_maps)
-    data = _LiftData(prod, resolutions, res_maps, layers, stage_maps, lift,
+    return _LiftData(prod, resolutions, res_maps, layers, stage_maps, lift,
                      cert)
-    _LIFT_CACHE[key] = data
-    return data
 
 
 def _lift_discrete(f, prod):

@@ -15,6 +15,10 @@ from .linalg import Matrix
 from . import diagram
 from . import presheaf as ps
 
+# proj_resolution and hom_complex share their results, which are immutable;
+# each keeps at most this many and recomputes one it dropped
+COMPLEX_CACHE_SIZE = 256
+
 
 class Complex:
     """A bounded complex of presheaves over a common shape.
@@ -371,26 +375,20 @@ def is_quasi_iso(f):
 # --- projective resolution of complexes -------------------------------------
 
 
-_RESOLUTION_CACHE = {}
-
-
+@lru_cache(maxsize=COMPLEX_CACHE_SIZE)
 def proj_resolution(x):
     """A complex of recorded free presheaves with a quasi-isomorphism onto x.
 
     Built from the top degree down: at each degree take the free hull of
     the pullback V = {(ξ, η) ∈ X^m ⊕ P^{m+1} : dξ = πη, dη = 0}.  Below
     the bottom of x this computes iterated syzygies, so the construction
-    stops within max_chain_length extra degrees.  Results are cached so
-    every Ext computation against the same source shares one resolution.
+    stops within max_chain_length extra degrees.  At most
+    COMPLEX_CACHE_SIZE results are kept, so Ext computations against a
+    recent source share one resolution.
     """
-    cached = _RESOLUTION_CACHE.get(x)
-    if cached is not None:
-        return cached
     field, shape = x.field, x.shape
     if x.is_zero() or all(x.term(p).free_parts is not None for p in x.degrees()):
-        out = (x, identity_chain_map(x))
-        _RESOLUTION_CACHE[x] = out
-        return out
+        return x, identity_chain_map(x)
     bound = diagram.max_chain_length(shape)
     p_terms, p_diffs, pis = {}, {}, {}
     m = x.hi
@@ -436,48 +434,27 @@ def proj_resolution(x):
     rho = ChainMap(pcx, x, {p: pis[p] for p in p_terms if p in pis})
     if not is_quasi_iso(rho):
         raise AssertionError("resolution comparison map is not a quasi-isomorphism")
-    out = (pcx, rho)
-    _RESOLUTION_CACHE[x] = out
-    return out
+    return pcx, rho
 
 
 # --- the Hom complex ---------------------------------------------------------
 
 
-class _ByDegree:
-    """Degree-indexed cache that fills itself on first access."""
+class _Slots(dict):
+    """Degree n ↦ the slots [(p, basis of Hom(X^p, Y^{p+n}))] with a
+    nonempty basis, built on first access, with each slot's offset and the
+    degree's dimension."""
 
-    __slots__ = ("_build", "_cache")
-
-    def __init__(self, build):
-        self._build = build
-        self._cache = {}
-
-    def __getitem__(self, n):
-        if n not in self._cache:
-            self._cache[n] = self._build(n)
-        return self._cache[n]
-
-
-class HomComplex:
-    """Total Hom complex of two complexes, with coordinates.
-
-    Hom^n = ⊕_p Hom(X^p, Y^{p+n}) (natural maps only), with differential
-    δ(φ)_p = d_Y φ_p − (−1)^n φ_{p+1} d_X.  Coordinates are taken in the
-    deterministic hom_space bases slot by slot.  Slots and boundary
-    matrices are built per degree on first use.
-    """
+    __slots__ = ("x", "y", "offsets", "dims")
 
     def __init__(self, x, y):
+        super().__init__()
         self.x = x
         self.y = y
-        self.field = x.field
         self.offsets = {}
         self.dims = {}
-        self.slots = _ByDegree(self._build_slot)
-        self.delta = _ByDegree(self._delta_matrix)
 
-    def _build_slot(self, n):
+    def __missing__(self, n):
         slots = []
         offsets = {}
         off = 0
@@ -489,26 +466,43 @@ class HomComplex:
                 off += len(basis)
         self.offsets[n] = offsets
         self.dims[n] = off
+        self[n] = slots
         return slots
 
-    def _slot_dim(self, n):
-        self.slots[n]
+    def dim(self, n):
+        self[n]
         return self.dims[n]
 
-    def _delta_matrix(self, n):
-        field = self.field
-        rows = self._slot_dim(n + 1)
-        cols = self._slot_dim(n)
+
+class _Deltas(dict):
+    """Degree n ↦ the matrix of δ : Hom^n → Hom^{n+1} in slot coordinates,
+    built on first access."""
+
+    __slots__ = ("slots",)
+
+    def __init__(self, slots):
+        super().__init__()
+        self.slots = slots
+
+    def __missing__(self, n):
+        self[n] = m = self._matrix(n)
+        return m
+
+    def _matrix(self, n):
+        slots = self.slots
+        field = slots.x.field
+        rows = slots.dim(n + 1)
+        cols = slots.dim(n)
         if not (rows and cols):
             return Matrix.zeros(field, rows, cols)
         out = [[field.zero] * cols for _ in range(rows)]
         sgn = field.of_int(-1 if n % 2 else 1)
-        for p, basis in self.slots[n]:
+        for p, basis in slots[n]:
             # a differential outside diffs is zero, and so are its composites
-            dy = self.y.diffs.get(p + n)
-            dx = self.x.diffs.get(p - 1)
+            dy = slots.y.diffs.get(p + n)
+            dx = slots.x.diffs.get(p - 1)
             for k, b in enumerate(basis):
-                col = self.offsets[n][p] + k
+                col = slots.offsets[n][p] + k
                 # d_Y ∘ b lands in slot p; b ∘ d_X in slot p − 1 of degree n+1
                 if dy is not None:
                     self._add_into(out, n + 1, p, dy.compose(b), col,
@@ -521,16 +515,41 @@ class HomComplex:
     def _add_into(self, out, n, p, phi, col, scalar):
         if phi.is_zero():
             return
-        slot = dict(self.slots[n])
+        slots = self.slots
+        slot = dict(slots[n])
         if p not in slot:
             raise AssertionError("image misses the recorded basis")
-        coords = ps.hom_coordinates(self.x.term(p), self.y.term(p + n), phi)
+        coords = ps.hom_coordinates(slots.x.term(p), slots.y.term(p + n), phi)
         if coords is None:
             raise AssertionError("image not in the hom-space span")
-        f = self.field
+        f = slots.x.field
         for k, c in enumerate(coords):
-            out[self.offsets[n][p] + k][col] = f.add(
-                out[self.offsets[n][p] + k][col], f.mul(scalar, c))
+            out[slots.offsets[n][p] + k][col] = f.add(
+                out[slots.offsets[n][p] + k][col], f.mul(scalar, c))
+
+
+class HomComplex:
+    """Total Hom complex of two complexes, with coordinates.
+
+    Hom^n = ⊕_p Hom(X^p, Y^{p+n}) (natural maps only), with differential
+    δ(φ)_p = d_Y φ_p − (−1)^n φ_{p+1} d_X.  Coordinates are taken in the
+    deterministic hom_space bases slot by slot.  Slots and boundary
+    matrices are built per degree on first use, by tables that hold X and
+    Y but not the Hom complex, so a Hom complex is freed as soon as it is
+    dropped.
+    """
+
+    def __init__(self, x, y):
+        self.x = x
+        self.y = y
+        self.field = x.field
+        self.slots = _Slots(x, y)
+        self.offsets = self.slots.offsets
+        self.dims = self.slots.dims
+        self.delta = _Deltas(self.slots)
+
+    def _slot_dim(self, n):
+        return self.slots.dim(n)
 
     def coords_of(self, n, comps):
         """Coordinates of a degree-n element given as {p: PresheafMap}."""
@@ -569,7 +588,7 @@ class HomComplex:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=COMPLEX_CACHE_SIZE)
 def hom_complex(x, y):
     return HomComplex(x, y)
 
@@ -580,8 +599,9 @@ def hom_complex(x, y):
 def ext(x, y, n):
     """(dimension, representatives) of Hom_D(x, Σ^n y).
 
-    Representatives are chain maps P(x) → shift(y, n) out of the cached
-    projective resolution of x, pivot-ordered and reproducible.
+    Representatives are chain maps P(x) → shift(y, n) out of the
+    projective resolution proj_resolution(x), pivot-ordered and
+    reproducible.
     """
     if x.shape != y.shape or x.field != y.field:
         raise ValueError("complexes live in different categories")
@@ -793,9 +813,8 @@ def dualize_complex(x, opposite_shape=None):
     on the nose (DDX == X bit for bit)."""
     op = opposite_shape if opposite_shape is not None else diagram.opposite(x.shape)
     terms = {-p: ps.dualize(x.term(p), op) for p in x.degrees()}
-    diffs = {}
-    for p in range(x.lo, x.hi):
-        diffs[-p - 1] = ps.dualize_map(x.diff(p), op)
+    diffs = {-p - 1: ps.dualize_map(x.diff(p), terms[-p - 1], terms[-p])
+             for p in range(x.lo, x.hi)}
     return Complex(x.field, op, terms, diffs)
 
 
@@ -805,5 +824,6 @@ def dualize_chain_map(f, opposite_shape=None):
         diagram.opposite(f.source.shape)
     src = dualize_complex(f.target, op)
     tgt = dualize_complex(f.source, op)
-    return ChainMap(src, tgt, {-p: ps.dualize_map(m, op)
-                               for p, m in f.comps.items()})
+    return ChainMap(src, tgt, {
+        -p: ps.dualize_map(m, src.term(-p), tgt.term(-p))
+        for p, m in f.comps.items()})

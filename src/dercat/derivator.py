@@ -609,10 +609,11 @@ def suspension_via_recollement(x):
     a quasi-isomorphism witness onto shift(x, 1)."""
     rec, _, _ = product_recollement(x.shape)
     y = rec.i_lower(x)
-    # i^* i_* x == x on the nose, so the cached resolution of x is reused
     eps = rec.counit_closed(y)
     r = rec.j_upper(cx.cone(eps))
-    p, rho = cx.proj_resolution(x)
+    # the resolution the counit used, of i^* i_* x (equal to x but never
+    # recorded free, so x itself could resolve differently)
+    p, rho = cx.proj_resolution(rec.i_upper(y))
     sp = cx.shift(p, 1)
     ident = cx.termwise_map(r, sp, lambda deg, o: Matrix.identity(
         x.field, sp.term(deg).dims[o])).validate()

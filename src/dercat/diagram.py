@@ -10,8 +10,8 @@ Directedness means: no endomorphisms except identities and no oriented
 cycles through distinct objects.
 
 A category is never changed once the function that builds it returns,
-so the standard shapes and products are built once and shared (each memo
-keeps at most SHAPE_CACHE_SIZE).
+so the standard shapes, products and opposites are built once and shared
+(each memo keeps at most SHAPE_CACHE_SIZE).
 """
 
 from functools import lru_cache
@@ -355,7 +355,16 @@ def _product(i_key, j_key):
 
 
 def opposite(i):
-    """Opposite category; arrows keep their identifiers."""
+    """Opposite category; arrows keep their identifiers.
+
+    The result is shared between calls on equal categories with the same
+    product structure."""
+    return _opposite(shape_key(i))
+
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _opposite(key):
+    i = key[0]
     hom = {}
     for x in i.objects:
         for y in i.objects:
@@ -363,8 +372,7 @@ def opposite(i):
     comp = {}
     for (g, f), h in i.comp.items():
         comp[(f, g)] = h
-    cat = FinCat(i.objects, hom, i.identity, comp, validate=False)
-    return cat
+    return FinCat(i.objects, hom, i.identity, comp, validate=False)
 
 
 def disjoint_union(i, j):

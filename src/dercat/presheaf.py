@@ -19,8 +19,8 @@ from . import linalg
 from .linalg import Matrix
 from . import diagram
 
-# zero_presheaf and free_at share their results, which are immutable; each
-# keeps at most this many
+# zero_presheaf, free_at and hom_space share their results, which are
+# immutable; each keeps at most this many and recomputes one it dropped
 PRESHEAF_CACHE_SIZE = 256
 
 
@@ -606,7 +606,7 @@ def _yoneda_basis(f, g, offsets, nvars):
     return [row[::-1] for row in reversed(reduced.entries[:len(pivots)])], free
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PRESHEAF_CACHE_SIZE)
 def _hom_space_cached(f, g):
     """The hom_space basis, with the free columns of the naturality system
     and the flattened basis columns packed by linalg for the span check.
@@ -691,8 +691,9 @@ def dualize(f, opposite_shape=None):
     return Presheaf(f.field, op, dict(f.dims), action)
 
 
-def dualize_map(phi, opposite_shape=None):
-    """Dual of a map, reversing its direction."""
-    src = dualize(phi.target, opposite_shape)
-    tgt = dualize(phi.source, opposite_shape)
-    return PresheafMap(src, tgt, {x: phi.comps[x].transpose() for x in phi.comps})
+def dualize_map(phi, source, target):
+    """Dual of a map, reversing its direction: a map source → target, which
+    the caller passes already dualized (they equal dualize(phi.target) and
+    dualize(phi.source))."""
+    return PresheafMap(source, target,
+                       {x: phi.comps[x].transpose() for x in phi.comps})

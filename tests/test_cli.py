@@ -170,6 +170,25 @@ def test_suspend_and_recollement(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["dia", "square-check", "triangle",
+                                     "recollement", "hom-compare"])
+def test_wrong_shape_is_input_error(tmp_path, capsys, command):
+    # Δ2 is no product at all; Δ2 × Δ2 is one, but neither over the square
+    # nor over Δ1
+    d2 = diagram.delta(2)
+    shapes = [d2] if command in ("dia", "hom-compare") else \
+        [d2, diagram.product(d2, d2)]
+    for k, shape in enumerate(shapes):
+        p = str(tmp_path / ("x%d.json" % k))
+        se.save(p, cx.stalk(simple(F2, shape, shape.objects[0])))
+        argv = ["--source", p, "--target", p] if command == "hom-compare" \
+            else [p]
+        code = cli.main([command] + argv)
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err.startswith("error: shape must factor as ")
+
+
 def test_dia_then_lift_roundtrip(tmp_path, capsys):
     r = gen.rng_for(3)
     x = gen.rand_honest(r, F2, diagram.delta(1), diagram.delta(1),
@@ -239,18 +258,20 @@ def test_memos_stay_bounded_over_der7(capsys):
                   "--seed", "0", "--cases", "300")
     assert code == 0
     memos = _memos()
-    # the hom caches are the known unbounded ones (bounded caches are an
-    # open roadmap item); every other memo has a fixed bound
+    # every memo has a fixed bound, and the resolutions, lifts and
+    # opposites are memos too
     unbounded = {name for name, m in memos.items()
                  if m.cache_info().maxsize is None}
-    assert unbounded == {"presheaf._hom_space_cached", "complexes.hom_complex"}
+    assert unbounded == set()
     for name in ("linalg.zeros", "presheaf._zero_presheaf",
-                 "presheaf._free_at", "diagram._product", "diagram.square"):
-        assert memos[name].cache_info().hits > 0
+                 "presheaf._free_at", "diagram._product", "diagram.square",
+                 "diagram._opposite", "complexes.proj_resolution",
+                 "presheaf._hom_space_cached"):
+        assert memos[name].cache_info().hits > 0, name
+    assert "coherence._lift_data" in memos
     for name, m in memos.items():
         info = m.cache_info()
-        if name not in unbounded:
-            assert info.currsize <= info.maxsize, name
+        assert info.currsize <= info.maxsize, name
 
 
 def test_verify_failure_writes_counterexample(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,10 @@
 """Bounded complexes: cones, homotopies, resolutions, Ext, and the
 lifting solvers, against hand-derived oracles over Δ1."""
 
+import gc
 import inspect
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -126,6 +128,37 @@ def test_proj_resolution_is_free_and_quasi_iso():
             for n in p.degrees():
                 assert p.term(n).free_parts is not None
             assert p.lo >= x.lo - diagram.max_chain_length(shape)
+
+
+def test_resolution_memo_stays_at_its_bound_and_recomputes_equal():
+    d1 = diagram.delta(1)
+    x = cx.stalk(simple(F5, d1, 0))    # not recorded free: resolved for real
+    first = cx.proj_resolution(x)
+    # more distinct recorded-free complexes than the bound, each its own
+    # resolution, push x out
+    free = ps.free_at(F5, d1, 1, 0)
+    for n in range(cx.COMPLEX_CACHE_SIZE + 1):
+        cx.proj_resolution(cx.stalk(free, 1000 + n))
+    info = cx.proj_resolution.cache_info()
+    assert info.currsize == info.maxsize == cx.COMPLEX_CACHE_SIZE
+    again = cx.proj_resolution(x)
+    assert cx.proj_resolution.cache_info().misses == info.misses + 1
+    assert again == first and again[0] is not first[0]
+
+
+def test_a_dropped_hom_complex_is_freed_without_the_collector():
+    d1 = diagram.delta(1)
+    x = cx.stalk(ps.free_at(F2, d1, 1, 0))
+    y = cx.stalk(simple(F2, d1, 0))
+    gc.disable()
+    try:
+        hc = cx.HomComplex(x, y)
+        assert hc.delta[0].cols == hc._slot_dim(0) == 1
+        ref = weakref.ref(hc)
+        del hc
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_homotopy_solve_oracle():

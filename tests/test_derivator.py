@@ -255,6 +255,18 @@ def test_bicartesian_rejects_complexes_off_the_square():
             dv.square_over(x)
 
 
+def test_suspension_needs_no_resolution_memo(monkeypatch):
+    # bypassing the memo, a recorded-free x resolves to itself, while the
+    # counit resolves i^* i_* x, which is equal to x but not recorded free;
+    # cases 3 and 11 of this stream have such an x
+    from dercat import cli
+    monkeypatch.setattr(cx, "proj_resolution", cx.proj_resolution.__wrapped__)
+    r = gen.rng_for(7)
+    for case in range(12):
+        ok, detail, _ = cli.SUITES["shift-lemma"](r, Field("prime", 5))
+        assert ok, (case, detail)
+
+
 def test_suspension_matches_shift():
     r = gen.rng_for(6)
     for field in (F2, F3):

@@ -57,6 +57,15 @@ def test_opposite_involution():
     assert len(op.hom(0, 2)) == 1 and len(op.hom(2, 0)) == 0
 
 
+def test_opposite_is_shared():
+    d = diagram.product(diagram.delta(1), diagram.delta(2))
+    assert diagram.opposite(d) is diagram.opposite(d)
+    # an equal category built apart shares it too
+    d2 = diagram.poset_category([0, 1, 2], lambda a, b: a <= b)
+    assert d2 is not diagram.delta(2)
+    assert diagram.opposite(d2) is diagram.opposite(diagram.delta(2))
+
+
 def test_disjoint_union_and_subcategory():
     cat, il, ir = diagram.disjoint_union(diagram.delta(1), diagram.delta(1))
     assert len(cat.objects) == 4
