@@ -271,7 +271,10 @@ def cmd_hom_compare(args, field):
 
 def cmd_extend(args, field):
     from . import complexes as cx, coherence as co
-    x = _load(args.file, field, cx.Complex)
+    x = _load_product(args.file, field, "I × e")
+    base = x.shape.product_of[1]
+    if len(base.objects) != 1 or base.nonidentity_arrows():
+        raise se.FormatError("shape must factor as I × e")
     kernel = _load(args.kernel, field, cx.Complex)
     out, cert = co.extend_functor(kernel, x)
     ok = cert.verify()

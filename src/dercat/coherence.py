@@ -229,12 +229,12 @@ def _face_map(icat, base, prod, layer_l, layer_prev, resolutions, arrow_lifts,
                     deg, chain_index_prev[merged])))
             last_sign = field.one if length % 2 == 0 else sign_minus
             rhead = resolutions[icat.src[arrows[-1]]].term(deg)
-            lift_vals = dv.free_values_of(arrow_lifts[arrows[-1]].comp(deg),
+            lift_vals = ps.free_values_of(arrow_lifts[arrows[-1]].comp(deg),
                                           src=resolutions[end].term(deg))
             for lp, (v, mm) in enumerate(rparts):
                 at = (start, mm)
                 pos = {key: (o, w)
-                       for key, o, w in dv._part_offsets(tgt_term, at)}
+                       for key, o, w in ps._part_offsets(tgt_term, at)}
                 rows = [[field.zero] * v for _ in range(tgt_term.dims[at])]
                 id_arrow = prod.identity[at]
 
@@ -257,7 +257,7 @@ def _face_map(icat, base, prod, layer_l, layer_prev, resolutions, arrow_lifts,
                     add(ok, Matrix.identity(field, v), sgn)
                 # last face: apply the lifted arrow map
                 val = lift_vals[lp]
-                for (hlp, b), roff, w in dv._part_offsets(rhead, mm):
+                for (hlp, b), roff, w in ps._part_offsets(rhead, mm):
                     sub = val.submatrix(range(roff, roff + w), range(v))
                     gk = prod.pair_arrow[(icat.identity[start], b)]
                     ok, _ = pos[(head_off + hlp, gk)]
@@ -419,8 +419,8 @@ def _certify(f, prod, lift, layer0, resolutions, res_maps):
                 rows = [[field.zero] * r.term(p).dims[m]
                         for _ in range(fib.term(p).dims[m])]
                 rpos = {key: (o, w) for key, o, w in
-                        dv._part_offsets(r.term(p), m)}
-                for (gpart, g), off, w in dv._part_offsets(base_term, (i, m)):
+                        ps._part_offsets(r.term(p), m)}
+                for (gpart, g), off, w in ps._part_offsets(base_term, (i, m)):
                     if not (coff <= gpart < coff + nparts):
                         continue
                     _, bb = prod.pair_of[g]

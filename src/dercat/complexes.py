@@ -7,6 +7,7 @@ homotopy.  Sign conventions: (ΣX)^p = X^{p+1} with d_{ΣX} = −d_X, and the
 cone differential is [[−d_X, 0], [f, d_Y]].
 """
 
+from collections.abc import Sequence
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -441,16 +442,18 @@ def proj_resolution(x):
 
 
 class _Slots(dict):
-    """Degree n ↦ the slots [(p, basis of Hom(X^p, Y^{p+n}))] with a
+    """Degree n ↦ the slots [(p, ps.HomBasis of Hom(X^p, Y^{p+n}))] with a
     nonempty basis, built on first access, with each slot's offset and the
-    degree's dimension."""
+    degree's dimension.  free tells whether every term of X is recorded
+    free, so that every slot is a YonedaChart."""
 
-    __slots__ = ("x", "y", "offsets", "dims")
+    __slots__ = ("x", "y", "free", "offsets", "dims")
 
     def __init__(self, x, y):
         super().__init__()
         self.x = x
         self.y = y
+        self.free = all(x.term(p).free_parts is not None for p in x.degrees())
         self.offsets = {}
         self.dims = {}
 
@@ -459,11 +462,14 @@ class _Slots(dict):
         offsets = {}
         off = 0
         for p in self.x.degrees():
-            basis = ps.hom_space(self.x.term(p), self.y.term(p + n))
-            if basis:
-                slots.append((p, basis))
+            target = self.y.term(p + n)
+            if target.is_zero():
+                continue
+            space = ps.hom_basis(self.x.term(p), target)
+            if len(space):
+                slots.append((p, space))
                 offsets[p] = off
-                off += len(basis)
+                off += len(space)
         self.offsets[n] = offsets
         self.dims[n] = off
         self[n] = slots
@@ -497,13 +503,25 @@ class _Deltas(dict):
             return Matrix.zeros(field, rows, cols)
         out = [[field.zero] * cols for _ in range(rows)]
         sgn = field.of_int(-1 if n % 2 else 1)
-        for p, basis in slots[n]:
+        into = dict(slots[n + 1])
+        offsets = slots.offsets
+        for p, space in slots[n]:
             # a differential outside diffs is zero, and so are its composites
             dy = slots.y.diffs.get(p + n)
             dx = slots.x.diffs.get(p - 1)
-            for k, b in enumerate(basis):
-                col = slots.offsets[n][p] + k
-                # d_Y ∘ b lands in slot p; b ∘ d_X in slot p − 1 of degree n+1
+            # d_Y ∘ b lands in slot p; b ∘ d_X in slot p − 1 of degree n+1
+            if slots.free:
+                if dy is not None and p in into:
+                    _add_blocks(out, offsets[n + 1][p], offsets[n][p],
+                                space.post_blocks(into[p], dy), field.one)
+                if dx is not None and p - 1 in into:
+                    _add_blocks(out, offsets[n + 1][p - 1], offsets[n][p],
+                                space.pre_blocks(into[p - 1], dx,
+                                                 slots.x.term(p - 1)),
+                                field.neg(sgn))
+                continue
+            for k, b in enumerate(space):
+                col = offsets[n][p] + k
                 if dy is not None:
                     self._add_into(out, n + 1, p, dy.compose(b), col,
                                    field.one)
@@ -528,15 +546,33 @@ class _Deltas(dict):
                 out[slots.offsets[n][p] + k][col], f.mul(scalar, c))
 
 
+def _add_blocks(out, row0, col0, blocks, scalar):
+    """Add scalar · c · m to out for each block (rows, columns, m, c), at
+    those rows and columns offset by row0 and col0."""
+    for rows, cols, m, c in blocks:
+        field = m.field
+        c = field.mul(scalar, c)
+        for a, entries in zip(rows, m.entries):
+            target = out[row0 + a]
+            for b, v in zip(cols, entries):
+                if v:
+                    target[col0 + b] = field.add(target[col0 + b],
+                                                 field.mul(c, v))
+
+
 class HomComplex:
     """Total Hom complex of two complexes, with coordinates.
 
     Hom^n = ⊕_p Hom(X^p, Y^{p+n}) (natural maps only), with differential
     δ(φ)_p = d_Y φ_p − (−1)^n φ_{p+1} d_X.  Coordinates are taken in the
-    deterministic hom_space bases slot by slot.  Slots and boundary
-    matrices are built per degree on first use, by tables that hold X and
-    Y but not the Hom complex, so a Hom complex is freed as soon as it is
-    dropped.
+    deterministic hom_space bases slot by slot.  When every term of X is
+    recorded free, the slots are Yoneda charts and δ is read off the values
+    of the basis maps at the generators, without building, composing or
+    coordinatizing a basis map; otherwise each basis map is composed with
+    the differentials and the composites are coordinatized again.  Both
+    give the same matrices.  Slots and boundary matrices are built per
+    degree on first use, by tables that hold X and Y but not the Hom
+    complex, so a Hom complex is freed as soon as it is dropped.
     """
 
     def __init__(self, x, y):
@@ -574,17 +610,11 @@ class HomComplex:
         """The {p: PresheafMap} family with the given coordinates."""
         field = self.field
         out = {}
-        for p, basis in self.slots[n]:
+        for p, space in self.slots[n]:
             off = self.offsets[n][p]
-            coords = [row[0] for row in vec.entries[off:off + len(basis)]]
-            terms = [(c, b) for c, b in zip(coords, basis) if c != field.zero]
-            if terms:
-                coeffs, maps = zip(*terms)
-                out[p] = ps.PresheafMap(
-                    maps[0].source, maps[0].target,
-                    {x: linalg.combination(field, coeffs,
-                                           [b.comps[x] for b in maps])
-                     for x in maps[0].source.shape.objects})
+            coords = [row[0] for row in vec.entries[off:off + len(space)]]
+            if any(c != field.zero for c in coords):
+                out[p] = space.element(coords)
         return out
 
 
@@ -599,35 +629,61 @@ def hom_complex(x, y):
 def ext(x, y, n):
     """(dimension, representatives) of Hom_D(x, Σ^n y).
 
-    Representatives are chain maps P(x) → shift(y, n) out of the
-    projective resolution proj_resolution(x), pivot-ordered and
-    reproducible.
+    The dimension is cols(δⁿ) − rank δⁿ − rank δⁿ⁻¹ in the Hom complex
+    out of the projective resolution P = proj_resolution(x).  The
+    representatives are chain maps P → shift(y, n), pivot-ordered and
+    reproducible; they come as a sequence of length dimension that builds
+    them when it is first read.
     """
     if x.shape != y.shape or x.field != y.field:
         raise ValueError("complexes live in different categories")
     p, _ = proj_resolution(x)
     hc = hom_complex(p, y)
-    field = x.field
     dn = hc.delta[n]
-    dprev = hc.delta[n - 1]
-    cycles = linalg.kernel_basis(dn)
-    boundaries = linalg.image_basis(dprev)
-    dim = cycles.cols - boundaries.cols
-    # pick cycle columns extending the boundary span, deterministically
+    dim = dn.cols - linalg.rank(dn) - linalg.rank(hc.delta[n - 1])
+    return dim, _Representatives(dim, lambda: representatives(hc, p, y, n))
+
+
+class _Representatives(Sequence):
+    """A sequence of known length whose entries are built, all at once, by
+    build() when it is first read."""
+
+    __slots__ = ("dim", "build", "_reps")
+
+    def __init__(self, dim, build):
+        self.dim = dim
+        self.build = build
+        self._reps = None
+
+    def __len__(self):
+        return self.dim
+
+    def __getitem__(self, k):
+        if self._reps is None:
+            reps = self.build()
+            if len(reps) != self.dim:
+                raise AssertionError("cohomology representative count mismatch")
+            self._reps = reps
+        return self._reps[k]
+
+
+def representatives(hc, p, y, n):
+    """Cocycles of hc = Hom(p, y) in degree n whose classes form a basis of
+    its cohomology, as chart maps p → shift(y, n): the cycle columns that
+    extend the span of the boundaries, in pivot order."""
+    field = hc.field
+    cycles = linalg.kernel_basis(hc.delta[n])
+    boundaries = linalg.image_basis(hc.delta[n - 1])
     combined = linalg.hstack(field, [boundaries, cycles])
-    pivots = linalg.pivot_columns(combined)
     reps = []
-    for piv in pivots:
+    for piv in linalg.pivot_columns(combined):
         if piv < boundaries.cols:
             continue
         k = piv - boundaries.cols
         vec = Matrix(field, cycles.rows, 1,
                      [[cycles.entries[r][k]] for r in range(cycles.rows)])
-        comps = hc.element_of(n, vec)
-        reps.append(ChainMap(p, shift(y, n), comps))
-    if len(reps) != dim:
-        raise AssertionError("cohomology representative count mismatch")
-    return dim, reps
+        reps.append(ChainMap(p, shift(y, n), hc.element_of(n, vec)))
+    return reps
 
 
 def hom_dim(x, y):

@@ -16,42 +16,7 @@ from . import presheaf as ps
 from . import complexes as cx
 
 
-# --- block bookkeeping for recorded free presheaves -------------------------
-
-
-def _part_offsets(p, at_object):
-    """Offsets of the (part, arrow) blocks inside the fiber of a recorded
-    free presheaf at the given object."""
-    shape = p.shape
-    out = []
-    off = 0
-    for k, (v, i) in enumerate(p.free_parts):
-        for g in shape.hom(at_object, i):
-            out.append(((k, g), off, v))
-            off += v
-    return out
-
-
-def free_values_of(phi, src=None):
-    """The adjunct values val_k : k^{v_k} → Q_{i_k} of a map out of a
-    recorded free presheaf (columns of φ at the identity block of part k).
-
-    Caches may hand back a structurally equal source without free_parts
-    recorded; pass the recorded presheaf as src in that case."""
-    p = src if src is not None else phi.source
-    if p.free_parts is None:
-        raise ValueError("source is not a recorded free presheaf")
-    vals = []
-    for k, (v, i) in enumerate(p.free_parts):
-        blocks = _part_offsets(p, i)
-        off = None
-        for (kk, g), o, _ in blocks:
-            if kk == k and p.shape.is_identity(g):
-                off = o
-                break
-        m = phi.comps[i]
-        vals.append(m.submatrix(range(m.rows), range(off, off + v)))
-    return vals
+# --- transport of recorded free presheaves -----------------------------------
 
 
 def transport_presheaf(u, p):
@@ -71,13 +36,13 @@ def transport_free_map(u, phi, src_t, tgt_t, p, q):
     endpoints, since φ may come out of a cache that dropped them.
     """
     field = p.field
-    vals = free_values_of(phi, src=p)
+    vals = ps.free_values_of(phi, src=p)
     new_vals = []
     for k, (v, i) in enumerate(p.free_parts):
         val = vals[k]
-        blocks = _part_offsets(q, i)
+        blocks = ps._part_offsets(q, i)
         ui = u.obj_map[i]
-        tgt_blocks = _part_offsets(tgt_t, ui)
+        tgt_blocks = ps._part_offsets(tgt_t, ui)
         pos = {key: (o, w) for key, o, w in tgt_blocks}
         if not (tgt_t.dims[ui] and v):
             new_vals.append(Matrix.zeros(field, tgt_t.dims[ui], v))
@@ -125,7 +90,7 @@ def adjunct_chain_map(u, phi, target, src_t=None):
         src_t = transport_complex(u, p)
     comps = {}
     for deg in p.degrees():
-        vals = free_values_of(phi.comp(deg), src=p.term(deg))
+        vals = ps.free_values_of(phi.comp(deg), src=p.term(deg))
         comps[deg] = ps.free_map_to(src_t.term(deg), target.term(deg), vals)
     return cx.ChainMap(src_t, target, comps)
 
@@ -140,7 +105,7 @@ def unit_chain_map(u, p, transported):
         vals = []
         for k, (v, i) in enumerate(term.free_parts):
             ui = u.obj_map[i]
-            blocks = _part_offsets(tterm, ui)
+            blocks = ps._part_offsets(tterm, ui)
             rows = [[p.field.zero] * v for _ in range(tterm.dims[ui])]
             for (l, g), o, _ in blocks:
                 if l == k and u.target.is_identity(g):

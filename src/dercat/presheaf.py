@@ -22,6 +22,12 @@ from . import diagram
 # zero_presheaf, free_at and hom_space share their results, which are
 # immutable; each keeps at most this many and recomputes one it dropped
 PRESHEAF_CACHE_SIZE = 256
+# The kept Yoneda rows of (G, i) serve every chart into G, and the hom_space
+# memo keeps them for each chart it holds; this memo bridges the short gaps
+# between charts into one target out of several sources, as when Ext pairs
+# one target with a run of sources.  A bound of PRESHEAF_CACHE_SIZE kept
+# 0.6 MB of targets alive after the 1,122 `suites` ops with no faster `ext`.
+YONEDA_ROWS_CACHE_SIZE = 32
 
 
 class Presheaf:
@@ -323,6 +329,42 @@ def free_map_to(p, f, values):
     return PresheafMap(p, f, comps)
 
 
+def _part_offsets(p, at_object):
+    """Offsets of the (part, arrow) blocks inside the fiber of a recorded
+    free presheaf at the given object."""
+    shape = p.shape
+    out = []
+    off = 0
+    for k, (v, i) in enumerate(p.free_parts):
+        for g in shape.hom(at_object, i):
+            out.append(((k, g), off, v))
+            off += v
+    return out
+
+
+def free_values_of(phi, src=None):
+    """The adjunct values val_k : k^{v_k} → Q_{i_k} of a map out of a
+    recorded free presheaf (columns of φ at the identity block of part k),
+    the inverse of free_map_to.
+
+    Caches may hand back a structurally equal source without free_parts
+    recorded; pass the recorded presheaf as src in that case."""
+    p = src if src is not None else phi.source
+    if p.free_parts is None:
+        raise ValueError("source is not a recorded free presheaf")
+    vals = []
+    for k, (v, i) in enumerate(p.free_parts):
+        blocks = _part_offsets(p, i)
+        off = None
+        for (kk, g), o, _ in blocks:
+            if kk == k and p.shape.is_identity(g):
+                off = o
+                break
+        m = phi.comps[i]
+        vals.append(m.submatrix(range(m.rows), range(off, off + v)))
+    return vals
+
+
 def free_hull(f):
     """A minimal free cover PF ↠ F.
 
@@ -528,12 +570,244 @@ def resolve(f):
 
 
 # --- hom spaces --------------------------------------------------------------
+#
+# The unknowns of Hom(F, G) are the entries of the components φ_x, objects
+# in order, each φ_x row-major.  The basis of Hom(F, G) is the kernel basis
+# of the naturality system in these unknowns: one vector per free column of
+# its reduced echelon form, with 1 there and 0 at the other free columns,
+# so the coordinates of a natural map are its entries at the free columns.
 
 
-def _naturality_basis(f, g, offsets, nvars):
-    """The kernel basis of the naturality system in the flattened unknowns,
-    as columns, with its free columns."""
+def _unknown_offsets(f, g):
+    """The offset of each φ_x among the unknowns, and their number."""
+    offsets, nvars = {}, 0
+    for x in f.shape.objects:
+        offsets[x] = nvars
+        nvars += g.dims[x] * f.dims[x]
+    return offsets, nvars
+
+
+class HomBasis:
+    """The basis of Hom(F, G) by its free columns.  Subclasses build the
+    basis maps, on first read, and the map with given coordinates, not
+    all zero."""
+
+    __slots__ = ("source", "target", "free", "_basis", "_packed")
+
+    def __init__(self, f, g, free):
+        self.source = f
+        self.target = g
+        self.free = free
+        self._basis = None
+        self._packed = None
+
+    def __len__(self):
+        return len(self.free)
+
+    def __iter__(self):
+        return iter(self.basis)
+
+    @property
+    def basis(self):
+        """The basis vectors as maps F → G."""
+        if self._basis is None:
+            self._basis = self._build_basis()
+        return self._basis
+
+    def coordinates(self, phi):
+        """The coordinates of phi : F → G, its entries at the free
+        columns, or None if phi is not in the span of the basis (not
+        natural); the span check reconstructs the flattened map."""
+        field = self.source.field
+        flat = _flatten(self.source, phi)
+        if not self.free:
+            return [] if all(v == field.zero for v in flat) else None
+        coords = [flat[c] for c in self.free]
+        if self._packed is None:
+            self._packed = linalg.pack_columns(field, tuple(
+                _flatten(self.source, b) for b in self.basis))
+        if not linalg.is_combination(field, self._packed, coords, flat):
+            return None
+        return coords
+
+
+class KernelBasis(HomBasis):
+    """The kernel basis of the naturality system, its vectors given as
+    flattened columns."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, f, g, free, columns):
+        super().__init__(f, g, free)
+        self.columns = columns
+        self._packed = linalg.pack_columns(f.field, columns)
+
+    def _build_basis(self):
+        f, g = self.source, self.target
+        field = f.field
+        offsets, _ = _unknown_offsets(f, g)
+        out = []
+        for col in self.columns:
+            comps = {}
+            for x in f.shape.objects:
+                r, c, off = g.dims[x], f.dims[x], offsets[x]
+                if not (r and c):
+                    comps[x] = Matrix.zeros(field, r, c)
+                    continue
+                comps[x] = Matrix(field, r, c, [
+                    col[off + k * c:off + (k + 1) * c] for k in range(r)])
+            out.append(PresheafMap(f, g, comps))
+        return tuple(out)
+
+    def element(self, coords):
+        field = self.source.field
+        coeffs, maps = zip(*[(c, b) for c, b in zip(coords, self.basis)
+                             if c != field.zero])
+        return PresheafMap(self.source, self.target, {
+            x: linalg.combination(field, coeffs, [b.comps[x] for b in maps])
+            for x in self.source.shape.objects})
+
+
+def _flatten(f, phi):
+    """The unknowns' values at phi."""
+    return [v for x in f.shape.objects for row in phi.comps[x].entries
+            for v in row]
+
+
+@lru_cache(maxsize=YONEDA_ROWS_CACHE_SIZE)
+def _kept_rows(g, i):
+    """The rows G(h)[r, :] over the cells (x, r, h ∈ hom(x, i)) in unknown
+    order, keeping each row that is independent of the rows after them.
+    Returns the kept cells (x, r, h), the square matrix of their rows and
+    its inverse."""
+    field, shape = g.field, g.shape
+    cells, rows = [], []
+    for x in shape.objects:
+        acts = [(h, g.act(h).entries) for h in shape.hom(x, i)]
+        for r in range(g.dims[x] if acts else 0):
+            for h, m in acts:
+                cells.append((x, r, h))
+                rows.append(m[r])
+    # with the rows as columns in reverse, the pivot columns are the rows
+    # outside the span of the rows after them
+    last = len(rows) - 1
+    kept = sorted(last - c for c in linalg.pivot_columns(
+        Matrix(field, g.dims[i], len(rows), list(zip(*rows[::-1])))))
+    square = Matrix(field, len(kept), len(kept), [rows[c] for c in kept])
+    return ([cells[c] for c in kept], square,
+            linalg.solve(square, Matrix.identity(field, len(kept))))
+
+
+class YonedaChart(HomBasis):
+    """The basis of Hom(P, G) out of a recorded free P = ⊕_k V_k ⊗ i_k,
+    read by Yoneda block by block.
+
+    The unknowns fall into disjoint blocks (k, t), one for each t <
+    dim V_k: block (k, t) holds the entries (x, r, h) of φ_x in row r and
+    in the column of (k, h, t), for h ∈ hom(x, i_k).  Since
+    Hom(V ⊗ i, G) ≅ Hom(V, G_i), the solutions read (G(h)·w)[r] there,
+    for the value w ∈ G_{i_k} of the generator t, and no solution couples
+    two blocks; so the kernel basis splits by block.  A column is free iff
+    some solution has its last nonzero entry there, that is iff its row
+    G(h)[r, :] is independent of the rows of the block after it.  These
+    rows depend on i = i_k alone and form the invertible matrix rows[i]:
+    the basis vector at the j-th free column of block (k, t) has value
+    inverse[i]·e_j there, and a map with value w at (k, t) has coordinates
+    rows[i]·w in it.  index[k][t][j] is the position of that vector in the
+    basis, which follows the free columns."""
+
+    __slots__ = ("rows", "inverse", "index")
+
+    def __init__(self, p, g):
+        self.rows, self.inverse, kept = {}, {}, {}
+        for _, i in p.free_parts:
+            if i not in kept and g.dims[i]:
+                kept[i], self.rows[i], self.inverse[i] = _kept_rows(g, i)
+        offsets, _ = _unknown_offsets(p, g)
+        blocks = {}
+        free = []   # (free column, k, t, j)
+        for k, (v, i) in enumerate(p.free_parts):
+            for j, (x, r, h) in enumerate(kept.get(i, ())):
+                if x not in blocks:
+                    blocks[x] = {key: off for key, off, _ in
+                                 _part_offsets(p, x)}
+                col = offsets[x] + r * p.dims[x] + blocks[x][(k, h)]
+                free.extend((col + t, k, t, j) for t in range(v))
+        free.sort()
+        self.index = [[[None] * g.dims[i] for _ in range(v)]
+                      for v, i in p.free_parts]
+        for n, (_, k, t, j) in enumerate(free):
+            self.index[k][t][j] = n
+        super().__init__(p, g, tuple(c for c, _, _, _ in free))
+
+    def _build_basis(self):
+        z, o = self.source.field.zero, self.source.field.one
+        size = len(self)
+        return tuple(self.element([o if k == n else z for k in range(size)])
+                     for n in range(size))
+
+    def element(self, coords):
+        p, g = self.source, self.target
+        field = p.field
+        values = []
+        for k, (v, i) in enumerate(p.free_parts):
+            d = g.dims[i]
+            if not d:
+                values.append(Matrix.zeros(field, 0, v))
+                continue
+            values.append(self.inverse[i] * Matrix(field, d, v, [
+                [coords[self.index[k][t][j]] for t in range(v)]
+                for j in range(d)]))
+        return free_map_to(p, g, values)
+
+    def post_blocks(self, into, psi):
+        """The matrix of ψ ∘ − : Hom(P, G) → Hom(P, G′) from this chart to
+        into, the chart of Hom(P, G′), as blocks (rows, columns, m, c):
+        the matrix is the sum of each c · m at its rows and columns.  The
+        basis vector with value w at block (k, t) goes to the map with
+        value ψ_i·w there, so block (k, t) is
+        into.rows[i] · ψ_i · inverse[i]."""
+        one = self.source.field.one
+        blocks = {}
+        for k, (v, i) in enumerate(self.source.free_parts):
+            if i not in self.inverse or i not in into.rows:
+                continue
+            if i not in blocks:
+                blocks[i] = into.rows[i] * psi.comps[i] * self.inverse[i]
+            for t in range(v):
+                yield into.index[k][t], self.index[k][t], blocks[i], one
+
+    def pre_blocks(self, into, d, q):
+        """The matrix of − ∘ d : Hom(P, G) → Hom(Q, G) from this chart to
+        into, the chart of Hom(Q, G), as post_blocks gives it, for
+        d : Q → P and Q recorded free.  The basis vector with value w at
+        block (k, t) of P goes to the map with value
+        Σ_h G(h)·w·d[(k, h, t), (k′, id, t′)] at block (k′, t′) of Q, h
+        running over hom(i_k′, i_k), whose coordinates are
+        into.rows[i_k′] · G(h) · inverse[i_k] summed with these
+        coefficients."""
+        p, g = self.source, self.target
+        vals = free_values_of(d, src=q)
+        for k2, (v2, i2) in enumerate(q.free_parts):
+            if i2 not in into.rows:
+                continue
+            for (k, h), off, v in _part_offsets(p, i2):
+                i = p.free_parts[k][1]
+                if i not in self.inverse:
+                    continue
+                block = into.rows[i2] * g.act(h) * self.inverse[i]
+                for t in range(v):
+                    for t2 in range(v2):
+                        c = vals[k2].entries[off + t][t2]
+                        if c:
+                            yield (into.index[k2][t2], self.index[k][t],
+                                   block, c)
+
+
+def _naturality_basis(f, g):
+    """The kernel basis of the naturality system."""
     field, shape = f.field, f.shape
+    offsets, nvars = _unknown_offsets(f, g)
     z = field.zero
     rows = []
     # Naturality at the indecomposable arrows suffices: every other arrow
@@ -559,88 +833,30 @@ def _naturality_basis(f, g, offsets, nvars):
     system = Matrix(field, len(rows), nvars, rows) if rows and nvars else \
         Matrix.zeros(field, len(rows), nvars)
     basis, free = linalg.kernel_basis_and_free(system)
-    return list(zip(*basis.entries)), free
-
-
-def _yoneda_basis(f, g, offsets, nvars):
-    """The same columns and free columns as _naturality_basis, for a
-    recorded free source, read off the Yoneda lemma.
-
-    Hom(V ⊗ i, G) ≅ Hom(V, G_i): for each part (v, i) of f, each basis
-    vector t of V and each basis vector e of G_i, the map sending the
-    generator t at id_i to e is, at x, column e of G(h) in the column of
-    block (h ∈ hom(x, i), t).  These maps span the solution space S of the
-    naturality system.  A column c is free in the system's reduced echelon
-    form iff some vector of S has its last nonzero entry at c, so with
-    columns reversed the free columns are the pivots of S's reduced
-    echelon form, and its rows, reversed back, are the vectors of S with 1
-    at their own free column and 0 at the others: the kernel basis, which
-    that property determines.
-    """
-    field, shape = f.field, f.shape
-    z = field.zero
-    rows = []
-    start = {x: 0 for x in shape.objects}
-    for v, i in f.free_parts:
-        blocks = []  # (fiber row offset, row length, first column, G(h)^T)
-        for x in shape.objects:
-            fx = f.dims[x]
-            for pos, h in enumerate(shape.hom(x, i)):
-                blocks.append((offsets[x], fx, start[x] + pos * v,
-                               g.act(h).transpose().entries))
-            start[x] += v * len(shape.hom(x, i))
-        for t in range(v):
-            for e in range(g.dims[i]):
-                row = [z] * nvars
-                for off, fx, col, gh_cols in blocks:
-                    for r, val in enumerate(gh_cols[e]):
-                        if val:
-                            row[off + r * fx + col + t] = val
-                rows.append(row[::-1])
-    mirrored = Matrix(field, len(rows), nvars, rows) if rows else \
-        Matrix.zeros(field, 0, nvars)
-    reduced, pivots = linalg.rref(mirrored)
-    if len(pivots) != len(rows):
-        raise AssertionError("the free parts do not present the source")
-    free = tuple(nvars - 1 - c for c in reversed(pivots))
-    return [row[::-1] for row in reversed(reduced.entries[:len(pivots)])], free
+    return KernelBasis(f, g, free, tuple(zip(*basis.entries)))
 
 
 @lru_cache(maxsize=PRESHEAF_CACHE_SIZE)
-def _hom_space_cached(f, g):
-    """The hom_space basis, with the free columns of the naturality system
-    and the flattened basis columns packed by linalg for the span check.
+def _hom_space_cached(f, g, parts):
+    """The HomBasis of Hom(f, g); parts are f's free_parts, which the
+    structural key ignores.  Out of a recorded free presheaf it is a
+    YonedaChart, otherwise the kernel basis of the naturality system; both
+    give the same basis."""
+    return _naturality_basis(f, g) if parts is None else YonedaChart(f, g)
 
-    Unknowns are ordered by object, each φ_x row-major.  Out of a recorded
-    free presheaf the basis is read off by Yoneda, otherwise it is the
-    kernel basis of the naturality system; both give the same basis."""
-    field = f.field
-    order = list(f.shape.objects)
-    offsets, nvars = {}, 0
-    for x in order:
-        offsets[x] = nvars
-        nvars += g.dims[x] * f.dims[x]
-    basis_of = _naturality_basis if f.free_parts is None else _yoneda_basis
-    cols, free = basis_of(f, g, offsets, nvars)
-    out = []
-    for col in cols:
-        comps = {}
-        for x in order:
-            r, c, off = g.dims[x], f.dims[x], offsets[x]
-            if not (r and c):
-                comps[x] = Matrix.zeros(field, r, c)
-                continue
-            comps[x] = Matrix(field, r, c, [col[off + k * c:off + (k + 1) * c]
-                                            for k in range(r)])
-        out.append(PresheafMap(f, g, comps))
-    return tuple(out), free, linalg.pack_columns(field, tuple(cols))
+
+def hom_basis(f, g):
+    """The HomBasis of Hom(f, g): a YonedaChart when f is recorded free."""
+    if f.shape != g.shape or f.field != g.field:
+        raise ValueError("presheaves live in different categories")
+    return _hom_space_cached(f, g, f.free_parts)
 
 
 def hom_space(f, g):
-    """Deterministic basis of the space of natural transformations f → g."""
-    if f.shape != g.shape or f.field != g.field:
-        raise ValueError("presheaves live in different categories")
-    return list(_hom_space_cached(f, g)[0])
+    """Deterministic basis of the space of natural transformations f → g:
+    the kernel basis of the naturality system, read block by block by
+    Yoneda out of a recorded free f and built on first request."""
+    return list(hom_basis(f, g))
 
 
 def hom_coordinates(f, g, phi):
@@ -650,18 +866,7 @@ def hom_coordinates(f, g, phi):
     Reads the coordinates off at the kernel-basis free positions; the span
     membership check reconstructs the flattened map.
     """
-    basis, free, packed = _hom_space_cached(f, g)
-    field = f.field
-    flat = []
-    for x in f.shape.objects:
-        for row in phi.comps[x].entries:
-            flat.extend(row)
-    if not basis:
-        return [] if all(v == field.zero for v in flat) else None
-    coords = [flat[c] for c in free]
-    if not linalg.is_combination(field, packed, coords, flat):
-        return None
-    return coords
+    return hom_basis(f, g).coordinates(phi)
 
 
 # --- restriction and duality -------------------------------------------------

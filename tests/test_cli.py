@@ -171,18 +171,19 @@ def test_suspend_and_recollement(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["dia", "square-check", "triangle",
-                                     "recollement", "hom-compare"])
+                                     "recollement", "hom-compare", "extend"])
 def test_wrong_shape_is_input_error(tmp_path, capsys, command):
     # Δ2 is no product at all; Δ2 × Δ2 is one, but neither over the square
-    # nor over Δ1
-    d2 = diagram.delta(2)
+    # nor over Δ1; Δ1 × Δ1 is one, but not over the point
+    d1, d2 = diagram.delta(1), diagram.delta(2)
     shapes = [d2] if command in ("dia", "hom-compare") else \
+        [d2, diagram.product(d1, d1)] if command == "extend" else \
         [d2, diagram.product(d2, d2)]
     for k, shape in enumerate(shapes):
         p = str(tmp_path / ("x%d.json" % k))
         se.save(p, cx.stalk(simple(F2, shape, shape.objects[0])))
         argv = ["--source", p, "--target", p] if command == "hom-compare" \
-            else [p]
+            else [p, "--kernel", p] if command == "extend" else [p]
         code = cli.main([command] + argv)
         out = capsys.readouterr()
         assert code == 2 and out.out == ""

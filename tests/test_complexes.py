@@ -16,6 +16,8 @@ from dercat import diagram
 from dercat import presheaf as ps
 from dercat import complexes as cx
 from dercat import generators as gen
+from dercat import coherence as co
+from dercat import serialize as se
 
 F2 = Field("prime", 2)
 F3 = Field("prime", 3)
@@ -225,6 +227,54 @@ def test_homology_matches_rank_arithmetic():
         for n in range(x.lo - 1, x.hi + 2):
             h = cx.homology(x, n).validate()
             assert h.dims == cx.homology_dims(x, n)
+
+
+def _stripped(x):
+    """x with the free parts of its terms forgotten."""
+    return cx.Complex(x.field, x.shape, {
+        p: ps.Presheaf(t.field, t.shape, t.dims, t.action)
+        for p, t in x.terms.items()}, dict(x.diffs))
+
+
+def test_ext_builds_representatives_only_when_read(tmp_path, monkeypatch,
+                                                   capsys):
+    # dimensions come from ranks; the representatives are built, all at
+    # once, when first read, and they are those of the naturality path
+    built = []
+    element_of = cx.HomComplex.element_of
+
+    def counting(self, n, vec):
+        built.append(n)
+        return element_of(self, n, vec)
+
+    monkeypatch.setattr(cx.HomComplex, "element_of", counting)
+    r = gen.rng_for(59)
+    shape = diagram.cube(3)
+    xs = [cx.stalk(gen.rand_presheaf(r, QQ, shape, max_parts=3))
+          for _ in range(3)]
+    cases = [(x, y, n) for x in xs for y in xs for n in range(4)]
+    dims = [cx.ext(x, y, n)[0] for x, y, n in cases]
+    assert all(cx.hom_dim(x, y) == cx.ext(x, y, 0)[0] for x in xs for y in xs)
+    kernel = cx.stalk(ps.free_at(F2, diagram.delta(1), 1, 0))
+    assert co.kernel_toda_check(kernel).passes
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    se.save(a, xs[0])
+    se.save(b, xs[1])
+    assert cli.main(["--field", "q", "ext", "--source", str(a),
+                     "--target", str(b), "--n", "1"]) == 0
+    capsys.readouterr()
+    assert [len(cx.ext(x, y, n)[1]) for x, y, n in cases] == dims
+    assert built == [] and sum(dims) >= 10
+    for (x, y, n), dim in zip(cases, dims):
+        reps = cx.ext(x, y, n)[1]
+        before = len(built)
+        first = list(reps)
+        # one element per representative, built by the first read only
+        assert len(first) == dim == len(built) - before
+        assert list(reps) == first and len(built) - before == dim
+        p, _ = cx.proj_resolution(x)
+        assert first == cx.representatives(
+            cx.HomComplex(_stripped(p), y), p, y, n)
 
 
 def test_hom_complex_coordinates_invert():

@@ -281,16 +281,34 @@ def _free_sources(field, shape):
             ps.zero_presheaf(field, shape)]
 
 
+def _stripped(f):
+    """f with its free parts forgotten, so that Hom spaces out of it are
+    the kernel of the naturality system."""
+    return ps.Presheaf(f.field, f.shape, f.dims, f.action)
+
+
+def _stripped_complex(x):
+    return cx.Complex(x.field, x.shape, {
+        p: _stripped(t) for p, t in x.terms.items()}, dict(x.diffs))
+
+
+def _reference_shapes():
+    return (diagram.cube(3),
+            diagram.product(diagram.delta(2), diagram.delta(2)),
+            _parallel_quiver())
+
+
 @pytest.mark.parametrize("field", [F2, F3, Field("rationals")],
                          ids=("F2", "F3", "Q"))
 def test_free_hom_space_matches_naturality_system(field):
-    # out of a recorded free source the basis is read off by Yoneda; it
-    # must be the kernel basis of the naturality system, free columns too
+    # out of a recorded free source the basis is read off by Yoneda, block
+    # by block; it must be the kernel basis of the naturality system, free
+    # columns too, both written out here and built on the same source with
+    # its free parts forgotten, for hand-picked sources and for the terms
+    # of resolutions of random complexes
     r = gen.rng_for(12)
-    unnatural = 0
-    for shape in (diagram.cube(3),
-                  diagram.product(diagram.delta(2), diagram.delta(2)),
-                  _parallel_quiver()):
+    unnatural = resolved = 0
+    for shape in _reference_shapes():
         for src in _free_sources(field, shape):
             assert src.free_parts is not None
             for _ in range(3):
@@ -298,7 +316,12 @@ def test_free_hom_space_matches_naturality_system(field):
                 basis = ps.hom_space(src, tgt)
                 cols, free = _all_arrows_hom_basis(src, tgt)
                 assert [_flat(phi) for phi in basis] == cols
-                assert ps._hom_space_cached(src, tgt)[1] == free
+                assert ps.hom_basis(src, tgt).free == free
+                assert isinstance(ps.hom_basis(src, tgt), ps.YonedaChart)
+                assert not isinstance(ps.hom_basis(_stripped(src), tgt),
+                                      ps.YonedaChart)
+                assert ps.hom_space(_stripped(src), tgt) == basis
+                assert ps.hom_basis(_stripped(src), tgt).free == free
                 assert len(basis) == sum(v * tgt.dims[i]
                                          for v, i in src.free_parts)
                 phi = ps.PresheafMap(src, tgt, {
@@ -311,7 +334,69 @@ def test_free_hom_space_matches_naturality_system(field):
                     assert ps.hom_coordinates(src, tgt, phi) is None
                 else:
                     assert ps.hom_coordinates(src, tgt, phi) is not None
-    assert unnatural >= 10
+        for _ in range(3):
+            p, _ = cx.proj_resolution(gen.rand_complex(r, field, shape,
+                                                       max_parts=3))
+            tgt = gen.rand_complex(r, field, shape, max_parts=3)
+            for src in p.terms.values():
+                assert src.free_parts is not None
+                for g in tgt.terms.values():
+                    basis = ps.hom_space(src, g)
+                    assert ps.hom_space(_stripped(src), g) == basis
+                    assert ps.hom_basis(src, g).free == \
+                        ps.hom_basis(_stripped(src), g).free
+                    resolved += len(basis)
+    assert unnatural >= 10 and resolved >= 100
+
+
+@pytest.mark.parametrize("field", [F2, F3, Field("rationals")],
+                         ids=("F2", "F3", "Q"))
+def test_free_hom_complex_matches_naturality_path(field):
+    # out of a termwise recorded-free complex δ is read off the Yoneda
+    # charts without building a basis map; it must be the matrix that
+    # composing and coordinatizing basis maps builds on the same complex
+    # with its free parts forgotten, and the Ext classes must read the same
+    r = gen.rng_for(15)
+    nonzero = classes = 0
+    for shape in _reference_shapes():
+        for _ in range(3):
+            x = gen.rand_complex(r, field, shape, max_parts=3)
+            y = gen.rand_complex(r, field, shape, max_parts=3)
+            p, _ = cx.proj_resolution(x)
+            if p.is_zero():
+                continue
+            hc = cx.HomComplex(p, y)
+            ref = cx.HomComplex(_stripped_complex(p), y)
+            assert hc.slots.free and not ref.slots.free
+            for n in range(-4, 4):
+                assert hc.delta[n] == ref.delta[n]
+                assert [(d, s.free) for d, s in hc.slots[n]] == \
+                    [(d, s.free) for d, s in ref.slots[n]]
+                nonzero += not hc.delta[n].is_zero()
+            for n in range(-1, 2):
+                classes += _check_ext_coordinates(r, x, y, n, hc, ref)
+    assert nonzero >= 10 and classes >= 20
+
+
+def _check_ext_coordinates(r, x, y, n, hc, ref):
+    """ext_coordinates of a random cocycle, a combination of the Ext
+    representatives plus a boundary, read the same through hc and through
+    ref, and give back the combination; returns the number of classes."""
+    field = x.field
+    dim, reps = cx.ext(x, y, n)
+    coeffs = [field.of_int(r.randrange(1, 5)) for _ in range(dim)]
+    vec = Matrix.zeros(field, hc.dims[n], 1)
+    for c, rep in zip(coeffs, reps):
+        vec = vec + hc.coords_of(n, dict(rep.comps)).scale(c)
+    h = Matrix(field, hc.delta[n - 1].cols, 1,
+               [[field.of_int(r.randrange(3))]
+                for _ in range(hc.delta[n - 1].cols)])
+    vec = vec + hc.delta[n - 1] * h
+    f = cx.ChainMap(hc.x, cx.shift(y, n), hc.element_of(n, vec))
+    assert cx.ext_coordinates(x, y, n, f) == coeffs
+    assert ref.coords_of(n, dict(f.comps)) == vec
+    assert cx.representatives(ref, hc.x, y, n) == list(reps)
+    return dim
 
 
 def _presented(p):
