@@ -271,12 +271,12 @@ def cmd_hom_compare(args, field):
 
 def cmd_extend(args, field):
     from . import complexes as cx, coherence as co
-    x = _load_product(args.file, field, "I × e")
-    base = x.shape.product_of[1]
-    if len(base.objects) != 1 or base.nonidentity_arrows():
-        raise se.FormatError("shape must factor as I × e")
+    x = _load(args.file, field, cx.Complex)
     kernel = _load(args.kernel, field, cx.Complex)
-    out, cert = co.extend_functor(kernel, x)
+    try:
+        out, cert = co.extend_functor(kernel, x)
+    except co.NotOverPointError:
+        raise se.FormatError("shape must factor as I × e") from None
     ok = cert.verify()
     lines = ["extension degrees [%d, %d], certificate %s"
              % (out.lo, out.hi, "verified" if ok else "FAILED")]

@@ -792,17 +792,22 @@ def _tensored(kernel, x):
         IncoherentDiagram(icat, kernel.shape, values, maps))
 
 
+class NotOverPointError(ValueError):
+    """A complex handed to extend_functor is not over I × e."""
+
+
 def extend_functor(kernel, x):
     """Apply the exact functor V ↦ V ⊗ kernel fiberwise to a complex over
     I × e and lift the result to a complex over I × J′.
 
     Returns (complex, LiftCertificate); the certificate's fiber maps
     compare each fiber of the complex with x_i ⊗ kernel.  Requires the
-    base of x to be the one-point shape and the kernel to pass its Toda
-    self-check."""
-    base = x.shape.product_of[1]
-    if len(base.objects) != 1 or base.nonidentity_arrows():
-        raise ValueError("extension requires the one-point base")
+    shape of x to be a product over the one-point shape (NotOverPointError
+    otherwise) and the kernel to pass its Toda self-check."""
+    factors = x.shape.product_of
+    if factors is None or len(factors[1].objects) != 1 or \
+            factors[1].nonidentity_arrows():
+        raise NotOverPointError("extension requires the one-point base")
     report = kernel_toda_check(kernel)
     if not report.passes:
         raise ValueError("kernel fails the Toda self-check at n = %r"

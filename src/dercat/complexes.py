@@ -666,6 +666,17 @@ class _Representatives(Sequence):
             self._reps = reps
         return self._reps[k]
 
+    def __eq__(self, other):
+        """Equal to a list or to another such sequence with the same
+        entries; an empty one compares without building."""
+        if not isinstance(other, (list, _Representatives)):
+            return NotImplemented
+        return len(self) == len(other) and \
+            (not self.dim or list(self) == list(other))
+
+    def __repr__(self):
+        return repr(list(self)) if self.dim else "[]"
+
 
 def representatives(hc, p, y, n):
     """Cocycles of hc = Hom(p, y) in degree n whose classes form a basis of

@@ -22,12 +22,6 @@ from . import diagram
 # zero_presheaf, free_at and hom_space share their results, which are
 # immutable; each keeps at most this many and recomputes one it dropped
 PRESHEAF_CACHE_SIZE = 256
-# The kept Yoneda rows of (G, i) serve every chart into G, and the hom_space
-# memo keeps them for each chart it holds; this memo bridges the short gaps
-# between charts into one target out of several sources, as when Ext pairs
-# one target with a run of sources.  A bound of PRESHEAF_CACHE_SIZE kept
-# 0.6 MB of targets alive after the 1,122 `suites` ops with no faster `ext`.
-YONEDA_ROWS_CACHE_SIZE = 32
 
 
 class Presheaf:
@@ -674,7 +668,6 @@ def _flatten(f, phi):
             for v in row]
 
 
-@lru_cache(maxsize=YONEDA_ROWS_CACHE_SIZE)
 def _kept_rows(g, i):
     """The rows G(h)[r, :] over the cells (x, r, h ∈ hom(x, i)) in unknown
     order, keeping each row that is independent of the rows after them.

@@ -264,7 +264,9 @@ def test_ext_builds_representatives_only_when_read(tmp_path, monkeypatch,
                      "--target", str(b), "--n", "1"]) == 0
     capsys.readouterr()
     assert [len(cx.ext(x, y, n)[1]) for x, y, n in cases] == dims
-    assert built == [] and sum(dims) >= 10
+    assert all(cx.ext(x, y, n) == (0, [])
+               for (x, y, n), dim in zip(cases, dims) if not dim)
+    assert built == [] and sum(dims) >= 10 and 0 in dims
     for (x, y, n), dim in zip(cases, dims):
         reps = cx.ext(x, y, n)[1]
         before = len(built)
@@ -275,6 +277,21 @@ def test_ext_builds_representatives_only_when_read(tmp_path, monkeypatch,
         p, _ = cx.proj_resolution(x)
         assert first == cx.representatives(
             cx.HomComplex(_stripped(p), y), p, y, n)
+
+
+def test_ext_reads_and_compares_as_a_list():
+    # the README example prints (0, []); a nonzero group compares by its
+    # representatives, with a list or with another read of the same group
+    d1 = diagram.delta(1)
+    p0 = ps.free_at(F2, d1, 1, 0)
+    s1 = cx.stalk(ps.free_at(F2, d1, 1, 1))
+    zero = cx.ext(cx.stalk(p0), s1, 1)
+    assert zero == (0, []) and repr(zero) == "(0, [])"
+    s0 = cx.stalk(simple(F2, d1, 0))
+    dim, reps = cx.ext(s0, s0, 0)
+    assert dim == 1 and reps == list(reps) and list(reps) == reps
+    assert cx.ext(s0, s0, 0) == (1, list(reps)) == cx.ext(s0, s0, 0)
+    assert reps != [] and repr(reps) == repr(list(reps))
 
 
 def test_hom_complex_coordinates_invert():
