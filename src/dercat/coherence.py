@@ -376,7 +376,7 @@ def _lift_discrete(f, prod):
     for p in range(lo, hi + 1):
         dims = {(i, m): f.values[i].term(p).dims[m] for (i, m) in prod.objects}
         action = {}
-        for a in prod.nonidentity_arrows():
+        for a in prod.indecomposable_arrows():
             _, bb = prod.pair_of[a]
             i = prod.src[a][0]
             action[a] = f.values[i].term(p).act(bb)

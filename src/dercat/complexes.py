@@ -404,30 +404,33 @@ def proj_resolution(x):
             pi_next = ps.zero_map(pnext, x.term(m + 1))
             d_next = ps.zero_map(pnext, pnext)
         dx = x.diff(m)
-        comps = {}
-        for o in shape.objects:
-            top = linalg.hstack(field, [dx.comps[o], -pi_next.comps[o]])
-            bot = linalg.hstack(field, [
-                Matrix.zeros(field, d_next.target.dims[o], xp.dims[o]),
-                d_next.comps[o]])
-            comps[o] = linalg.vstack(field, [top, bot])
+        comps = {o: linalg.block(field, [
+            [dx.comps[o], -pi_next.comps[o]],
+            [Matrix.zeros(field, d_next.target.dims[o], xp.dims[o]),
+             d_next.comps[o]]])
+            for o in shape.objects}
         # V sits in X^m ⊕ P^{m+1}, whose action kernel_of reads on the
-        # indecomposable arrows only
-        v, incl = ps.kernel_of(field, shape, {
-            a: linalg.direct_sum(xp.act(a), pnext.act(a))
-            for a in shape.indecomposable_arrows()}, comps)
+        # indecomposable arrows only; past the bottom of x, X^m is zero
+        if xp.is_zero():
+            act = pnext.act
+        elif pnext.is_zero():
+            act = xp.act
+        else:
+            def act(a):
+                return linalg.direct_sum(xp.act(a), pnext.act(a))
+        v, incl = ps.kernel_of(field, shape, act, comps)
         if v.is_zero() and m < x.lo:
             break
-        pm, counit = ps.free_hull(v)
-        iota_x = {o: incl[o].submatrix(range(xp.dims[o]), range(v.dims[o]))
-                  for o in shape.objects}
-        iota_p = {o: incl[o].submatrix(
-            range(xp.dims[o], xp.dims[o] + pnext.dims[o]), range(v.dims[o]))
-            for o in shape.objects}
-        pis[m] = ps.PresheafMap(pm, xp, {
-            o: iota_x[o] * counit.comps[o] for o in shape.objects})
-        p_diffs[m] = ps.PresheafMap(pm, pnext, {
-            o: iota_p[o] * counit.comps[o] for o in shape.objects})
+        # π and d are the maps out of P^m whose value at a generator is its
+        # value in V read through V's inclusion: ι_j·V(g) = (X^m ⊕
+        # P^{m+1})(g)·ι_i, so they are ι·counit without building it
+        pm, values = ps.free_cover(v)
+        ws = [(xp.dims[i], incl[i] * val)
+              for (_, i), val in zip(pm.free_parts, values)]
+        pis[m] = ps.free_map_to(pm, xp, [
+            w.submatrix(range(n), range(w.cols)) for n, w in ws])
+        p_diffs[m] = ps.free_map_to(pm, pnext, [
+            w.submatrix(range(n, w.rows), range(w.cols)) for n, w in ws])
         p_terms[m] = pm
         m -= 1
     pcx = Complex(field, shape, p_terms,
@@ -854,7 +857,7 @@ def over_point(x):
     def lift_ps(f):
         dims = {(m, pt): f.dims[m] for m in icat.objects}
         action = {}
-        for a in prod.nonidentity_arrows():
+        for a in prod.indecomposable_arrows():
             aa, _ = prod.pair_of[a]
             action[a] = f.act(aa)
         parts = None

@@ -435,7 +435,7 @@ def _extend_presheaf(emb, g):
     arrow_inv = {emb.arrow_map[a]: a for a in emb.source.arrows}
     dims = {y: (g.dims[inv[y]] if y in inv else 0) for y in icat.objects}
     action = {}
-    for a in icat.nonidentity_arrows():
+    for a in icat.indecomposable_arrows():
         x, y = icat.src[a], icat.tgt[a]
         if x in inv and y in inv and a in arrow_inv:
             action[a] = g.act(arrow_inv[a])

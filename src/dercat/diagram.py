@@ -54,6 +54,7 @@ class FinCat:
         self._nonidentity = None
         self._indecomposable = None
         self._factorizations = None
+        self._factor_of = None
         self._max_chain = None
         # optional structure set by constructors
         self.product_of = None
@@ -111,7 +112,16 @@ class FinCat:
                             queue.append(c)
                             out.append((c, g, f))
             self._factorizations = tuple(out)
+            self._factor_of = {c: (g, f) for c, g, f in out}
         return self._factorizations
+
+    def factor_of(self, c):
+        """The pair (g, f) of c's triple (c, g, f) in factorizations();
+        KeyError unless c is a non-identity arrow that is not
+        indecomposable."""
+        if self._factor_of is None:
+            self.factorizations()
+        return self._factor_of[c]
 
     def compose(self, g, f):
         """The composite g∘f for f: x→y, g: y→z."""

@@ -219,7 +219,7 @@ def conflation_square(conf, base):
     struct[((1, 1), (0, 0))] = conf.deflation.compose(conf.inflation)
     dims = {(i, m): fibs[i].dims[m] for (i, m) in prod.objects}
     action = {}
-    for a in prod.nonidentity_arrows():
+    for a in prod.indecomposable_arrows():
         _, bb = prod.pair_of[a]
         (i1, m1), (i2, m2) = prod.src[a], prod.tgt[a]
         if i1 == i2:
@@ -230,7 +230,7 @@ def conflation_square(conf, base):
             else:
                 action[a] = Matrix.zeros(field, fibs[i1].dims[m1],
                                          fibs[i2].dims[m2])
-    term = ps.Presheaf(field, prod, dims, action, validate=True)
+    term = ps.Presheaf(field, prod, dims, action).validate()
     return dv.square_over(cx.stalk(term))
 
 

@@ -9,7 +9,12 @@ Conventions (fixed once, everything downstream depends on them):
   * direct sums indexed by hom-sets follow the arrow order of the shape;
   * a "free" presheaf is a direct sum of pieces V ⊗ i with
     (V ⊗ i)_j = ⊕_{hom(j,i)} V; the pieces are recorded in free_parts so
-    Kan extensions can transport them without re-deriving the structure.
+    Kan extensions can transport them without re-deriving the structure;
+  * a presheaf is presented by its generating arrows: it stores the
+    action of the indecomposable arrows only, and every constructor
+    builds just those.  A composite c = g∘f of shape.factorizations()
+    acts by F(f)·F(g), built when act(c) is first read and kept.
+    Equality, hashing and so every memo key read the generators alone.
 """
 
 from functools import lru_cache
@@ -19,47 +24,60 @@ from . import linalg
 from .linalg import Matrix
 from . import diagram
 
-# zero_presheaf, free_at and hom_space share their results, which are
-# immutable; each keeps at most this many and recomputes one it dropped
+# zero_presheaf, zero_map, free_at and hom_space share their results,
+# which are immutable; each keeps at most this many and recomputes one it
+# dropped
 PRESHEAF_CACHE_SIZE = 256
 
 
 class Presheaf:
-    """A functor shape° → vect, given by fiber dimensions and action
-    matrices on non-identity arrows.  dims and action are read-only."""
+    """A functor shape° → vect, given by fiber dimensions and the action
+    matrices of the indecomposable arrows, its generators.  act builds a
+    composite's matrix when it is first read and keeps it; dims and action
+    are read-only, and only the generators enter equality and hashing."""
 
-    __slots__ = ("field", "shape", "dims", "action", "free_parts", "_hash")
+    __slots__ = ("field", "shape", "dims", "free_parts", "_gens", "_acts",
+                 "_hash")
 
     def __init__(self, field, shape, dims, action, free_parts=None, validate=False):
+        """action gives at least the generators' matrices, and only those
+        are kept.  With validate, action must list every non-identity
+        arrow, which is checked, with functoriality, before it is cut."""
         self.field = field
         self.shape = shape
         self.dims = MappingProxyType({x: int(dims[x]) for x in shape.objects})
-        self.action = MappingProxyType(dict(action))
+        if validate:
+            _check_listed(self, action)
+        self._acts = {a: action[a] for a in shape.indecomposable_arrows()}
+        self._gens = tuple(self._acts.values())
         self.free_parts = free_parts
         self._hash = None
-        if validate:
-            self.validate()
+
+    @property
+    def action(self):
+        """The action matrices of every non-identity arrow, as a read-only
+        mapping; reading it builds every composite's."""
+        return MappingProxyType({a: self.act(a)
+                                 for a in self.shape.nonidentity_arrows()})
 
     def act(self, a):
-        """Action matrix of the arrow a : x → y, a map F_y → F_x."""
-        if self.shape.is_identity(a):
-            return Matrix.identity(self.field, self.dims[self.shape.src[a]])
-        return self.action[a]
+        """Action matrix of the arrow a : x → y, a map F_y → F_x.  A
+        composite c = g∘f of factorizations() acts by F(f)·F(g)."""
+        m = self._acts.get(a)
+        if m is None:
+            shape = self.shape
+            if shape.is_identity(a):
+                return Matrix.identity(self.field, self.dims[shape.src[a]])
+            g, f = shape.factor_of(a)
+            m = self._acts[a] = self.act(f) * self.act(g)
+        return m
 
     def validate(self):
-        cat = self.shape
-        for a in cat.nonidentity_arrows():
-            m = self.action.get(a)
-            x, y = cat.src[a], cat.tgt[a]
-            if m is None or m.rows != self.dims[x] or m.cols != self.dims[y]:
-                raise ValueError("action at %r missing or has wrong shape" % (a,))
-            if m.field != self.field:
-                raise ValueError("field mismatch at %r" % (a,))
-        for f in cat.arrows:
-            for z in cat.objects:
-                for g in cat.hom(cat.tgt[f], z):
-                    if self.act(cat.compose(g, f)) != self.act(f) * self.act(g):
-                        raise ValueError("functoriality fails at (%r,%r)" % (g, f))
+        """Check the generators' shapes and fields, then functoriality
+        through act over every composable pair, which covers every
+        relation between paths."""
+        _check_shapes(self, self._acts, self.shape.indecomposable_arrows())
+        _check_functorial(self, self.act)
         return self
 
     def total_dim(self):
@@ -70,8 +88,7 @@ class Presheaf:
 
     def _data(self):
         return (self.field, self.shape,
-                tuple(self.dims[x] for x in self.shape.objects),
-                tuple(sorted(self.action.items())))
+                tuple(self.dims[x] for x in self.shape.objects), self._gens)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Presheaf) and
@@ -84,6 +101,42 @@ class Presheaf:
 
     def __repr__(self):
         return "Presheaf(dims=%r)" % ({x: d for x, d in self.dims.items()},)
+
+
+def _check_shapes(f, action, arrows):
+    for a in arrows:
+        m = action.get(a)
+        x, y = f.shape.src[a], f.shape.tgt[a]
+        if m is None or m.rows != f.dims[x] or m.cols != f.dims[y]:
+            raise ValueError("action at %r missing or has wrong shape" % (a,))
+        if m.field != f.field:
+            raise ValueError("field mismatch at %r" % (a,))
+
+
+def _check_functorial(f, act):
+    cat = f.shape
+    for a in cat.arrows:
+        for z in cat.objects:
+            for g in cat.hom(cat.tgt[a], z):
+                if act(cat.compose(g, a)) != act(a) * act(g):
+                    raise ValueError("functoriality fails at (%r,%r)" % (g, a))
+
+
+def _check_listed(f, action):
+    """The checks of a presheaf given by the matrices of every non-identity
+    arrow: each present with the right shape, no other entry, and
+    functoriality on the listed matrices."""
+    cat = f.shape
+    _check_shapes(f, action, cat.nonidentity_arrows())
+    for a in action:
+        if a not in cat.src or cat.is_identity(a):
+            raise ValueError("action at %r names no non-identity arrow" % (a,))
+
+    def act(a):
+        if cat.is_identity(a):
+            return Matrix.identity(f.field, f.dims[cat.src[a]])
+        return action[a]
+    _check_functorial(f, act)
 
 
 class PresheafMap:
@@ -211,11 +264,20 @@ def zero_presheaf(field, shape):
 def _zero_presheaf(field, key):
     shape = key[0]
     z = {x: 0 for x in shape.objects}
-    act = {a: Matrix.zeros(field, 0, 0) for a in shape.nonidentity_arrows()}
+    act = {a: Matrix.zeros(field, 0, 0) for a in shape.indecomposable_arrows()}
     return Presheaf(field, shape, z, act, free_parts=())
 
 
 def zero_map(f, g):
+    """The zero map f → g, one shared map per value: the key also carries
+    what equality ignores, the free parts and product structures of both
+    ends."""
+    return _zero_map(f, g, f.free_parts, g.free_parts,
+                     diagram.shape_key(f.shape), diagram.shape_key(g.shape))
+
+
+@lru_cache(maxsize=PRESHEAF_CACHE_SIZE)
+def _zero_map(f, g, *_):
     return PresheafMap(f, g, {x: Matrix.zeros(f.field, g.dims[x], f.dims[x])
                               for x in f.shape.objects})
 
@@ -238,7 +300,7 @@ def _free_at(field, key, v, i):
     shape = key[0]
     dims = {j: v * len(shape.hom(j, i)) for j in shape.objects}
     action = {}
-    for a in shape.nonidentity_arrows():
+    for a in shape.indecomposable_arrows():
         x, y = shape.src[a], shape.tgt[a]
         hy = shape.hom(y, i)
         hx = shape.hom(x, i)
@@ -269,8 +331,8 @@ def direct_sum_many(field, shape, summands):
     if not summands:
         return zero_presheaf(field, shape)
     dims = {x: sum(s.dims[x] for s in summands) for x in shape.objects}
-    action = {a: linalg.direct_sum_many(field, [s.action[a] for s in summands])
-              for a in shape.nonidentity_arrows()}
+    action = {a: linalg.direct_sum_many(field, ms) for a, ms in zip(
+        shape.indecomposable_arrows(), zip(*(s._gens for s in summands)))}
     parts = None
     if all(s.free_parts is not None for s in summands):
         parts = tuple(part for s in summands for part in s.free_parts)
@@ -309,6 +371,8 @@ def free_map_to(p, f, values):
     """
     if p.free_parts is None:
         raise ValueError("source is not a recorded free presheaf")
+    if f.is_zero():
+        return zero_map(p, f)
     field, shape = p.field, p.shape
     comps = {}
     for j in shape.objects:
@@ -359,13 +423,15 @@ def free_values_of(phi, src=None):
     return vals
 
 
-def free_hull(f):
-    """A minimal free cover PF ↠ F.
+def free_cover(f):
+    """A minimal free cover of F by its generators: (PF, values), with
+    PF = ⊕_i (T_i ⊗ i) recorded free and values[k] : T_{i_k} → F_{i_k}
+    the inclusion of the tops of part k.
 
     At each object i the radical is Σ im F(a) over the non-identity
     arrows a out of i; generators T_i span a complement of it in F_i.
     Because the shape is directed, F is generated by these tops, so the
-    counit out of ⊕_i (T_i ⊗ i) is a deflation.  Minimality keeps
+    map out of PF with these values is a deflation.  Minimality keeps
     resolution terms from growing along chains of the shape.
 
     The indecomposable arrows span the radical, as im F(g∘f) ⊆ im F(f).
@@ -390,37 +456,34 @@ def free_hull(f):
             values.append(Matrix(field, d, len(tops),
                                  [[o if r == t else z for t in tops]
                                   for r in range(d)]))
-    pf = direct_sum_many(field, shape, parts)
+    return direct_sum_many(field, shape, parts), values
+
+
+def free_hull(f):
+    """A minimal free cover PF ↠ F, the counit out of free_cover(F)."""
+    pf, values = free_cover(f)
     return pf, free_map_to(pf, f, values)
 
 
 # --- kernels, cokernels, images -------------------------------------------
 #
-# Each computes the induced action on the indecomposable arrows only and
-# extends it by F(g∘f) = F(f)·F(g): the induced action is unique, so this
-# is the action every arrow would get on its own.
-
-
-def _with_composites(shape, action):
-    """action, given on the indecomposable arrows, on every non-identity
-    arrow."""
-    for c, g, f in shape.factorizations():
-        action[c] = action[f] * action[g]
-    return action
+# Each computes the induced action on the indecomposable arrows only, which
+# is all a presheaf stores: the induced action is unique, so the product a
+# composite gets on first read is the action it would get on its own.
 
 
 def _subpresheaf(field, shape, bases, action):
     """The presheaf spanned objectwise by the columns of bases, with the
     induced action given on the indecomposable arrows."""
     return Presheaf(field, shape, {x: bases[x].cols for x in shape.objects},
-                    _with_composites(shape, action))
+                    action)
 
 
-def kernel_of(field, shape, action, comps):
+def kernel_of(field, shape, act, comps):
     """The objectwise kernel of a map with components comps out of a
-    presheaf whose action on the indecomposable arrows is action, with
-    induced action; returns (K, bases), the columns of bases[x] spanning
-    K_x.  Neither the other arrows nor the map's target are read.
+    presheaf whose indecomposable arrow a acts by act(a), with induced
+    action; returns (K, bases), the columns of bases[x] spanning K_x.
+    Neither the other arrows nor the map's target are read.
 
     Each basis K_x is the identity on its free rows, so the action of
     a : x → y is G(a)·K_y read at those rows.  It is induced iff G(a)·K_y
@@ -431,7 +494,7 @@ def kernel_of(field, shape, action, comps):
     induced = {}
     for a in shape.indecomposable_arrows():
         x, y = shape.src[a], shape.tgt[a]
-        moved = action[a] * bases[y]
+        moved = act(a) * bases[y]
         if not (comps[x] * moved).is_zero():
             raise AssertionError("kernel not preserved by the action")
         induced[a] = moved.submatrix(free[x], range(moved.cols))
@@ -441,8 +504,7 @@ def kernel_of(field, shape, action, comps):
 def kernel(f):
     """Objectwise kernel with induced action; returns (K, inclusion)."""
     g, shape = f.source, f.source.shape
-    k, bases = kernel_of(g.field, shape, {
-        a: g.act(a) for a in shape.indecomposable_arrows()}, f.comps)
+    k, bases = kernel_of(g.field, shape, g.act, f.comps)
     return k, PresheafMap(k, g, bases)
 
 
@@ -468,7 +530,7 @@ def cokernel(f):
             raise AssertionError("image not preserved by the action")
         action[a] = moved.submatrix(range(moved.rows), free[y])
     c = Presheaf(field, shape, {x: projs[x].rows for x in shape.objects},
-                 _with_composites(shape, action))
+                 action)
     return c, PresheafMap(g, c, projs)
 
 
@@ -870,7 +932,7 @@ def restrict(u, g):
     if g.shape != u.target:
         raise ValueError("presheaf does not live over the functor's target")
     dims = {x: g.dims[u.obj_map[x]] for x in u.source.objects}
-    action = {a: g.act(u.arrow_map[a]) for a in u.source.nonidentity_arrows()}
+    action = {a: g.act(u.arrow_map[a]) for a in u.source.indecomposable_arrows()}
     return Presheaf(g.field, u.source, dims, action)
 
 
@@ -883,9 +945,7 @@ def dualize(f, opposite_shape=None):
     """The linear dual, a presheaf over the opposite shape (transpose all
     action matrices).  Applying it twice gives back f on the nose."""
     op = opposite_shape if opposite_shape is not None else diagram.opposite(f.shape)
-    action = {}
-    for a in op.nonidentity_arrows():
-        action[a] = f.act(a).transpose()
+    action = {a: f.act(a).transpose() for a in op.indecomposable_arrows()}
     return Presheaf(f.field, op, dict(f.dims), action)
 
 

@@ -189,14 +189,20 @@ def _enc_presheaf_body(f):
 def _dec_presheaf_body(field, shape, obj):
     try:
         dims = {dec_label(x): int(d) for x, d in obj["dims"]}
-        action = {dec_label(a): dec_matrix(field, m)
-                  for a, m in obj["action"]}
+        action, repeated = {}, []
+        for a, m in obj["action"]:
+            a, m = dec_label(a), dec_matrix(field, m)
+            if a in action:
+                repeated.append(a)
+            action[a] = m
         parts = None
         if "free" in obj:
             parts = tuple((int(v), dec_label(i)) for v, i in obj["free"])
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError("bad presheaf: %s" % (e,))
     try:
+        if repeated:
+            raise ValueError("action at %r listed twice" % (repeated[0],))
         f = ps.Presheaf(field, shape, dims, action, free_parts=parts,
                         validate=True)
     except (ValueError, KeyError) as e:

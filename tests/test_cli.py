@@ -458,6 +458,36 @@ def test_false_free_claim_is_input_error(tmp_path):
             err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("edit, free, message", [
+    (lambda action, m: action.append(["zz", m]), False,
+     "action at 'zz' names no non-identity arrow"),
+    (lambda action, m: action.append(["id@0", m]), False,
+     "action at 'id@0' names no non-identity arrow"),
+    (lambda action, m: action.append(["zz", m]), True,
+     "action at 'zz' names no non-identity arrow"),
+    (lambda action, m: action.append(action[0]), False,
+     "action at '1>0' listed twice"),
+    (lambda action, m: action.append(["1>0", m]), False,
+     "action at '1>0' listed twice"),
+], ids=["stray", "identity", "stray with free parts", "repeat",
+        "repeat with another matrix"])
+def test_action_entries_must_name_each_non_identity_arrow_once(
+        tmp_path, capsys, edit, free, message):
+    # free_at(F5, Δ2, 1, 0) with its action list edited: an entry that
+    # names no non-identity arrow, or one already listed, is bad input
+    p = tmp_path / "f.json"
+    se.save(p, ps.free_at(F5, diagram.delta(2), 1, 0))
+    doc = json.loads(p.read_text())
+    edit(doc["action"], {"rows": 1, "cols": 1, "entries": [["3"]]})
+    if not free:
+        del doc["free"]
+    p.write_text(json.dumps(doc))
+    code = cli.main(["--field", "fp:5", "check-presheaf", str(p)])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == "error: presheaf does not validate: %s\n" % message
+
+
 def test_complex_with_nonzero_d_squared_is_input_error(tmp_path):
     # k → k → k over the point with both differentials 1: d∘d = 1 ≠ 0
     e = diagram.terminal_cat()

@@ -99,6 +99,26 @@ def test_complex_terms_are_read_only():
         x.diffs[0] = ps.zero_map(x.term(0), x.term(1))
 
 
+def test_zero_maps_outside_a_support_are_built_once_per_value():
+    # a zero differential, chain-map component or homotopy component read
+    # twice, or read off an equal complex, is the same map; the free parts
+    # of its ends tell maps apart
+    d1 = diagram.delta(1)
+    p0 = ps.free_at(F2, d1, 1, 0)
+    x, y = cx.stalk(p0), cx.stalk(p0, degree=1)
+    f, h = cx.zero_chain_map(x, y), cx.Homotopy(x, y, {})
+    for p in (-2, -1, 0, 1, 2):
+        assert x.diff(p) is x.diff(p) is cx.stalk(p0).diff(p)
+        assert f.comp(p) is f.comp(p)
+        assert h.comp(p) is h.comp(p)
+        assert x.diff(p).is_zero() and h.comp(p).target == y.term(p - 1)
+    assert x.diff(0).source.free_parts == p0.free_parts
+    plain = ps.Presheaf(F2, d1, p0.dims, p0.action)
+    assert plain == p0 and plain.free_parts is None
+    assert cx.stalk(plain).diff(0) is not x.diff(0)
+    assert cx.stalk(plain).diff(0).source.free_parts is None
+
+
 def test_ext_table_of_simples_over_delta1():
     d1 = diagram.delta(1)
     s = {i: cx.stalk(simple(F2, d1, i)) for i in (0, 1)}

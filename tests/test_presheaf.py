@@ -12,6 +12,7 @@ from dercat import presheaf as ps
 from dercat import complexes as cx
 from dercat import derivator as dv
 from dercat import generators as gen
+from dercat import serialize as se
 
 F2 = Field("prime", 2)
 F3 = Field("prime", 3)
@@ -658,7 +659,7 @@ def test_resolving_over_q_solves_nothing_in_kernels_and_hulls(monkeypatch):
 def test_resolution_steps_take_no_direct_sum(monkeypatch):
     # each step of proj_resolution reads the actions of X^m ⊕ P^{m+1} on
     # the generating arrows only; the one direct sum it builds is the free
-    # cover free_hull returns
+    # cover free_cover (or free_hull) returns
     from_resolution, from_hull = [], []
     direct_sum_many = ps.direct_sum_many
 
@@ -666,7 +667,7 @@ def test_resolution_steps_take_no_direct_sum(monkeypatch):
         frame = sys._getframe(1)
         while frame is not None:
             name = frame.f_code.co_name
-            if name == "free_hull":
+            if name in ("free_cover", "free_hull"):
                 from_hull.append(name)
                 break
             if name == "proj_resolution":
@@ -687,3 +688,154 @@ def test_resolution_steps_take_no_direct_sum(monkeypatch):
             cx.proj_resolution(cx.stalk(x))
     assert from_resolution == []
     assert from_hull
+
+
+# --- generator storage ------------------------------------------------------
+
+
+def _routes(r, field, shape):
+    """Builders of presheaves, one for each constructor that builds
+    generators only and one that reads a file; each call builds afresh,
+    except free_at's memo.  The last four build equal presheaves."""
+    objs = shape.objects
+    sub, incl = diagram.full_subcategory(shape, objs[1:])
+
+    def total(parts=((2, objs[0]), (1, objs[-1]))):
+        return ps.direct_sum_many(field, shape, [
+            ps.free_at(field, shape, v, i) for v, i in parts])
+
+    src, tgt = total(), total(((1, objs[0]), (2, objs[1])))
+    phi = ps.free_map_to(src, tgt, [gen.rand_matrix(r, field, tgt.dims[i], v)
+                                    for v, i in src.free_parts])
+
+    def on_sub():
+        return ps.direct_sum_many(field, sub, [
+            ps.free_at(field, sub, 1, x) for x in sub.objects])
+
+    return [lambda: ps.free_at(field, shape, 2, objs[0]),
+            lambda: ps.kernel(phi)[0], lambda: ps.cokernel(phi)[0],
+            lambda: ps.restrict(incl, total()), lambda: ps.dualize(total()),
+            lambda: dv.transport_presheaf(incl, on_sub()),
+            total, lambda: se.decode(se.encode(total())),
+            lambda: dv.transport_presheaf(diagram.identity_functor(shape),
+                                          total()),
+            lambda: ps.dualize(ps.dualize(total()))]
+
+
+@pytest.mark.parametrize("field", ACTION_FIELDS, ids=repr)
+def test_presheaves_store_their_generators_only(field):
+    # a presheaf keeps the matrices of the indecomposable arrows, builds a
+    # composite's once, on first read, as the product along its
+    # factorization, and equals every presheaf with the same generators
+    r = gen.rng_for(31)
+    ps._free_at.cache_clear()
+    for shape in ACTION_SHAPES:
+        built = [build() for build in _routes(r, field, shape)]
+        for f in built:
+            cat = f.shape
+            gens = cat.indecomposable_arrows()
+            assert set(f._acts) == set(gens)
+            assert list(f.action) == list(cat.nonidentity_arrows())
+            assert len(f.action) == len(cat.nonidentity_arrows())
+            for c, g, a in cat.factorizations():
+                assert f.action[c] is f.act(c) is f.act(c)
+                assert f.act(c) == f.act(a) * f.act(g)
+            for a in cat.arrows:
+                for z in cat.objects:
+                    for g in cat.hom(cat.tgt[a], z):
+                        assert f.act(cat.compose(g, a)) == \
+                            f.act(a) * f.act(g)
+            with pytest.raises(TypeError):
+                f.action[gens[0]] = f.act(gens[0])
+            with pytest.raises(KeyError):
+                f.action[cat.identity[cat.objects[0]]]
+            f.validate()
+        total = built[-4]
+        listed = ps.Presheaf(field, shape, total.dims, total.action)
+        for g in built[-3:] + [listed]:
+            assert g == total and hash(g) == hash(total)
+
+
+def test_listed_action_must_name_each_non_identity_arrow_once():
+    # the matrices of a stored presheaf's generators are its data: an entry
+    # naming no non-identity arrow is refused when checked, and is not
+    # kept, so neither equality nor hashing sees it
+    d2 = diagram.delta(2)
+    f = ps.free_at(F3, d2, 1, 0)
+    three = Matrix(F3, 1, 1, [[2]])
+    for junk in ("zz", "id@0"):
+        action = dict(f.action, **{junk: three})
+        with pytest.raises(ValueError, match="names no non-identity arrow"):
+            ps.Presheaf(F3, d2, f.dims, action, validate=True)
+        g = ps.Presheaf(F3, d2, f.dims, action)
+        assert g == f and hash(g) == hash(f)
+
+
+def _step_reference(x):
+    """proj_resolution as one step was first written: V's action on X^m ⊕
+    P^{m+1} as a direct sum at the generators, the counit of V's free
+    hull, and π, d as the inclusion of V after the counit."""
+    field, shape = x.field, x.shape
+    bound = diagram.max_chain_length(shape)
+    p_terms, p_diffs, pis = {}, {}, {}
+    m = x.hi
+    while True:
+        assert m >= x.lo - bound - 2
+        xp = x.term(m)
+        if m + 1 in p_terms:
+            pnext, pi_next, d_next = p_terms[m + 1], pis[m + 1], p_diffs[m + 1]
+        else:
+            pnext = ps.zero_presheaf(field, shape)
+            pi_next = ps.zero_map(pnext, x.term(m + 1))
+            d_next = ps.zero_map(pnext, pnext)
+        comps = {}
+        for o in shape.objects:
+            top = linalg.hstack(field, [x.diff(m).comps[o], -pi_next.comps[o]])
+            bot = linalg.hstack(field, [
+                Matrix.zeros(field, d_next.target.dims[o], xp.dims[o]),
+                d_next.comps[o]])
+            comps[o] = linalg.vstack(field, [top, bot])
+        v, incl = ps.kernel_of(field, shape, lambda a: linalg.direct_sum(
+            xp.act(a), pnext.act(a)), comps)
+        if v.is_zero() and m < x.lo:
+            break
+        pm, counit = ps.free_hull(v)
+        n_x = {o: xp.dims[o] for o in shape.objects}
+        pis[m] = ps.PresheafMap(pm, xp, {
+            o: incl[o].submatrix(range(n_x[o]), range(v.dims[o]))
+            * counit.comps[o] for o in shape.objects})
+        p_diffs[m] = ps.PresheafMap(pm, pnext, {
+            o: incl[o].submatrix(range(n_x[o], n_x[o] + pnext.dims[o]),
+                                 range(v.dims[o])) * counit.comps[o]
+            for o in shape.objects})
+        p_terms[m] = pm
+        m -= 1
+    return p_terms, p_diffs, pis
+
+
+@pytest.mark.parametrize("field", ACTION_FIELDS, ids=repr)
+def test_resolution_step_matches_the_counit_reference(field):
+    r = gen.rng_for(32)
+    steps = 0
+    for shape in ACTION_SHAPES:
+        inputs = [cx.stalk(build()) for build in _routes(r, field, shape)[1:3]]
+        inputs += [cx.stalk(gen.rand_presheaf(r, field, shape, max_parts=3))
+                   for _ in range(2)]
+        inputs += [gen.rand_complex(r, field, shape, lo=-1, hi=1,
+                                    max_parts=2) for _ in range(2)]
+        for x in inputs:
+            if x.is_zero():
+                continue
+            p, rho = cx.proj_resolution(_stripped_complex(x))
+            terms, diffs, pis = _step_reference(_stripped_complex(x))
+            assert sorted(terms) == list(p.degrees())
+            for m, t in terms.items():
+                assert p.term(m).free_parts == t.free_parts
+                for a in shape.nonidentity_arrows():
+                    assert _same(p.term(m).act(a), t.act(a))
+                for o in shape.objects:
+                    assert _same(rho.comp(m).comps[o], pis[m].comps[o])
+                    if m + 1 in terms:
+                        assert _same(p.diff(m).comps[o], diffs[m].comps[o])
+                steps += 1
+    assert steps >= 20
