@@ -9,13 +9,11 @@ so that every basis is reproducible bit for bit.
 
 Elimination has one path per kind of field, chosen in rref and
 pivot_columns:
-  * F_2: rows are stored as Python ints (one bit per column) and
-    elimination is XOR; this is what keeps the coherence-lifting suites
-    inside their time budget;
   * Q: each row is scaled to primitive integers and eliminated
     fraction-free, the content of every new row divided out; pivot rows
     go back to Fractions, divided by their pivots, only at the end;
-  * F_p: entries are ints in [0, p), with field arithmetic.
+  * F_p: entries are ints in [0, p), reduced mod p inline, with one
+    inverse per pivot.
 
 Products over Q likewise scale each row and column to integers over its
 common denominator and build one Fraction per entry.
@@ -73,11 +71,10 @@ def _is_prime(n):
 class Field:
     """An exact field: F_p for a prime p, or the rationals Q.
 
-    is_gf2 selects the bit-packed F_2 routines of this module.  zero and
-    one are immutable scalars, built once per field.
+    zero and one are immutable scalars, built once per field.
     """
 
-    __slots__ = ("kind", "p", "is_gf2", "zero", "one", "_hash")
+    __slots__ = ("kind", "p", "zero", "one", "_hash")
 
     def __init__(self, kind, p=None):
         if kind == "prime":
@@ -89,7 +86,6 @@ class Field:
         else:
             raise ValueError("unknown field kind %r" % (kind,))
         self.kind = kind
-        self.is_gf2 = kind == "prime" and p == 2
         self.zero = Fraction(0) if kind == "rationals" else 0
         self.one = Fraction(1) if kind == "rationals" else 1
         self._hash = hash((kind, self.p))
@@ -123,9 +119,9 @@ class Field:
         return -a if self.kind == "rationals" else (-a) % self.p
 
     def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError
         if self.kind == "rationals":
-            if a == 0:
-                raise ZeroDivisionError
             return 1 / Fraction(a)
         return pow(a, self.p - 2, self.p)
 
@@ -245,16 +241,6 @@ class Matrix:
         f = self.field
         if not (self.rows and other.cols):
             return Matrix.zeros(f, self.rows, other.cols)
-        if f.is_gf2:
-            bits = _to_bits(other)
-            out = []
-            for row in self.entries:
-                acc = 0
-                for a, b in zip(row, bits):
-                    if a:
-                        acc ^= b
-                out.append(acc)
-            return _from_bits(f, out, self.rows, other.cols)
         if f.kind == "rationals":
             return _mul_rational(self, other)
         p = f.p
@@ -339,77 +325,32 @@ def _check_same_shape(a, b):
         raise ValueError("shape mismatch")
 
 
-# --- F_2 bitset representation -------------------------------------------
-
-def _pack(vec):
-    """An F_2 vector as an integer, bit j = entry j."""
-    acc = 0
-    for j, v in enumerate(vec):
-        if v:
-            acc |= 1 << j
-    return acc
-
-
-def _to_bits(m):
-    """Rows of an F_2 matrix as integers, bit j = column j."""
-    return [_pack(row) for row in m.entries]
-
-def _from_bits(field, bits, rows, cols):
-    return Matrix(field, rows, cols,
-                  [[(b >> j) & 1 for j in range(cols)] for b in bits])
-
-
-def _rref_bits(bits, cols):
-    """In-place reduced row echelon over F_2. Returns pivot column list."""
-    pivots = []
-    r = 0
-    nrows = len(bits)
-    for c in range(cols):
-        mask = 1 << c
-        pivot = -1
-        for i in range(r, nrows):
-            if bits[i] & mask:
-                pivot = i
-                break
-        if pivot < 0:
-            continue
-        bits[r], bits[pivot] = bits[pivot], bits[r]
-        row = bits[r]
-        for i in range(nrows):
-            if i != r and (bits[i] & mask):
-                bits[i] ^= row
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def _rref_generic(rows, cols, field):
-    """In-place reduced row echelon form; returns pivot columns."""
+def _rref_prime(rows, cols, field, upward=True):
+    """In-place elimination of rows of ints in [0, p); returns pivot
+    columns.  Each pivot row is scaled to a leading 1 and clears its column
+    in every row below it and, with upward, above it too, leaving the
+    reduced row echelon form."""
+    p = field.p
     pivots = []
     r = 0
     nrows = len(rows)
-    zero = field.zero
     for c in range(cols):
         pivot = -1
         for i in range(r, nrows):
-            if rows[i][c] != zero:
+            if rows[i][c]:
                 pivot = i
                 break
         if pivot < 0:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != field.one:
-            rows[r] = [field.mul(inv, v) for v in rows[r]]
         prow = rows[r]
-        for i in range(nrows):
-            if i != r:
-                factor = rows[i][c]
-                if factor != zero:
-                    rows[i] = [field.sub(a, field.mul(factor, b))
-                               for a, b in zip(rows[i], prow)]
+        if prow[c] != 1:
+            inv = field.inv(prow[c])
+            prow = rows[r] = [inv * v % p for v in prow]
+        for i in range(0 if upward else r + 1, nrows):
+            a = rows[i][c]
+            if a and i != r:
+                rows[i] = [(x - a * y) % p for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -479,31 +420,26 @@ def rref(m):
     f = m.field
     if not (m.rows and m.cols):
         return Matrix.zeros(f, m.rows, m.cols), ()
-    if f.is_gf2:
-        bits = _to_bits(m)
-        pivots = _rref_bits(bits, m.cols)
-        return _from_bits(f, bits, m.rows, m.cols), tuple(pivots)
     if f.kind == "rationals":
         rows = _integer_rows(m)
         pivots = _rref_int(rows, m.cols)
         return (Matrix(f, m.rows, m.cols, _unscale(f, rows, pivots, m.cols)),
                 tuple(pivots))
     rows = [list(r) for r in m.entries]
-    pivots = _rref_generic(rows, m.cols, f)
+    pivots = _rref_prime(rows, m.cols, f)
     return Matrix(f, m.rows, m.cols, rows), tuple(pivots)
 
 
 def pivot_columns(m):
     """The pivot columns of rref(m): the columns outside the span of the
-    columns before them.  Over Q the elimination runs downward only."""
+    columns before them.  The elimination runs downward only."""
     f = m.field
     if not (m.rows and m.cols):
         return ()
-    if f.is_gf2:
-        return tuple(_rref_bits(_to_bits(m), m.cols))
     if f.kind == "rationals":
         return tuple(_rref_int(_integer_rows(m), m.cols, upward=False))
-    return tuple(_rref_generic([list(r) for r in m.entries], m.cols, f))
+    return tuple(_rref_prime([list(r) for r in m.entries], m.cols, f,
+                             upward=False))
 
 
 def rank(m):
@@ -648,29 +584,15 @@ def flatten_matrix(m):
     return Matrix(m.field, m.rows * m.cols, 1, ent)
 
 
-def pack_columns(field, cols):
-    """Fixed vectors (tuples of scalars) in the form is_combination reads;
-    over F_2 each vector is packed into an int."""
-    if field.is_gf2:
-        return tuple(_pack(col) for col in cols)
-    return tuple(cols)
-
-
-def is_combination(field, packed, coords, vec):
-    """Whether sum_k coords[k] * packed[k] equals vec (a list of scalars),
-    for packed vectors from pack_columns."""
-    if field.is_gf2:
-        acc = 0
-        for c, m in zip(coords, packed):
-            if c:
-                acc ^= m
-        return acc == _pack(vec)
-    z = field.zero
-    recon = [z] * len(vec)
-    for c, col in zip(coords, packed):
-        if c == z:
-            continue
-        for idx, v in enumerate(col):
-            if v != z:
-                recon[idx] = field.add(recon[idx], field.mul(c, v))
+def is_combination(field, columns, coords, vec):
+    """Whether sum_k coords[k] * columns[k] equals vec (a list of
+    scalars), for columns given as tuples of scalars."""
+    recon = [0] * len(vec)
+    for c, col in zip(coords, columns):
+        if c:
+            for idx, v in enumerate(col):
+                if v:
+                    recon[idx] += c * v
+    if field.kind == "prime":
+        recon = [v % field.p for v in recon]
     return recon == vec

@@ -646,16 +646,17 @@ def _unknown_offsets(f, g):
 class HomBasis:
     """The basis of Hom(F, G) by its free columns.  Subclasses build the
     basis maps, on first read, and the map with given coordinates, not
-    all zero."""
+    all zero.  _columns holds the basis vectors flattened, as the span
+    check reads them."""
 
-    __slots__ = ("source", "target", "free", "_basis", "_packed")
+    __slots__ = ("source", "target", "free", "_basis", "_columns")
 
     def __init__(self, f, g, free):
         self.source = f
         self.target = g
         self.free = free
         self._basis = None
-        self._packed = None
+        self._columns = None
 
     def __len__(self):
         return len(self.free)
@@ -679,10 +680,10 @@ class HomBasis:
         if not self.free:
             return [] if all(v == field.zero for v in flat) else None
         coords = [flat[c] for c in self.free]
-        if self._packed is None:
-            self._packed = linalg.pack_columns(field, tuple(
-                _flatten(self.source, b) for b in self.basis))
-        if not linalg.is_combination(field, self._packed, coords, flat):
+        if self._columns is None:
+            self._columns = tuple(_flatten(self.source, b)
+                                  for b in self.basis)
+        if not linalg.is_combination(field, self._columns, coords, flat):
             return None
         return coords
 
@@ -691,19 +692,18 @@ class KernelBasis(HomBasis):
     """The kernel basis of the naturality system, its vectors given as
     flattened columns."""
 
-    __slots__ = ("columns",)
+    __slots__ = ()
 
     def __init__(self, f, g, free, columns):
         super().__init__(f, g, free)
-        self.columns = columns
-        self._packed = linalg.pack_columns(f.field, columns)
+        self._columns = columns
 
     def _build_basis(self):
         f, g = self.source, self.target
         field = f.field
         offsets, _ = _unknown_offsets(f, g)
         out = []
-        for col in self.columns:
+        for col in self._columns:
             comps = {}
             for x in f.shape.objects:
                 r, c, off = g.dims[x], f.dims[x], offsets[x]

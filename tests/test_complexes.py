@@ -3,6 +3,7 @@ lifting solvers, against hand-derived oracles over Δ1."""
 
 import gc
 import inspect
+import itertools
 import sys
 import weakref
 from fractions import Fraction
@@ -137,6 +138,33 @@ def test_ext_vanishes_negative_for_stalks():
     s1 = cx.stalk(simple(F2, d1, 1))
     for n in (-1, -2, -3):
         assert cx.ext(s0, s1, n)[0] == 0
+
+
+# The 6-vertex real projective plane: ten triangles on vertices 1..6.
+RP2_TRIANGLES = ("123", "134", "145", "156", "162", "235", "346", "452",
+                 "563", "624")
+
+
+@pytest.mark.parametrize("field, dims", [(F2, [0, 0, 0, 1, 1, 0]),
+                                         (F3, [0] * 6), (QQ, [0] * 6)],
+                         ids=repr)
+def test_ext_across_the_face_poset_of_rp2_depends_on_the_characteristic(
+        field, dims):
+    # Over the face poset of a simplicial complex with a bottom and a top
+    # added, Ext^n(S_bot, S_top) is the reduced cohomology H̃^{n-2} of the
+    # complex; H̃^*(RP², k) is k in degrees 1 and 2 when char k = 2, else 0.
+    faces = {frozenset()}
+    for t in RP2_TRIANGLES:
+        faces |= {frozenset(map(int, s)) for k in (1, 2, 3)
+                  for s in itertools.combinations(t, k)}
+    faces = sorted(faces, key=lambda s: (len(s), sorted(s)))
+    faces.append(frozenset(range(1, 7)))
+    shape = diagram.poset_category(range(len(faces)),
+                                   lambda a, b: faces[a] <= faces[b])
+    assert len(shape.objects) == 33
+    bot = cx.stalk(simple(field, shape, 0))
+    top = cx.stalk(simple(field, shape, 32))
+    assert [cx.ext(bot, top, n)[0] for n in range(6)] == dims
 
 
 def test_proj_resolution_is_free_and_quasi_iso():

@@ -1,7 +1,8 @@
-"""Exact linear algebra: hand-checked oracles plus cross-checks between
-the bit-packed F_2 path and the generic elimination."""
+"""Exact linear algebra: hand-checked oracles plus cross-checks of the
+elimination over F_p and over Q against textbook Gauss-Jordan."""
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -21,6 +22,9 @@ def test_field_arithmetic():
     assert F5.neg(1) == 4
     assert QQ.inv(Fraction(3, 2)) == Fraction(2, 3)
     assert F5.of_int(-1) == 4
+    for field in (F2, F3, F5, QQ):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(field.zero)
 
 
 def test_field_rejects_composite_modulus():
@@ -91,32 +95,6 @@ def test_solve_oracle():
     assert [list(r) for r in x.entries] == [[Fraction(1, 2)], [Fraction(1, 3)]]
     # inconsistent system
     assert linalg.solve(mat(QQ, [[1], [1]]), mat(QQ, [[1], [2]])) is None
-
-
-def test_f2_fast_path_matches_generic():
-    import random
-    r = random.Random(0)
-    F3 = Field("prime", 3)
-    for _ in range(25):
-        rows = r.randint(0, 5)
-        cols = r.randint(0, 5)
-        ent = [[r.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
-        m2 = Matrix(F2, rows, cols, ent)
-        m3 = Matrix(F3, rows, cols, [[e for e in row] for row in ent])
-        # ranks agree for 0/1 matrices only when no carries occur, so
-        # compare against rational rank of the same 0/1 matrix instead
-        mq = Matrix(QQ, rows, cols,
-                    [[Fraction(e) for e in row] for row in ent])
-        kq = cols - linalg.rank(mq)
-        k2 = linalg.kernel_basis(m2).cols
-        assert k2 >= kq - (0 if rows == 0 else 0)
-        # kernel columns verify against the matrix (exact check)
-        basis = linalg.kernel_basis(m2)
-        prod = m2 * basis
-        assert all(e == 0 for row in prod.entries for e in row)
-        basis3 = linalg.kernel_basis(m3)
-        prod3 = m3 * basis3
-        assert all(e == 0 for row in prod3.entries for e in row)
 
 
 def test_image_basis_spans_columns():
@@ -295,6 +273,95 @@ def _reference_rref(m):
     return rows, pivots
 
 
+def _reference_rref_mod_p(m):
+    """Textbook Gauss-Jordan over F_p on plain ints, as _reference_rref:
+    the pivot is scaled to 1 by an inverse found by search."""
+    p = m.field.p
+    rows = [list(r) for r in m.entries]
+    pivots, r = [], 0
+    for c in range(m.cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = next(y for y in range(1, p) if rows[r][c] * y % p == 1)
+        rows[r] = [v * lead % p for v in rows[r]]
+        for i in range(len(rows)):
+            factor = rows[i][c]
+            if i != r and factor:
+                rows[i] = [(a - factor * b) % p
+                           for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _assert_elimination_matches(m, b, reference):
+    """rref, rank, pivot_columns, kernel_basis_and_free and solve of m
+    agree with reference, a textbook Gauss-Jordan returning (rows,
+    pivots); b is a right-hand side with two columns, the first a column
+    of m."""
+    f, rows, cols = m.field, m.rows, m.cols
+    ref, ref_piv = reference(m)
+    R, pivots = linalg.rref(m)
+    assert pivots == tuple(ref_piv) == linalg.pivot_columns(m)
+    assert [list(row) for row in R.entries] == ref
+    assert linalg.rank(m) == len(ref_piv)
+    free = [c for c in range(cols) if c not in ref_piv]
+    kernel = [[f.one if c == fc else f.zero for c in range(cols)]
+              for fc in free]
+    for v, fc in zip(kernel, free):
+        for pr, pc in enumerate(ref_piv):
+            v[pc] = f.neg(ref[pr][fc])
+    basis, got_free = linalg.kernel_basis_and_free(m)
+    assert got_free == tuple(free)
+    assert [list(col) for col in zip(*basis.entries)] == kernel
+    # every basis column really is in the kernel
+    assert (m * basis).is_zero()
+    aug_ref, aug_piv = reference(linalg.hstack(f, [m, b]))
+    x = linalg.solve(m, b)
+    if any(p >= cols for p in aug_piv):
+        assert x is None
+    else:
+        want = [[f.zero] * 2 for _ in range(cols)]
+        for pr, pc in enumerate(aug_piv):
+            want[pc] = aug_ref[pr][cols:]
+        assert [list(row) for row in x.entries] == want
+    x = linalg.solve(m, b.submatrix(range(rows), [0]))
+    assert x is not None and m * x == b.submatrix(range(rows), [0])
+
+
+def _random_prime(r, field, rows, cols):
+    """A rows x cols matrix over F_p of random rank, some rows zero."""
+    p = field.p
+    k = r.randint(0, min(rows, cols))
+    left = [[r.randrange(p) for _ in range(k)] for _ in range(rows)]
+    right = [[r.randrange(p) for _ in range(cols)] for _ in range(k)]
+    ent = [[sum(map(mul, lr, col)) % p for col in zip(*right)]
+           if right else [0] * cols for lr in left]
+    for i in r.sample(range(rows), rows // 5):
+        ent[i] = [0] * cols
+    return Matrix(field, rows, cols, ent)
+
+
+PRIME_SHAPES = [(1, 1), (1, 6), (6, 1), (2, 2), (4, 9), (9, 4), (12, 12),
+                (25, 8), (8, 25), (30, 45)]
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=repr)
+@pytest.mark.parametrize("rows, cols", PRIME_SHAPES)
+def test_prime_elimination_matches_mod_p_gauss_jordan(field, rows, cols):
+    import random
+    r = random.Random(field.p * 100000 + rows * 1000 + cols)
+    for _ in range(4):
+        m = _random_prime(r, field, rows, cols)
+        b = Matrix(field, rows, 2, [[row[cols - 1], r.randrange(field.p)]
+                                    for row in m.entries])
+        _assert_elimination_matches(m, b, _reference_rref_mod_p)
+        assert all(type(v) is int for row in linalg.rref(m)[0].entries
+                   for v in row)
+
+
 def _random_rational(r, rows, cols):
     """A rows x cols matrix over Q of random rank (at most 10, which keeps
     the reference's Fractions small), with mixed denominators, negative
@@ -322,35 +389,12 @@ def test_rational_elimination_matches_fraction_gauss_jordan(rows, cols):
     r = random.Random(rows * 1000 + cols)
     for _ in range(3):
         m = _random_rational(r, rows, cols)
-        ref, ref_piv = _reference_rref(m)
-        R, pivots = linalg.rref(m)
-        assert pivots == tuple(ref_piv)
-        assert [list(row) for row in R.entries] == ref
-        assert all(type(v) is Fraction for row in R.entries for v in row)
-        assert linalg.rank(m) == len(ref_piv)
-        free = [c for c in range(cols) if c not in ref_piv]
-        kernel = [[Fraction(1) if c == fc else Fraction(0) for c in range(cols)]
-                  for fc in free]
-        for v, fc in zip(kernel, free):
-            for pr, pc in enumerate(ref_piv):
-                v[pc] = -ref[pr][fc]
-        basis, got_free = linalg.kernel_basis_and_free(m)
-        assert got_free == tuple(free)
-        assert [list(col) for col in zip(*basis.entries)] == kernel
         # one consistent right-hand side (a column of m) and one generic
         b = Matrix(QQ, rows, 2, [[row[cols - 1], Fraction(i + 1, 3)]
                                  for i, row in enumerate(m.entries)])
-        aug_ref, aug_piv = _reference_rref(linalg.hstack(QQ, [m, b]))
-        x = linalg.solve(m, b)
-        if any(p >= cols for p in aug_piv):
-            assert x is None
-        else:
-            want = [[Fraction(0)] * 2 for _ in range(cols)]
-            for pr, pc in enumerate(aug_piv):
-                want[pc] = aug_ref[pr][cols:]
-            assert [list(row) for row in x.entries] == want
-        x = linalg.solve(m, b.submatrix(range(rows), [0]))
-        assert x is not None and m * x == b.submatrix(range(rows), [0])
+        _assert_elimination_matches(m, b, _reference_rref)
+        assert all(type(v) is Fraction for row in linalg.rref(m)[0].entries
+                   for v in row)
 
 
 def _textbook_product(a, b):

@@ -64,7 +64,6 @@ def test_hom_coordinates_round_trip():
 
 @pytest.mark.parametrize("field", [F2, F3, Field("rationals")], ids=repr)
 def test_hom_coordinates_of_unnatural_map(field):
-    # the F_2 span check runs on packed bits, the others on scalars
     p0 = ps.free_at(field, diagram.delta(1), 1, 0)
     bad = ps.PresheafMap(p0, p0, {0: Matrix.identity(field, 1),
                                   1: Matrix.zeros(field, 1, 1)})
