@@ -380,10 +380,14 @@ def is_quasi_iso(f):
 def proj_resolution(x):
     """A complex of recorded free presheaves with a quasi-isomorphism onto x.
 
-    Built from the top degree down: at each degree take the free hull of
-    the pullback V = {(ξ, η) ∈ X^m ⊕ P^{m+1} : dξ = πη, dη = 0}.  Below
-    the bottom of x this computes iterated syzygies, so the construction
-    stops within max_chain_length extra degrees.  At most
+    Built from the top degree down: at each degree m take the free cover
+    P^m → V of the pullback V = {(ξ, η) ∈ X^m ⊕ P^{m+1} : dξ = πη, dη = 0}.
+    Nothing lies above x^hi, so the first V is x^hi itself.  Below the
+    bottom of x, V is the kernel of the cover above it (iterated
+    syzygies), so the first cover at or below x.lo with the dimensions of
+    its V is bijective and ends the resolution, within max_chain_length
+    extra degrees.  That rule trusts each cover to be onto; the final
+    quasi-isomorphism check catches one that is not.  At most
     COMPLEX_CACHE_SIZE results are kept, so Ext computations against a
     recent source share one resolution.
     """
@@ -391,18 +395,21 @@ def proj_resolution(x):
     if x.is_zero() or all(x.term(p).free_parts is not None for p in x.degrees()):
         return x, identity_chain_map(x)
     bound = diagram.max_chain_length(shape)
-    p_terms, p_diffs, pis = {}, {}, {}
-    m = x.hi
-    while True:
-        if m < x.lo - bound - 2:
+    # nothing lies above x^hi: V is x^hi with the identity inclusion, so
+    # π^hi is its cover's counit and d^hi maps into the zero presheaf
+    m, v = x.hi, x.term(x.hi)
+    pm, values = ps.free_cover(v)
+    p_terms = {m: pm}
+    pis = {m: ps.free_map_to(pm, v, values)}
+    p_diffs = {m: ps.zero_map(pm, ps.zero_presheaf(field, shape))}
+    # at or below x.lo, X^{m-1} is zero, so the next V is the kernel of
+    # the cover P^m → V: zero iff the cover is bijective
+    while m > x.lo or pm.dims != v.dims:
+        m -= 1
+        if m < x.lo - bound - 1:
             raise AssertionError("resolution exceeded its width bound")
-        xp = x.term(m)
-        if m + 1 in p_terms:
-            pnext, pi_next, d_next = p_terms[m + 1], pis[m + 1], p_diffs[m + 1]
-        else:   # the first step, above every term built so far
-            pnext = ps.zero_presheaf(field, shape)
-            pi_next = ps.zero_map(pnext, x.term(m + 1))
-            d_next = ps.zero_map(pnext, pnext)
+        xp, pnext = x.term(m), p_terms[m + 1]
+        pi_next, d_next = pis[m + 1], p_diffs[m + 1]
         dx = x.diff(m)
         comps = {o: linalg.block(field, [
             [dx.comps[o], -pi_next.comps[o]],
@@ -419,8 +426,6 @@ def proj_resolution(x):
             def act(a):
                 return linalg.direct_sum(xp.act(a), pnext.act(a))
         v, incl = ps.kernel_of(field, shape, act, comps)
-        if v.is_zero() and m < x.lo:
-            break
         # π and d are the maps out of P^m whose value at a generator is its
         # value in V read through V's inclusion: ι_j·V(g) = (X^m ⊕
         # P^{m+1})(g)·ι_i, so they are ι·counit without building it
@@ -432,10 +437,8 @@ def proj_resolution(x):
         p_diffs[m] = ps.free_map_to(pm, pnext, [
             w.submatrix(range(n, w.rows), range(w.cols)) for n, w in ws])
         p_terms[m] = pm
-        m -= 1
-    pcx = Complex(field, shape, p_terms,
-                  {p: d for p, d in p_diffs.items() if p + 1 in p_terms})
-    rho = ChainMap(pcx, x, {p: pis[p] for p in p_terms if p in pis})
+    pcx = Complex(field, shape, p_terms, p_diffs)
+    rho = ChainMap(pcx, x, pis)
     if not is_quasi_iso(rho):
         raise AssertionError("resolution comparison map is not a quasi-isomorphism")
     return pcx, rho

@@ -2,6 +2,7 @@
 lifting solvers, against hand-derived oracles over Δ1."""
 
 import gc
+import hashlib
 import inspect
 import itertools
 import sys
@@ -194,6 +195,126 @@ def test_resolution_memo_stays_at_its_bound_and_recomputes_equal():
     again = cx.proj_resolution(x)
     assert cx.proj_resolution.cache_info().misses == info.misses + 1
     assert again == first and again[0] is not first[0]
+
+
+def _unrecorded_free(r, field, shape):
+    """A free presheaf rebuilt from its generators without free_parts, so
+    that proj_resolution resolves it for real."""
+    f = ps.direct_sum_many(field, shape, [
+        ps.free_at(field, shape, r.randint(1, 2), r.choice(shape.objects))
+        for _ in range(3)])
+    return ps.Presheaf(field, shape, f.dims, {
+        a: f.act(a) for a in shape.indecomposable_arrows()})
+
+
+def _count_kernels(monkeypatch):
+    calls = []
+    kernel_of = ps.kernel_of
+
+    def counting(*args):
+        calls.append(args)
+        return kernel_of(*args)
+    monkeypatch.setattr(ps, "kernel_of", counting)
+    return calls
+
+
+@pytest.mark.parametrize("field", [F2, F5, QQ], ids=repr)
+def test_a_free_stalk_resolves_to_its_own_cover_without_a_kernel(
+        monkeypatch, field):
+    # the first term is the free cover of the top term, and a bijective
+    # cover at the bottom ends the resolution: a free stalk takes no kernel,
+    # and every other stalk one kernel per term below its first
+    r = gen.rng_for(63)
+    poset = gen.rand_poset(r, 4)
+    assert len(poset.objects) == 4
+    resolve = cx.proj_resolution.__wrapped__    # no memo hit skips the work
+    longest = 0
+    for shape in (diagram.cube(3), poset):
+        f = _unrecorded_free(r, field, shape)
+        kernels = _count_kernels(monkeypatch)
+        p, rho = resolve(cx.stalk(f))
+        assert kernels == []
+        cover = ps.free_cover(f)[0]
+        assert tuple(p.degrees()) == (0,)
+        assert p.term(0) == cover and p.term(0).free_parts == cover.free_parts
+        assert rho.comp(0) == ps.free_hull(f)[1]
+        for at in shape.objects:
+            kernels = _count_kernels(monkeypatch)
+            p, _ = resolve(cx.stalk(simple(field, shape, at)))
+            assert len(kernels) == len(p.degrees()) - 1
+            longest = max(longest, len(p.degrees()))
+    assert longest >= 3
+
+
+def test_a_cover_that_is_not_onto_fails_the_final_check(monkeypatch):
+    # the stop rule reads only dimensions; a cover with one column of one
+    # value zeroed keeps them, at any step, and the final check refuses it
+    free_cover = ps.free_cover
+    field, shape = F5, diagram.cube(3)
+    resolve = cx.proj_resolution.__wrapped__
+    bottom = cx.stalk(simple(field, shape, shape.objects[0]))
+    steps = len(resolve(bottom)[0].degrees())
+    assert steps >= 3
+    free = cx.stalk(_unrecorded_free(gen.rng_for(64), field, shape))
+    for x, lossy_call in [(free, 0)] + [(bottom, k) for k in range(steps)]:
+        calls = []
+
+        def lossy(f):
+            pf, values = free_cover(f)
+            if len(calls) == lossy_call:
+                val = values[0]
+                values = [Matrix(field, val.rows, val.cols, [
+                    (field.zero,) + row[1:] for row in val.entries])
+                ] + values[1:]
+            calls.append(f)
+            return pf, values
+        monkeypatch.setattr(ps, "free_cover", lossy)
+        with pytest.raises(AssertionError, match="not a quasi-isomorphism"):
+            resolve(x)
+
+
+def test_the_width_bound_admits_the_same_resolutions(monkeypatch):
+    # the simple at the bottom of the square is resolved in three terms,
+    # two below it; the guard allows one term more than max_chain_length
+    # below the bottom of x, and raises past that
+    resolve = cx.proj_resolution.__wrapped__
+    x = cx.stalk(simple(F2, diagram.cube(2), (0, 0)))
+    assert resolve(x)[0].lo == -2
+    monkeypatch.setattr(diagram, "max_chain_length", lambda shape: 1)
+    assert resolve(x)[0].lo == -2
+    monkeypatch.setattr(diagram, "max_chain_length", lambda shape: 0)
+    with pytest.raises(AssertionError, match="width bound"):
+        resolve(x)
+
+
+def _resolution_corpus():
+    r = gen.rng_for(27)
+    shapes = (diagram.cube(3),
+              diagram.product(diagram.delta(2), diagram.delta(2)),
+              gen.rand_poset(r, 4))
+    for shape in shapes:
+        for field in (F2, F5, QQ):
+            yield cx.stalk(_unrecorded_free(r, field, shape))
+            for _ in range(4):
+                yield cx.stalk(gen.rand_presheaf(r, field, shape, max_parts=3))
+            yield cx.stalk(simple(field, shape, r.choice(shape.objects)))
+            for _ in range(2):
+                yield gen.rand_complex(r, field, shape)
+
+
+def test_resolutions_keep_their_bits():
+    # a digest of every term with its free parts, every differential and
+    # every component of ρ; it does not depend on PYTHONHASHSEED
+    digest = hashlib.sha256()
+    for x in _resolution_corpus():
+        p, rho = cx.proj_resolution.__wrapped__(x)
+        digest.update(repr((
+            [(n, p.term(n)._data(), p.term(n).free_parts)
+             for n in p.degrees()],
+            [(n, p.diff(n)._data()) for n in range(p.lo, p.hi)],
+            [(n, rho.comp(n)._data()) for n in p.degrees()])).encode())
+    assert digest.hexdigest() == (
+        "7ab008f63830d0a92067ea5bf459be00231cd3ab0f04b5960cd17d8e9913e770")
 
 
 def test_a_dropped_hom_complex_is_freed_without_the_collector():
