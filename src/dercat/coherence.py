@@ -11,8 +11,6 @@ negative-degree Homs between the values) guarantee every system is
 solvable; failures after a passing check are invariant violations.
 """
 
-from functools import lru_cache
-
 from . import linalg
 from .linalg import Matrix
 from . import diagram
@@ -45,6 +43,9 @@ class IncoherentDiagram:
         if len(fields) != 1:
             raise ValueError("values live over different fields")
         self.field = fields.pop()
+        # what equality ignores, for memo keys
+        self.recorded = (shape.recorded, base.recorded,
+                         tuple(self.values[i].recorded for i in shape.objects))
 
     def value(self, i):
         return self.values[i]
@@ -229,8 +230,7 @@ def _face_map(icat, base, prod, layer_l, layer_prev, resolutions, arrow_lifts,
                     deg, chain_index_prev[merged])))
             last_sign = field.one if length % 2 == 0 else sign_minus
             rhead = resolutions[icat.src[arrows[-1]]].term(deg)
-            lift_vals = ps.free_values_of(arrow_lifts[arrows[-1]].comp(deg),
-                                          src=resolutions[end].term(deg))
+            lift_vals = ps.free_values_of(arrow_lifts[arrows[-1]].comp(deg))
             for lp, (v, mm) in enumerate(rparts):
                 at = (start, mm)
                 pos = {key: (o, w)
@@ -298,10 +298,8 @@ class _LiftData:
     """Internal record kept per lift so that morphisms can descend through
     the same tower."""
 
-    def __init__(self, prod, resolutions, res_maps, layers, stage_maps, lift,
-                 cert):
+    def __init__(self, prod, res_maps, layers, stage_maps, lift, cert):
         self.prod = prod
-        self.resolutions = resolutions
         self.res_maps = res_maps
         self.layers = layers
         self.stage_maps = stage_maps
@@ -319,7 +317,7 @@ def lift_object(f):
     return data.lift, data.cert
 
 
-@lru_cache(maxsize=LIFT_CACHE_SIZE)
+@diagram.memo(LIFT_CACHE_SIZE)
 def _lift_data(f):
     f.validate()
     icat, base, field = f.shape, f.base, f.field
@@ -363,8 +361,7 @@ def _lift_data(f):
     lift = cx.cone(phi)
 
     cert = _certify(f, prod, lift, layers[0], resolutions, res_maps)
-    return _LiftData(prod, resolutions, res_maps, layers, stage_maps, lift,
-                     cert)
+    return _LiftData(prod, res_maps, layers, stage_maps, lift, cert)
 
 
 def _lift_discrete(f, prod):
@@ -391,7 +388,7 @@ def _lift_discrete(f, prod):
             dv.fiber_complex(lift, i), f.values[i],
             lambda p, m: Matrix.identity(field, f.values[i].term(p).dims[m]))
     cert = LiftCertificate(lift, f, fiber_maps, {})
-    return _LiftData(prod, {}, {}, [], [], lift, cert)
+    return _LiftData(prod, {}, [], [], lift, cert)
 
 
 def _certify(f, prod, lift, layer0, resolutions, res_maps):
@@ -515,9 +512,8 @@ def lift_morphism(f, g, phi):
         for (start, _, end), pf, pg in zip(lf.chains, lf.pieces,
                                            lg.pieces):
             ff = dv.fiber_functor(prod, start)
-            pieces.append(dv.transport_chain_map(
-                ff, comp_lifts[end], pg, src_t=pf,
-                src_rec=df.resolutions[end], tgt_rec=dg.resolutions[end]))
+            pieces.append(dv.transport_chain_map(ff, comp_lifts[end], pg,
+                                                 src_t=pf))
         layer_maps.append(_block_diagonal(lf.complex, lg.complex, pieces))
     max_len = len(df.layers) - 1
     psi = layer_maps[max_len]

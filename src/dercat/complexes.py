@@ -8,7 +8,6 @@ cone differential is [[−d_X, 0], [f, d_Y]].
 """
 
 from collections.abc import Sequence
-from functools import lru_cache
 from types import MappingProxyType
 
 from . import linalg
@@ -27,10 +26,12 @@ class Complex:
     terms maps degrees to presheaves, diffs maps p to d^p : X^p → X^{p+1}.
     Degrees outside [lo, hi] read as zero; leading/trailing zero terms are
     trimmed at construction so equal complexes compare equal.  terms and
-    diffs are read-only.
+    diffs are read-only.  recorded is what equality ignores, the shape's
+    and each term's, for memo keys.
     """
 
-    __slots__ = ("field", "shape", "lo", "hi", "terms", "diffs", "_hash")
+    __slots__ = ("field", "shape", "lo", "hi", "terms", "diffs", "recorded",
+                 "_zero", "_hash")
 
     def __init__(self, field, shape, terms, diffs, validate=False):
         degrees = sorted(p for p, t in terms.items() if not t.is_zero())
@@ -40,11 +41,14 @@ class Complex:
             self.lo, self.hi = 0, -1
         self.field = field
         self.shape = shape
+        self._zero = ps.zero_presheaf(field, shape)
         kept = {p: terms[p] for p in terms if self.lo <= p <= self.hi}
         for p in range(self.lo, self.hi + 1):
             if p not in kept:
-                kept[p] = ps.zero_presheaf(field, shape)
+                kept[p] = self._zero
         self.terms = MappingProxyType(kept)
+        self.recorded = (shape.recorded, tuple(kept[p].recorded
+                                               for p in self.degrees()))
         self.diffs = MappingProxyType({p: diffs[p] for p in diffs
                                        if self.lo <= p < self.hi})
         self._hash = None
@@ -52,8 +56,7 @@ class Complex:
             self.validate()
 
     def term(self, p):
-        t = self.terms.get(p)
-        return t if t is not None else ps.zero_presheaf(self.field, self.shape)
+        return self.terms.get(p, self._zero)
 
     def diff(self, p):
         d = self.diffs.get(p)
@@ -376,7 +379,7 @@ def is_quasi_iso(f):
 # --- projective resolution of complexes -------------------------------------
 
 
-@lru_cache(maxsize=COMPLEX_CACHE_SIZE)
+@diagram.memo(COMPLEX_CACHE_SIZE)
 def proj_resolution(x):
     """A complex of recorded free presheaves with a quasi-isomorphism onto x.
 
@@ -624,7 +627,7 @@ class HomComplex:
         return out
 
 
-@lru_cache(maxsize=COMPLEX_CACHE_SIZE)
+@diagram.memo(COMPLEX_CACHE_SIZE)
 def hom_complex(x, y):
     return HomComplex(x, y)
 

@@ -27,16 +27,16 @@ def transport_presheaf(u, p):
         ps.free_at(p.field, u.target, v, u.obj_map[i]) for (v, i) in p.free_parts])
 
 
-def transport_free_map(u, phi, src_t, tgt_t, p, q):
+def transport_free_map(u, phi, src_t, tgt_t):
     """u_! : src_t → tgt_t of a map φ between recorded free presheaves.
 
     Each adjunct value decomposes into blocks indexed by arrows g of the
     source shape; the transported value places block g at position u(g),
-    summing when u identifies arrows.  p/q are recorded-free models of φ's
-    endpoints, since φ may come out of a cache that dropped them.
+    summing when u identifies arrows.
     """
+    p, q = phi.source, phi.target
     field = p.field
-    vals = ps.free_values_of(phi, src=p)
+    vals = ps.free_values_of(phi)
     new_vals = []
     for k, (v, i) in enumerate(p.free_parts):
         val = vals[k]
@@ -62,24 +62,18 @@ def transport_free_map(u, phi, src_t, tgt_t, p, q):
 def transport_complex(u, x):
     """u_! of a complex of recorded free presheaves."""
     terms = {p: transport_presheaf(u, x.term(p)) for p in x.degrees()}
-    diffs = {p: transport_free_map(u, x.diff(p), terms[p], terms[p + 1],
-                                   x.term(p), x.term(p + 1))
+    diffs = {p: transport_free_map(u, x.diff(p), terms[p], terms[p + 1])
              for p in range(x.lo, x.hi)}
     return cx.Complex(x.field, u.target, terms, diffs)
 
 
-def transport_chain_map(u, f, tgt_t, src_t=None, src_rec=None,
-                        tgt_rec=None):
-    src_rec = src_rec if src_rec is not None else f.source
-    tgt_rec = tgt_rec if tgt_rec is not None else f.target
+def transport_chain_map(u, f, tgt_t, src_t=None):
     if src_t is None:
-        src_t = transport_complex(u, src_rec)
+        src_t = transport_complex(u, f.source)
     return cx.ChainMap(src_t, tgt_t,
                        {p: transport_free_map(u, f.comp(p), src_t.term(p),
-                                              tgt_t.term(p),
-                                              src_rec.term(p),
-                                              tgt_rec.term(p))
-                        for p in src_rec.degrees()})
+                                              tgt_t.term(p))
+                        for p in f.source.degrees()})
 
 
 def adjunct_chain_map(u, phi, target, src_t=None):
@@ -90,7 +84,7 @@ def adjunct_chain_map(u, phi, target, src_t=None):
         src_t = transport_complex(u, p)
     comps = {}
     for deg in p.degrees():
-        vals = ps.free_values_of(phi.comp(deg), src=p.term(deg))
+        vals = ps.free_values_of(phi.comp(deg))
         comps[deg] = ps.free_map_to(src_t.term(deg), target.term(deg), vals)
     return cx.ChainMap(src_t, target, comps)
 

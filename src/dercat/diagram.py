@@ -11,12 +11,35 @@ cycles through distinct objects.
 
 A category is never changed once the function that builds it returns,
 so the standard shapes, products and opposites are built once and shared
-(each memo keeps at most SHAPE_CACHE_SIZE).
+(each memo keeps at most SHAPE_CACHE_SIZE).  Every memo above linalg is
+a `memo`, keyed by the arguments and by what their equality ignores,
+their `recorded` structure, so an answer depends on its arguments alone
+and not on which equal value was asked for first.
 """
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 SHAPE_CACHE_SIZE = 256
+
+
+def memo(maxsize):
+    """Share a function's results between calls whose arguments are equal
+    and record the same structure: the key is the arguments and each
+    one's `recorded`, None for a plain argument.  At most maxsize results
+    are kept; the least recently used is dropped and recomputed when
+    asked for again."""
+    def wrap(fn):
+        cached = lru_cache(maxsize=maxsize)(lambda args, _: fn(*args))
+
+        @wraps(fn)
+        def call(*args):
+            # a list comprehension, as a generator costs more per call
+            return cached(args, tuple([getattr(a, "recorded", None)
+                                       for a in args]))
+        call.cache_info = cached.cache_info
+        call.cache_clear = cached.cache_clear
+        return call
+    return wrap
 
 
 class FinCat:
@@ -56,8 +79,10 @@ class FinCat:
         self._factorizations = None
         self._factor_of = None
         self._max_chain = None
-        # optional structure set by constructors
+        # optional structure set by constructors; recorded is what
+        # equality ignores of it, for memo keys
         self.product_of = None
+        self.recorded = None
         self.pair_of = None       # arrow id -> (a, b) when product
         self.pair_arrow = None    # (a, b) -> arrow id when product
         if validate:
@@ -286,18 +311,18 @@ def poset_category(objects, leq):
 # --- standard shapes ------------------------------------------------------
 
 
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+@memo(SHAPE_CACHE_SIZE)
 def terminal_cat():
     return FinCat(("*",), {("*", "*"): ("id@*",)}, {"*": "id@*"}, {})
 
 
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+@memo(SHAPE_CACHE_SIZE)
 def delta(n):
     """The linear poset with objects 0..n and unique arrows j→i for i ≤ j."""
     return poset_category(list(range(n + 1)), lambda a, b: a <= b)
 
 
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+@memo(SHAPE_CACHE_SIZE)
 def cube(n):
     """The n-cube: poset of bit tuples, arrows from larger to smaller."""
     verts = []
@@ -307,26 +332,12 @@ def cube(n):
     return poset_category(verts, lambda a, b: all(x <= y for x, y in zip(a, b)))
 
 
-def shape_key(c):
-    """A hashable key for c that, unlike c itself, also tells apart equal
-    categories with different product structures (which serialize writes
-    and fibres read)."""
-    if c.product_of is None:
-        return (c, None)
-    return (c, tuple(shape_key(f) for f in c.product_of))
-
-
+@memo(SHAPE_CACHE_SIZE)
 def product(i, j):
     """Product category; objects are pairs, arrows are pairs.
 
     The result is shared between calls whose factors are equal and carry
     the same product structure."""
-    return _product(shape_key(i), shape_key(j))
-
-
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _product(i_key, j_key):
-    i, j = i_key[0], j_key[0]
     objects = [(x, y) for x in i.objects for y in j.objects]
     hom = {}
     pair_of = {}
@@ -359,22 +370,18 @@ def _product(i_key, j_key):
                 comp[(pair_arrow[(c, d)], f)] = pair_arrow[(ca, j.compose(d, b))]
     cat = FinCat(objects, hom, identity, comp, validate=False)
     cat.product_of = (i, j)
+    cat.recorded = ((i, i.recorded), (j, j.recorded))
     cat.pair_of = pair_of
     cat.pair_arrow = pair_arrow
     return cat
 
 
+@memo(SHAPE_CACHE_SIZE)
 def opposite(i):
     """Opposite category; arrows keep their identifiers.
 
     The result is shared between calls on equal categories with the same
     product structure."""
-    return _opposite(shape_key(i))
-
-
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _opposite(key):
-    i = key[0]
     hom = {}
     for x in i.objects:
         for y in i.objects:
@@ -432,38 +439,38 @@ def full_subcategory(i, objects):
     return cat, incl
 
 
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+@memo(SHAPE_CACHE_SIZE)
 def square():
     """The commuting square Δ1 × Δ1; vect pictures have (0,0) as the source."""
     return product(delta(1), delta(1))
 
 
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+@memo(SHAPE_CACHE_SIZE)
 def lefthalfcap():
     """⌐: the square minus its (1,1) corner; returns (cat, inclusion into □)."""
     return full_subcategory(square(), [(0, 0), (0, 1), (1, 0)])
 
 
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+@memo(SHAPE_CACHE_SIZE)
 def righthalfcup():
     """⌙: the square minus its (0,0) corner; returns (cat, inclusion into □)."""
     return full_subcategory(square(), [(0, 1), (1, 0), (1, 1)])
 
 
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+@memo(SHAPE_CACHE_SIZE)
 def twosquare():
     """Δ1 × Δ2: two squares side by side (rows indexed by Δ1, columns by Δ2)."""
     return product(delta(1), delta(2))
 
 
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+@memo(SHAPE_CACHE_SIZE)
 def squarearrow():
     """twosquare minus the (1,2) corner; returns (cat, inclusion)."""
     ts = twosquare()
     return full_subcategory(ts, [o for o in ts.objects if o != (1, 2)])
 
 
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+@memo(SHAPE_CACHE_SIZE)
 def square_into_squarearrow():
     """The inclusion □ → squarearrow onto columns {0,1} (a closed immersion)."""
     sq = square()

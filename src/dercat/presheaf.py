@@ -14,17 +14,18 @@ Conventions (fixed once, everything downstream depends on them):
     action of the indecomposable arrows only, and every constructor
     builds just those.  A composite c = g∘f of shape.factorizations()
     acts by F(f)·F(g), built when act(c) is first read and kept.
-    Equality, hashing and so every memo key read the generators alone.
+    Equality and hashing read the generators alone; a memo key also
+    reads what equality ignores, the presheaf's `recorded` free parts and
+    its shape's product structure (see diagram.memo).
 """
 
-from functools import lru_cache
 from types import MappingProxyType
 
 from . import linalg
 from .linalg import Matrix
 from . import diagram
 
-# zero_presheaf, zero_map, free_at and hom_space share their results,
+# zero_presheaf, zero_map, free_at and hom_basis share their results,
 # which are immutable; each keeps at most this many and recomputes one it
 # dropped
 PRESHEAF_CACHE_SIZE = 256
@@ -34,10 +35,11 @@ class Presheaf:
     """A functor shape° → vect, given by fiber dimensions and the action
     matrices of the indecomposable arrows, its generators.  act builds a
     composite's matrix when it is first read and keeps it; dims and action
-    are read-only, and only the generators enter equality and hashing."""
+    are read-only, and only the generators enter equality and hashing.
+    recorded is what equality ignores, for memo keys."""
 
-    __slots__ = ("field", "shape", "dims", "free_parts", "_gens", "_acts",
-                 "_hash")
+    __slots__ = ("field", "shape", "dims", "free_parts", "recorded", "_gens",
+                 "_acts", "_hash")
 
     def __init__(self, field, shape, dims, action, free_parts=None, validate=False):
         """action gives at least the generators' matrices, and only those
@@ -51,6 +53,7 @@ class Presheaf:
         self._acts = {a: action[a] for a in shape.indecomposable_arrows()}
         self._gens = tuple(self._acts.values())
         self.free_parts = free_parts
+        self.recorded = (free_parts, shape.recorded)
         self._hash = None
 
     @property
@@ -255,29 +258,17 @@ def is_conflation(i, p):
 # --- constructors ----------------------------------------------------------
 
 
+@diagram.memo(PRESHEAF_CACHE_SIZE)
 def zero_presheaf(field, shape):
     """The zero presheaf, one shared object per field and shape."""
-    return _zero_presheaf(field, diagram.shape_key(shape))
-
-
-@lru_cache(maxsize=PRESHEAF_CACHE_SIZE)
-def _zero_presheaf(field, key):
-    shape = key[0]
     z = {x: 0 for x in shape.objects}
     act = {a: Matrix.zeros(field, 0, 0) for a in shape.indecomposable_arrows()}
     return Presheaf(field, shape, z, act, free_parts=())
 
 
+@diagram.memo(PRESHEAF_CACHE_SIZE)
 def zero_map(f, g):
-    """The zero map f → g, one shared map per value: the key also carries
-    what equality ignores, the free parts and product structures of both
-    ends."""
-    return _zero_map(f, g, f.free_parts, g.free_parts,
-                     diagram.shape_key(f.shape), diagram.shape_key(g.shape))
-
-
-@lru_cache(maxsize=PRESHEAF_CACHE_SIZE)
-def _zero_map(f, g, *_):
+    """The zero map f → g, one shared map per pair of ends."""
     return PresheafMap(f, g, {x: Matrix.zeros(f.field, g.dims[x], f.dims[x])
                               for x in f.shape.objects})
 
@@ -287,17 +278,12 @@ def identity_map(f):
                               for x in f.shape.objects})
 
 
+@diagram.memo(PRESHEAF_CACHE_SIZE)
 def free_at(field, shape, v, i):
     """The free presheaf V ⊗ i with (V ⊗ i)_j = ⊕_{hom(j,i)} V, one shared
     object per arguments."""
     if i not in shape.objects:
         raise ValueError("unknown object %r" % (i,))
-    return _free_at(field, diagram.shape_key(shape), v, i)
-
-
-@lru_cache(maxsize=PRESHEAF_CACHE_SIZE)
-def _free_at(field, key, v, i):
-    shape = key[0]
     dims = {j: v * len(shape.hom(j, i)) for j in shape.objects}
     action = {}
     for a in shape.indecomposable_arrows():
@@ -400,14 +386,11 @@ def _part_offsets(p, at_object):
     return out
 
 
-def free_values_of(phi, src=None):
+def free_values_of(phi):
     """The adjunct values val_k : k^{v_k} → Q_{i_k} of a map out of a
     recorded free presheaf (columns of φ at the identity block of part k),
-    the inverse of free_map_to.
-
-    Caches may hand back a structurally equal source without free_parts
-    recorded; pass the recorded presheaf as src in that case."""
-    p = src if src is not None else phi.source
+    the inverse of free_map_to."""
+    p = phi.source
     if p.free_parts is None:
         raise ValueError("source is not a recorded free presheaf")
     vals = []
@@ -842,7 +825,7 @@ class YonedaChart(HomBasis):
         into.rows[i_k′] · G(h) · inverse[i_k] summed with these
         coefficients."""
         p, g = self.source, self.target
-        vals = free_values_of(d, src=q)
+        vals = free_values_of(d)
         for k2, (v2, i2) in enumerate(q.free_parts):
             if i2 not in into.rows:
                 continue
@@ -891,20 +874,15 @@ def _naturality_basis(f, g):
     return KernelBasis(f, g, free, tuple(zip(*basis.entries)))
 
 
-@lru_cache(maxsize=PRESHEAF_CACHE_SIZE)
-def _hom_space_cached(f, g, parts):
-    """The HomBasis of Hom(f, g); parts are f's free_parts, which the
-    structural key ignores.  Out of a recorded free presheaf it is a
+@diagram.memo(PRESHEAF_CACHE_SIZE)
+def hom_basis(f, g):
+    """The HomBasis of Hom(f, g).  Out of a recorded free presheaf it is a
     YonedaChart, otherwise the kernel basis of the naturality system; both
     give the same basis."""
-    return _naturality_basis(f, g) if parts is None else YonedaChart(f, g)
-
-
-def hom_basis(f, g):
-    """The HomBasis of Hom(f, g): a YonedaChart when f is recorded free."""
     if f.shape != g.shape or f.field != g.field:
         raise ValueError("presheaves live in different categories")
-    return _hom_space_cached(f, g, f.free_parts)
+    return _naturality_basis(f, g) if f.free_parts is None else \
+        YonedaChart(f, g)
 
 
 def hom_space(f, g):

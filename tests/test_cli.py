@@ -264,10 +264,10 @@ def test_memos_stay_bounded_over_der7(capsys):
     unbounded = {name for name, m in memos.items()
                  if m.cache_info().maxsize is None}
     assert unbounded == set()
-    for name in ("linalg.zeros", "presheaf._zero_presheaf",
-                 "presheaf._free_at", "diagram._product", "diagram.square",
-                 "diagram._opposite", "complexes.proj_resolution",
-                 "presheaf._hom_space_cached"):
+    for name in ("linalg.zeros", "presheaf.zero_presheaf",
+                 "presheaf.zero_map", "presheaf.free_at", "diagram.product",
+                 "diagram.square", "diagram.opposite",
+                 "complexes.proj_resolution", "presheaf.hom_basis"):
         assert memos[name].cache_info().hits > 0, name
     assert "coherence._lift_data" in memos
     for name, m in memos.items():

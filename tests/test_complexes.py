@@ -197,6 +197,38 @@ def test_resolution_memo_stays_at_its_bound_and_recomputes_equal():
     assert again == first and again[0] is not first[0]
 
 
+def _clear_memos():
+    for mod in (diagram, ps, cx, co):
+        for v in vars(mod).values():
+            if hasattr(v, "cache_clear"):
+                v.cache_clear()
+
+
+def test_answers_do_not_depend_on_what_was_resolved_before():
+    # P and Q are equal, but only P records its free parts, in an order
+    # other than its own cover's: resolving Q first must not hand P the
+    # resolution of Q, or Ext representatives built on it
+    d2 = diagram.delta(2)
+    p = ps.direct_sum(ps.free_at(F5, d2, 1, 2), ps.free_at(F5, d2, 1, 0))
+    q = ps.Presheaf(F5, d2, p.dims, p.action)
+    assert q == p and q.free_parts is None
+    y = cx.stalk(ps.direct_sum(ps.free_at(F5, d2, 1, 1),
+                               ps.free_at(F5, d2, 1, 0)))
+
+    def answer(f):
+        res, _ = cx.proj_resolution(cx.stalk(f))
+        dim, reps = cx.ext(cx.stalk(f), y, 0)
+        return res.term(0).free_parts, dim, list(reps)
+
+    _clear_memos()
+    answer(q)
+    parts, dim, reps = answer(p)
+    assert parts == ((1, 2), (1, 0)) and dim == len(reps) > 0
+    assert all(r.source.term(0).free_parts == parts for r in reps)
+    _clear_memos()
+    assert answer(p) == (parts, dim, reps)
+
+
 def _unrecorded_free(r, field, shape):
     """A free presheaf rebuilt from its generators without free_parts, so
     that proj_resolution resolves it for real."""

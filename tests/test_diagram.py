@@ -1,6 +1,9 @@
 """Finite directed categories and functors: construction oracles and the
 validation rules."""
 
+import ast
+import os
+
 import pytest
 
 from dercat import diagram
@@ -145,7 +148,7 @@ def test_product_memo_keeps_factor_structure():
     built = diagram.product(sq, d1)
     assert diagram.product(diagram.square(), diagram.delta(1)) is built
     shared = se.enc_diagram(diagram.product(plain, d1))
-    diagram._product.cache_clear()
+    diagram.product.cache_clear()
     fresh = se.enc_diagram(diagram.product(plain, d1))
     assert shared == fresh
     assert "objects" in fresh["product"][0]
@@ -220,3 +223,41 @@ def test_factorizations_reach_every_composite_in_order(cat):
         earlier.add(c)
     assert earlier == set(cat.nonidentity_arrows())
     assert len(table) == len(earlier) - len(gens)
+
+
+def _lru_cache_uses():
+    """Where the library names lru_cache, other than in a plain import:
+    module.qualified name of the enclosing definition, a decorator being
+    inside the function it decorates."""
+    lib = os.path.join(os.path.dirname(__file__), os.pardir, "src", "dercat")
+    uses = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + "." + node.name
+        elif isinstance(node, ast.Name) and node.id == "lru_cache" or \
+                isinstance(node, ast.Attribute) and node.attr == "lru_cache" \
+                or isinstance(node, ast.alias) and node.asname \
+                and node.name == "lru_cache":
+            uses.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for name in sorted(os.listdir(lib)):
+        if name.endswith(".py"):
+            with open(os.path.join(lib, name), encoding="utf-8") as fh:
+                visit(ast.parse(fh.read()), name[:-3])
+    return uses
+
+
+def test_every_memo_goes_through_one_seam():
+    # lru_cache keys by equality, which ignores free parts and product
+    # structures, and diagram.memo adds them to the key; Matrix.zeros and
+    # Matrix.identity sit below diagram and take only fields and ints
+    seams = ("diagram.memo", "linalg.Matrix.zeros", "linalg.Matrix.identity")
+    uses = _lru_cache_uses()
+
+    def inside(use, seam):
+        return use == seam or use.startswith(seam + ".")
+    assert all(any(inside(u, s) for s in seams) for u in uses), uses
+    assert all(any(inside(u, s) for u in uses) for s in seams), uses

@@ -727,7 +727,7 @@ def test_presheaves_store_their_generators_only(field):
     # composite's once, on first read, as the product along its
     # factorization, and equals every presheaf with the same generators
     r = gen.rng_for(31)
-    ps._free_at.cache_clear()
+    ps.free_at.cache_clear()
     for shape in ACTION_SHAPES:
         built = [build() for build in _routes(r, field, shape)]
         for f in built:
