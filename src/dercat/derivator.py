@@ -310,14 +310,20 @@ def _cap_counit(x):
 
 
 def is_cocartesian(s):
-    """Counit (i_⌐ × id)_!(i_⌐ × id)* F → F and its verdict."""
+    """Counit (i_⌐ × id)_!(i_⌐ × id)* F → F and its verdict.
+
+    A yes/no verdict comes from is_bicartesian; this Kan route is kept for
+    der7's cross-check and square-check's report."""
     x = s.complex if isinstance(s, SquareObject) else s
     eps = _cap_counit(x)
     return cx.is_quasi_iso(eps), eps
 
 
 def is_cartesian(s):
-    """Unit F → (i_⌙ × id)_*(i_⌙ × id)* F and its verdict (by duality)."""
+    """Unit F → (i_⌙ × id)_*(i_⌙ × id)* F and its verdict (by duality).
+
+    A yes/no verdict comes from is_bicartesian; this Kan route is kept for
+    der7's cross-check and square-check's report."""
     x = s.complex if isinstance(s, SquareObject) else s
     _, incl = diagram.righthalfcup()
     base = x.shape.product_of[1]

@@ -239,6 +239,37 @@ def test_extension_exactness_runs_over_q(capsys):
     assert code == 0 and rep["passed"] == 4 and not rep["failures"]
 
 
+@pytest.mark.parametrize("field", [F5, Field("rationals")], ids=("F5", "Q"))
+def test_extended_squares_pass_every_bicartesian_route(monkeypatch, field):
+    """extension-exactness decides its square by the total cofiber alone;
+    on the squares it draws, both Kan routes agree with that verdict."""
+    from dercat import derivator as dv
+    decide, squares = dv.is_bicartesian, []
+    monkeypatch.setattr(dv, "is_bicartesian",
+                        lambda s: squares.append(s) or decide(s))
+    r = gen.rng_for(31)
+    for _ in range(10):
+        assert cli._suite_extension_exactness(r, field)[0]
+    assert len(squares) == 10
+    for s in squares:
+        assert decide(s) and dv.is_cocartesian(s)[0] and dv.is_cartesian(s)[0]
+
+
+def test_extension_exactness_fails_on_the_total_cofiber_verdict(monkeypatch):
+    from dercat import derivator as dv
+
+    def kan_route(s):
+        raise AssertionError("the suite took a Kan route")
+    monkeypatch.setattr(dv, "is_bicartesian", lambda s: False)
+    monkeypatch.setattr(dv, "is_cocartesian", kan_route)
+    monkeypatch.setattr(dv, "is_cartesian", kan_route)
+    ok, detail, witness = cli._suite_extension_exactness(gen.rng_for(7), F5)
+    assert (ok, detail) == (False, "extended square is not bicartesian")
+    assert isinstance(witness, cx.Complex)
+    assert witness.shape.product_of == (diagram.square(),
+                                        diagram.terminal_cat())
+
+
 def _memos():
     """Every lru_cache of the package, by name."""
     out = {}

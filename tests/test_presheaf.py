@@ -16,6 +16,7 @@ from dercat import serialize as se
 
 F2 = Field("prime", 2)
 F3 = Field("prime", 3)
+F5 = Field("prime", 5)
 
 
 def simple(field, cat, at):
@@ -264,6 +265,29 @@ def test_hom_space_on_generating_arrows_matches_all_arrows(field):
                 basis = ps.hom_space(src, tgt)
                 assert [_flat(phi) for phi in basis] == \
                     _all_arrows_hom_basis(src, tgt)[0]
+
+
+@pytest.mark.parametrize("field", [F2, F5, Field("rationals")], ids=repr)
+def test_ext_equals_ext_between_duals_over_the_opposite_shape(field):
+    """Ext^n_I(X, Y) = Ext^n_{I^op}(DY, DX), D = dualize_complex: D is an
+    exact anti-equivalence, so this route resolves DY over I^op instead of
+    X and runs the resolution and Hom code on other inputs."""
+    r = gen.rng_for(12)
+    nonzero = 0
+    for shape in [gen.rand_poset(r, 5) for _ in range(5)] + \
+            [_parallel_quiver()]:
+        op = diagram.opposite(shape)
+        stalks = [cx.stalk(gen.rand_presheaf(r, field, shape))
+                  for _ in range(2)]
+        complexes = [gen.rand_complex(r, field, shape, lo=-1, hi=1,
+                                      max_parts=1) for _ in range(2)]
+        for x, y in (stalks, complexes, (stalks[0], complexes[1])):
+            dy, dx = cx.dualize_complex(y, op), cx.dualize_complex(x, op)
+            for n in range(-2, diagram.max_chain_length(shape) + 3):
+                dim = cx.ext(x, y, n)[0]
+                assert cx.ext(dy, dx, n)[0] == dim
+                nonzero += dim > 0
+    assert nonzero
 
 
 def _free_sources(field, shape):
