@@ -716,12 +716,15 @@ def tensor_with_kernel(a, kernel):
     return cx.Complex(field, shape, terms, diffs)
 
 
-def tensor_map_with_kernel(fmap, kernel):
-    """f ⊗ id_K for a chain map of vector-space complexes."""
+def tensor_map_with_kernel(fmap, kernel, src=None, tgt=None):
+    """f ⊗ id_K for a chain map of vector-space complexes; src and tgt,
+    when given, are its ends tensored with the kernel."""
     e_obj = fmap.source.shape.objects[0]
     field = kernel.field
-    src = tensor_with_kernel(fmap.source, kernel)
-    tgt = tensor_with_kernel(fmap.target, kernel)
+    if src is None:
+        src = tensor_with_kernel(fmap.source, kernel)
+    if tgt is None:
+        tgt = tensor_with_kernel(fmap.target, kernel)
     comps = {}
     for n in set(src.degrees()) | set(tgt.degrees()):
         mats = {}
@@ -782,7 +785,9 @@ def _tensored(kernel, x):
     d = dia(x)
     values = {i: tensor_with_kernel(d.values[i], kernel)
               for i in icat.objects}
-    maps = {a: tensor_map_with_kernel(d.maps[a], kernel)
+    # the map of a : i → j goes from the value at j to the value at i
+    maps = {a: tensor_map_with_kernel(d.maps[a], kernel,
+                                      values[icat.tgt[a]], values[icat.src[a]])
             for a in icat.nonidentity_arrows()}
     return _strict_witnesses(
         IncoherentDiagram(icat, kernel.shape, values, maps))

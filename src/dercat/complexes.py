@@ -848,7 +848,8 @@ def extend_along_qis(alpha, iota):
 def restrict_complex(u, x):
     """Termwise restriction along a shape functor (exact)."""
     terms = {p: ps.restrict(u, x.term(p)) for p in x.degrees()}
-    diffs = {p: ps.restrict_map(u, x.diff(p)) for p in range(x.lo, x.hi)}
+    diffs = {p: ps.restrict_map(u, x.diff(p), terms[p], terms[p + 1])
+             for p in range(x.lo, x.hi)}
     return Complex(x.field, u.source, terms, diffs)
 
 
@@ -880,8 +881,10 @@ def over_point(x):
 
 
 def restrict_chain_map(u, f):
-    return ChainMap(restrict_complex(u, f.source), restrict_complex(u, f.target),
-                    {p: ps.restrict_map(u, m) for p, m in f.comps.items()})
+    src = restrict_complex(u, f.source)
+    tgt = restrict_complex(u, f.target)
+    return ChainMap(src, tgt, {p: ps.restrict_map(u, m, src.term(p), tgt.term(p))
+                               for p, m in f.comps.items()})
 
 
 def dualize_complex(x, opposite_shape=None):

@@ -116,18 +116,28 @@ def unit_chain_map(u, p, transported):
 class KanCertificate:
     """Audit record of a derived left Kan extension u_! along `functor`.
 
-    Carries the output and the unit; verify() builds the counit at the
-    output and the homotopy witnesses for the triangle identities (they
-    are lazily computed because they cost an extra resolution of u* of the
-    output).  A right extension is computed as the dual of a left one, and
-    its certificate is that left extension's: the triangle identities of
+    Carries the output and the unit, or the resolution P of the input
+    that the output transports, from which the unit P → u*(output) is
+    built when first read.  verify() builds the counit at the output and
+    the homotopy witnesses for the triangle identities (they are lazily
+    computed because they cost an extra resolution of u* of the output).
+    A right extension is computed as the dual of a left one, and its
+    certificate is that left extension's: the triangle identities of
     u* ⊣ u_* read in the opposite categories.
     """
 
-    def __init__(self, functor, output, unit):
+    def __init__(self, functor, output, unit=None, resolution=None):
         self.functor = functor
         self.output = output
-        self.unit = unit
+        self.resolution = resolution
+        self._unit = unit
+
+    @property
+    def unit(self):
+        if self._unit is None:
+            self._unit = unit_chain_map(self.functor, self.resolution,
+                                        transported=self.output)
+        return self._unit
 
     def verify(self):
         """Whether both triangle identities hold up to homotopy: False when
@@ -157,7 +167,7 @@ def lan(u, x):
         raise ValueError("complex does not live over the functor's source")
     p, _ = cx.proj_resolution(x)
     out = transport_complex(u, p)
-    return out, KanCertificate(u, out, unit_chain_map(u, p, transported=out))
+    return out, KanCertificate(u, out, resolution=p)
 
 
 def ran(u, x):

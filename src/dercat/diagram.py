@@ -1,10 +1,16 @@
 """Finite directed categories, functors and natural transformations.
 
-A FinCat is fully materialized: every hom-set is an explicit ordered list
-of arrow identifiers and composition is a total table.  All downstream
-constructions (direct sums indexed by hom-sets, Kan extension formulas)
-index over these lists, so the order fixed at construction is part of the
-data and must never change between runs.
+A FinCat lists its nonempty hom sets as ordered tuples of arrow
+identifiers.  All downstream constructions (direct sums indexed by
+hom-sets, Kan extension formulas) index over these tuples, so the order
+fixed at construction is part of the data and must never change between
+runs.  The standard shapes, their products, opposites, full subcategories
+and disjoint unions are posets: a hom set has at most one arrow, so the
+composite of x → y → z is the one arrow x → z and no composition table is
+stored.  Shapes read from `diagram` files, comma categories and the
+one-point shape keep an explicit table of composites; in a category with
+at most one arrow per hom set the hom sets decide it, so equality ignores
+it there.
 
 Directedness means: no endomorphisms except identities and no oriented
 cycles through distinct objects.
@@ -47,31 +53,39 @@ class FinCat:
 
     Args:
         objects: ordered list of object names (hashable).
-        hom: dict (x, y) -> ordered tuple of arrow ids; must cover all pairs
-            (missing pairs are treated as empty).
+        hom: dict (x, y) -> ordered tuple of arrow ids; missing pairs are
+            empty.  Only the nonempty hom sets are kept, in hom_table.
         identity: dict object -> arrow id of its identity.
-        comp: dict (g, f) -> arrow id of g∘f, total on composable pairs
-            (f: x→y, g: y→z).
+        comp: dict (g, f) -> arrow id of g∘f on composable pairs
+            (f: x→y, g: y→z), or None for a poset: at most one arrow per
+            hom set, so the composite of x → y → z is the one arrow x → z
+            and no table is stored.  A poset's `comp` is built from its
+            hom sets when it is read.
     """
 
-    def __init__(self, objects, hom, identity, comp, validate=True):
+    def __init__(self, objects, hom, identity, comp=None, validate=True):
         self.objects = tuple(objects)
         self.hom_table = {}
         self.src = {}
         self.tgt = {}
+        arrows = []
         for x in self.objects:
             for y in self.objects:
-                arrows = tuple(hom.get((x, y), ()))
-                self.hom_table[(x, y)] = arrows
-                for a in arrows:
+                hs = tuple(hom.get((x, y), ()))
+                if not hs:
+                    continue
+                self.hom_table[(x, y)] = hs
+                for a in hs:
                     if a in self.src:
                         raise ValueError("arrow id %r used twice" % (a,))
                     self.src[a] = x
                     self.tgt[a] = y
+                arrows.extend(hs)
+        self.arrows = tuple(arrows)
         self.identity = dict(identity)
-        self.comp = dict(comp)
-        self.arrows = tuple(a for x in self.objects for y in self.objects
-                            for a in self.hom_table[(x, y)])
+        self._comp = None if comp is None else dict(comp)
+        self.thin = all(len(hs) == 1 for hs in self.hom_table.values())
+        self._out = None
         self._key = None
         self._hash = None
         self._nonidentity = None
@@ -91,7 +105,32 @@ class FinCat:
     # -- basic access ------------------------------------------------------
 
     def hom(self, x, y):
-        return self.hom_table[(x, y)]
+        return self.hom_table.get((x, y), ())
+
+    def is_poset(self):
+        """Whether the category was built without a composition table."""
+        return self._comp is None
+
+    @property
+    def comp(self):
+        """The composition table (g, f) -> g∘f; a poset's covers every
+        composable pair and is built anew on each read."""
+        if self._comp is not None:
+            return self._comp
+        hom, out = self.hom_table, self.targets()
+        return {(g, f): hom[(x, z)][0]
+                for (x, y), (f,) in hom.items() for z in out[y]
+                for g in hom[(y, z)]}
+
+    def targets(self):
+        """Object -> the objects it has arrows to (itself included), in
+        object order."""
+        if self._out is None:
+            out = {x: [] for x in self.objects}
+            for (x, y) in self.hom_table:
+                out[x].append(y)
+            self._out = out
+        return self._out
 
     def is_identity(self, a):
         return self.identity[self.src[a]] == a
@@ -105,16 +144,33 @@ class FinCat:
     def indecomposable_arrows(self):
         """The non-identity arrows that are not a composite of two
         non-identity arrows, in arrow order.  The category is directed, so
-        every non-identity arrow is a composite of these."""
+        every non-identity arrow is a composite of these.  A product's are
+        its factors' indecomposables paired with identities."""
         if self._indecomposable is None:
-            composites = set()
-            for f in self.nonidentity_arrows():
-                for z in self.objects:
-                    for g in self.hom_table[(self.tgt[f], z)]:
-                        if not self.is_identity(g):
-                            composites.add(self.comp[(g, f)])
+            if self.product_of is not None:
+                i, j = self.product_of
+                gens = {self.pair_arrow[(a, j.identity[y])]
+                        for a in i.indecomposable_arrows() for y in j.objects}
+                gens.update(self.pair_arrow[(i.identity[x], b)]
+                            for x in i.objects
+                            for b in j.indecomposable_arrows())
+            else:
+                composites = set()
+                hom, out, comp = self.hom_table, self.targets(), self._comp
+                for (x, y), fs in hom.items():
+                    if x == y:
+                        continue
+                    for z in out[y]:
+                        if z == y:
+                            continue
+                        if comp is None:
+                            composites.add(hom[(x, z)][0])
+                        else:
+                            composites.update(comp[(g, f)] for f in fs
+                                              for g in hom[(y, z)])
+                gens = set(self.nonidentity_arrows()) - composites
             self._indecomposable = tuple(a for a in self.nonidentity_arrows()
-                                         if a not in composites)
+                                         if a in gens)
         return self._indecomposable
 
     def factorizations(self):
@@ -125,17 +181,21 @@ class FinCat:
         by F(c) = F(f)·F(g), taken in this order."""
         if self._factorizations is None:
             gens = self.indecomposable_arrows()
+            src, tgt, hom, comp = self.src, self.tgt, self.hom_table, self._comp
+            into = {x: [] for x in self.objects}
+            for f in gens:
+                into[tgt[f]].append(f)
             known = set(gens)
             queue = list(gens)
             out = []
             for g in queue:
-                for f in gens:
-                    if self.tgt[f] == self.src[g]:
-                        c = self.comp[(g, f)]
-                        if c not in known:
-                            known.add(c)
-                            queue.append(c)
-                            out.append((c, g, f))
+                z = tgt[g]
+                for f in into[src[g]]:
+                    c = hom[(src[f], z)][0] if comp is None else comp[(g, f)]
+                    if c not in known:
+                        known.add(c)
+                        queue.append(c)
+                        out.append((c, g, f))
             self._factorizations = tuple(out)
             self._factor_of = {c: (g, f) for c, g, f in out}
         return self._factorizations
@@ -152,11 +212,13 @@ class FinCat:
         """The composite g∘f for f: x→y, g: y→z."""
         if self.tgt[f] != self.src[g]:
             raise ValueError("arrows %r, %r not composable" % (g, f))
+        if self._comp is None:
+            return self.hom_table[(self.src[f], self.tgt[g])][0]
         if self.is_identity(f):
             return g
         if self.is_identity(g):
             return f
-        return self.comp[(g, f)]
+        return self._comp[(g, f)]
 
     def _validate(self):
         for x in self.objects:
@@ -165,12 +227,23 @@ class FinCat:
                 raise ValueError("missing or misplaced identity at %r" % (x,))
         # directedness: hom(x,x) = {id}, no cycles through distinct objects
         for x in self.objects:
-            if self.hom_table[(x, x)] != (self.identity[x],):
+            if self.hom(x, x) != (self.identity[x],):
                 raise ValueError("nontrivial endomorphisms at %r" % (x,))
-        for x in self.objects:
-            for y in self.objects:
-                if x != y and self.hom_table[(x, y)] and self.hom_table[(y, x)]:
-                    raise ValueError("oriented cycle between %r and %r" % (x, y))
+        for (x, y) in self.hom_table:
+            if x != y and (y, x) in self.hom_table:
+                raise ValueError("oriented cycle between %r and %r" % (x, y))
+        if self._comp is None:
+            # a poset: composites exist and are unique, so composition is
+            # associative and identities are neutral
+            out = self.targets()
+            for (x, y), fs in self.hom_table.items():
+                if len(fs) > 1:
+                    raise ValueError("parallel arrows %r in a poset" % (fs,))
+                for z in out[y]:
+                    if (x, z) not in self.hom_table:
+                        raise ValueError("no composite %r -> %r -> %r"
+                                         % (x, y, z))
+            return
         # identities neutral, composition closed and associative
         for f in self.arrows:
             if self.compose(self.identity[self.tgt[f]], f) != f:
@@ -179,12 +252,12 @@ class FinCat:
                 raise ValueError("identity not right-neutral at %r" % (f,))
         for f in self.arrows:
             for z in self.objects:
-                for g in self.hom_table[(self.tgt[f], z)]:
+                for g in self.hom(self.tgt[f], z):
                     gf = self.compose(g, f)
                     if self.src[gf] != self.src[f] or self.tgt[gf] != z:
                         raise ValueError("composite %r∘%r has wrong endpoints" % (g, f))
                     for w in self.objects:
-                        for h in self.hom_table[(z, w)]:
+                        for h in self.hom(z, w):
                             if self.compose(h, gf) != self.compose(self.compose(h, g), f):
                                 raise ValueError("associativity fails at (%r,%r,%r)"
                                                  % (h, g, f))
@@ -192,11 +265,12 @@ class FinCat:
     # -- value identity ----------------------------------------------------
 
     def _canonical_key(self):
+        # with at most one arrow per hom set the hom sets fix composition
         if self._key is None:
             self._key = (self.objects,
-                         tuple(sorted((k, v) for k, v in self.hom_table.items() if v)),
+                         tuple(sorted(self.hom_table.items())),
                          tuple(sorted(self.identity.items())),
-                         tuple(sorted(self.comp.items())))
+                         () if self.thin else tuple(sorted(self._comp.items())))
         return self._key
 
     def __eq__(self, other):
@@ -297,15 +371,7 @@ def poset_category(objects, leq):
                 if leq(x, y):
                     raise ValueError("relation not antisymmetric")
                 hom[(x, y)] = ("%s>%s" % (x, y),)
-    comp = {}
-    for (x, y), fs in hom.items():
-        for (y2, z), gs in hom.items():
-            if y2 != y:
-                continue
-            for f in fs:
-                for g in gs:
-                    comp[(g, f)] = hom[(x, z)][0]
-    return FinCat(objects, hom, identity, comp)
+    return FinCat(objects, hom, identity)
 
 
 # --- standard shapes ------------------------------------------------------
@@ -334,7 +400,8 @@ def cube(n):
 
 @memo(SHAPE_CACHE_SIZE)
 def product(i, j):
-    """Product category; objects are pairs, arrows are pairs.
+    """Product category; objects are pairs, arrows are pairs.  A product
+    of posets is a poset.
 
     The result is shared between calls whose factors are equal and carry
     the same product structure."""
@@ -342,32 +409,34 @@ def product(i, j):
     hom = {}
     pair_of = {}
     pair_arrow = {}
-    identity = {}
-
-    def aid(a, b):
-        return "(%s,%s)" % (a, b)
-
+    i_out, j_out = i.targets(), j.targets()
     for (x, y) in objects:
-        for (x2, y2) in objects:
-            arrows = []
-            for a in i.hom(x, x2):
-                for b in j.hom(y, y2):
-                    nm = aid(a, b)
-                    arrows.append(nm)
-                    pair_of[nm] = (a, b)
-                    pair_arrow[(a, b)] = nm
-            hom[((x, y), (x2, y2))] = tuple(arrows)
-    for (x, y) in objects:
-        identity[(x, y)] = pair_arrow[(i.identity[x], j.identity[y])]
-    # arrows out of each object, so that only composable pairs are visited
-    i_out = {x: [c for z in i.objects for c in i.hom(x, z)] for x in i.objects}
-    j_out = {y: [d for z in j.objects for d in j.hom(y, z)] for y in j.objects}
-    comp = {}
-    for f, (a, b) in pair_of.items():
-        for c in i_out[i.tgt[a]]:
-            ca = i.compose(c, a)
-            for d in j_out[j.tgt[b]]:
-                comp[(pair_arrow[(c, d)], f)] = pair_arrow[(ca, j.compose(d, b))]
+        for x2 in i_out[x]:
+            for y2 in j_out[y]:
+                arrows = []
+                for a in i.hom(x, x2):
+                    for b in j.hom(y, y2):
+                        nm = "(%s,%s)" % (a, b)
+                        arrows.append(nm)
+                        pair_of[nm] = (a, b)
+                        pair_arrow[(a, b)] = nm
+                hom[((x, y), (x2, y2))] = tuple(arrows)
+    identity = {(x, y): pair_arrow[(i.identity[x], j.identity[y])]
+                for (x, y) in objects}
+    comp = None
+    if not (i.thin and j.thin):
+        # arrows out of each object, so that only composable pairs are visited
+        i_from = {x: [c for z in i_out[x] for c in i.hom(x, z)]
+                  for x in i.objects}
+        j_from = {y: [d for z in j_out[y] for d in j.hom(y, z)]
+                  for y in j.objects}
+        comp = {}
+        for f, (a, b) in pair_of.items():
+            for c in i_from[i.tgt[a]]:
+                ca = i.compose(c, a)
+                for d in j_from[j.tgt[b]]:
+                    comp[(pair_arrow[(c, d)], f)] = \
+                        pair_arrow[(ca, j.compose(d, b))]
     cat = FinCat(objects, hom, identity, comp, validate=False)
     cat.product_of = (i, j)
     cat.recorded = ((i, i.recorded), (j, j.recorded))
@@ -382,44 +451,29 @@ def opposite(i):
 
     The result is shared between calls on equal categories with the same
     product structure."""
-    hom = {}
-    for x in i.objects:
-        for y in i.objects:
-            hom[(x, y)] = i.hom(y, x)
-    comp = {}
-    for (g, f), h in i.comp.items():
-        comp[(f, g)] = h
+    hom = {(y, x): hs for (x, y), hs in i.hom_table.items()}
+    comp = None if i.is_poset() else \
+        {(f, g): h for (g, f), h in i.comp.items()}
     return FinCat(i.objects, hom, i.identity, comp, validate=False)
 
 
 def disjoint_union(i, j):
     """Disjoint union; returns (category, left inclusion, right inclusion)."""
     objs = [("L", x) for x in i.objects] + [("R", y) for y in j.objects]
-    hom = {}
-    identity = {}
-    amap_l, amap_r = {}, {}
-    for x in i.objects:
-        for y in i.objects:
-            hom[(("L", x), ("L", y))] = tuple("L:%s" % a for a in i.hom(x, y))
-    for x in j.objects:
-        for y in j.objects:
-            hom[(("R", x), ("R", y))] = tuple("R:%s" % a for a in j.hom(x, y))
-    for x in i.objects:
-        identity[("L", x)] = "L:%s" % i.identity[x]
-    for y in j.objects:
-        identity[("R", y)] = "R:%s" % j.identity[y]
-    comp = {}
-    for (g, f), h in i.comp.items():
-        comp[("L:%s" % g, "L:%s" % f)] = "L:%s" % h
-    for (g, f), h in j.comp.items():
-        comp[("R:%s" % g, "R:%s" % f)] = "R:%s" % h
-    cat = FinCat(objs, hom, identity, comp, validate=False)
-    for a in i.arrows:
-        amap_l[a] = "L:%s" % a
-    for a in j.arrows:
-        amap_r[a] = "R:%s" % a
-    incl_l = DiagFunctor(i, cat, {x: ("L", x) for x in i.objects}, amap_l)
-    incl_r = DiagFunctor(j, cat, {y: ("R", y) for y in j.objects}, amap_r)
+    poset = i.is_poset() and j.is_poset()
+    hom, identity, comp, amap = {}, {}, {}, {}
+    for tag, part in (("L", i), ("R", j)):
+        name = amap[tag] = {a: "%s:%s" % (tag, a) for a in part.arrows}
+        for (x, y), hs in part.hom_table.items():
+            hom[((tag, x), (tag, y))] = tuple(name[a] for a in hs)
+        for x in part.objects:
+            identity[(tag, x)] = name[part.identity[x]]
+        if not poset:
+            comp.update(((name[g], name[f]), name[h])
+                        for (g, f), h in part.comp.items())
+    cat = FinCat(objs, hom, identity, None if poset else comp, validate=False)
+    incl_l = DiagFunctor(i, cat, {x: ("L", x) for x in i.objects}, amap["L"])
+    incl_r = DiagFunctor(j, cat, {y: ("R", y) for y in j.objects}, amap["R"])
     return cat, incl_l, incl_r
 
 
@@ -431,9 +485,11 @@ def full_subcategory(i, objects):
             raise ValueError("object %r not in category" % (x,))
     hom = {(x, y): i.hom(x, y) for x in objects for y in objects}
     identity = {x: i.identity[x] for x in objects}
-    kept = {a for v in hom.values() for a in v}
-    comp = {(g, f): h for (g, f), h in i.comp.items()
-            if g in kept and f in kept and h in kept}
+    comp = None
+    if not i.is_poset():
+        kept = {a for v in hom.values() for a in v}
+        comp = {(g, f): h for (g, f), h in i.comp.items()
+                if g in kept and f in kept and h in kept}
     cat = FinCat(objects, hom, identity, comp, validate=False)
     incl = DiagFunctor(cat, i, {x: x for x in objects}, {a: a for a in cat.arrows})
     return cat, incl
@@ -649,23 +705,24 @@ def is_closed_immersion(u):
 
 def max_chain_length(i):
     """Length of the longest composable chain of non-identity arrows,
-    computed once per category."""
+    computed once per category; a product's is the sum of its factors'."""
     if i._max_chain is not None:
         return i._max_chain
-    memo = {}
+    if i.product_of is not None and i.objects:
+        a, b = i.product_of
+        i._max_chain = max_chain_length(a) + max_chain_length(b)
+        return i._max_chain
+    out = i.targets()
+    longest = {}
 
-    def longest(x):
-        if x in memo:
-            return memo[x]
-        best = 0
-        for y in i.objects:
-            if y == x:
-                continue
-            arrs = [a for a in i.hom(x, y)]
-            if arrs:
-                best = max(best, 1 + longest(y))
-        memo[x] = best
-        return best
+    def chain_from(x):
+        if x not in longest:
+            best = 0
+            for y in out[x]:
+                if y != x:
+                    best = max(best, 1 + chain_from(y))
+            longest[x] = best
+        return longest[x]
 
-    i._max_chain = max((longest(x) for x in i.objects), default=0)
+    i._max_chain = max((chain_from(x) for x in i.objects), default=0)
     return i._max_chain

@@ -914,8 +914,10 @@ def restrict(u, g):
     return Presheaf(g.field, u.source, dims, action)
 
 
-def restrict_map(u, phi):
-    return PresheafMap(restrict(u, phi.source), restrict(u, phi.target),
+def restrict_map(u, phi, source, target):
+    """u*φ : source → target, which the caller passes already restricted
+    (they equal restrict(u, φ.source) and restrict(u, φ.target))."""
+    return PresheafMap(source, target,
                        {x: phi.comps[u.obj_map[x]] for x in u.source.objects})
 
 

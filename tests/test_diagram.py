@@ -2,11 +2,13 @@
 validation rules."""
 
 import ast
+import hashlib
 import os
 
 import pytest
 
 from dercat import diagram
+from dercat import generators as gen
 from dercat import serialize as se
 
 
@@ -76,6 +78,87 @@ def test_disjoint_union_and_subcategory():
     sub, incl = diagram.full_subcategory(cat, [("L", 0), ("L", 1)])
     assert len(sub.nonidentity_arrows()) == 1
     assert incl.obj_map[("L", 0)] == ("L", 0)
+
+
+def _poset_parts(cat):
+    return dict(cat.hom_table), dict(cat.identity)
+
+
+def test_poset_validation_rejects_parallel_arrows():
+    hom, identity = _poset_parts(diagram.delta(1))
+    hom[(1, 0)] = ("1>0", "other")
+    with pytest.raises(ValueError, match="parallel"):
+        diagram.FinCat([0, 1], hom, identity)
+
+
+def test_poset_validation_rejects_a_two_cycle():
+    hom, identity = _poset_parts(diagram.delta(1))
+    hom[(0, 1)] = ("0>1",)
+    with pytest.raises(ValueError, match="cycle"):
+        diagram.FinCat([0, 1], hom, identity)
+
+
+def test_poset_validation_rejects_a_missing_composite():
+    hom, identity = _poset_parts(diagram.delta(2))
+    del hom[(2, 0)]
+    with pytest.raises(ValueError, match="composite"):
+        diagram.FinCat([0, 1, 2], hom, identity)
+
+
+def _golden_shapes():
+    """The standard shapes, 20 seeded random posets, and opposites,
+    products and disjoint unions of them."""
+    r = gen.rng_for(32)
+    base = ([diagram.terminal_cat()] + [diagram.delta(n) for n in range(4)]
+            + [diagram.cube(k) for k in range(1, 5)]
+            + [diagram.square(), diagram.lefthalfcap()[0],
+               diagram.righthalfcup()[0], diagram.twosquare(),
+               diagram.squarearrow()[0]]
+            + [gen.rand_poset(r) for _ in range(20)])
+    nxt = base[1:] + base[:1]
+    products = [diagram.product(i, j) for i, j in zip(base, nxt)]
+    products += [diagram.product(i, diagram.terminal_cat()) for i in base]
+    unions = [diagram.disjoint_union(i, j)[0] for i, j in zip(base, nxt)]
+    return (base + [diagram.opposite(c) for c in base + products]
+            + products + unions)
+
+
+def test_shapes_keep_their_bits():
+    # a digest of each shape's arrows, composition table, generators,
+    # factorizations, chain length and file encoding; it does not depend
+    # on PYTHONHASHSEED
+    digest = hashlib.sha256()
+    for c in _golden_shapes():
+        digest.update(repr((c.objects, c.arrows, sorted(c.comp.items()),
+                            c.indecomposable_arrows(), c.factorizations(),
+                            diagram.max_chain_length(c),
+                            se.encode(c))).encode())
+    assert digest.hexdigest() == (
+        "7d68089a3dd7813535e0090d60aaa1334780d5c7a70bb10fb1f1e7e0ea77a0b9")
+
+
+def test_a_poset_equals_its_tabled_copy_and_its_file_round_trip():
+    for c in _golden_shapes():
+        # a table's full check is cubic in the arrows: the two largest
+        # products and their opposites are only compared with their copies
+        small = len(c.arrows) < 500
+        tabled = diagram.FinCat(c.objects, c.hom_table, c.identity, c.comp,
+                                validate=small)
+        assert tabled == c and hash(tabled) == hash(c)
+        assert not tabled.is_poset()
+        if small:
+            assert se.dec_diagram(se.enc_diagram(c)) == c
+
+
+def test_a_poset_composes_through_its_hom_sets():
+    c = diagram.cube(3)
+    assert c.is_poset()
+    table = c.comp
+    assert table is not c.comp     # built when read, never stored
+    for (g, f), gf in table.items():
+        assert c.compose(g, f) == gf
+    assert not diagram.terminal_cat().is_poset()
+    assert diagram.terminal_cat().comp == {}
 
 
 def test_functor_validation():
