@@ -220,7 +220,30 @@ class FinCat:
             return f
         return self._comp[(g, f)]
 
+    def generator_pairs(self):
+        """The triples (g, a, g∘a) with a : x → y indecomposable and g a
+        non-identity arrow out of y.  A non-identity arrow f is f'∘a with a
+        indecomposable and f' an identity or shorter, so an equation of
+        functors, actions or maps that holds on these pairs holds, by
+        induction on the length of f, for every composable pair (g, f)."""
+        hom, out, tgt = self.hom_table, self.targets(), self.tgt
+        for a in self.indecomposable_arrows():
+            y = tgt[a]
+            for z in out[y]:
+                if z != y:
+                    for g in hom[(y, z)]:
+                        yield g, a, self.compose(g, a)
+
     def _validate(self):
+        """Identities, directedness and composition.  A poset composes
+        through its hom sets, so it needs only that every composite exists.
+        In a table every row names a composable pair (g, f) and a composite
+        in hom(src f, tgt g), a row with an identity gives back the other
+        arrow, and every composable pair of non-identity arrows has a row.
+        With one arrow per hom set the two sides of h∘(g∘f) = (h∘g)∘f lie
+        in the same one-arrow hom set, so composition is associative; a
+        table with parallel arrows is checked on every composable triple of
+        non-identity arrows (identities compose without the table)."""
         for x in self.objects:
             i = self.identity.get(x)
             if i is None or self.src.get(i) != x or self.tgt.get(i) != x:
@@ -232,10 +255,10 @@ class FinCat:
         for (x, y) in self.hom_table:
             if x != y and (y, x) in self.hom_table:
                 raise ValueError("oriented cycle between %r and %r" % (x, y))
+        out = self.targets()
         if self._comp is None:
             # a poset: composites exist and are unique, so composition is
             # associative and identities are neutral
-            out = self.targets()
             for (x, y), fs in self.hom_table.items():
                 if len(fs) > 1:
                     raise ValueError("parallel arrows %r in a poset" % (fs,))
@@ -244,23 +267,32 @@ class FinCat:
                         raise ValueError("no composite %r -> %r -> %r"
                                          % (x, y, z))
             return
-        # identities neutral, composition closed and associative
-        for f in self.arrows:
-            if self.compose(self.identity[self.tgt[f]], f) != f:
-                raise ValueError("identity not left-neutral at %r" % (f,))
-            if self.compose(f, self.identity[self.src[f]]) != f:
-                raise ValueError("identity not right-neutral at %r" % (f,))
-        for f in self.arrows:
-            for z in self.objects:
-                for g in self.hom(self.tgt[f], z):
-                    gf = self.compose(g, f)
-                    if self.src[gf] != self.src[f] or self.tgt[gf] != z:
-                        raise ValueError("composite %r∘%r has wrong endpoints" % (g, f))
-                    for w in self.objects:
-                        for h in self.hom(z, w):
-                            if self.compose(h, gf) != self.compose(self.compose(h, g), f):
-                                raise ValueError("associativity fails at (%r,%r,%r)"
-                                                 % (h, g, f))
+        src, tgt, hom, comp = self.src, self.tgt, self.hom_table, self._comp
+        for (g, f), gf in comp.items():
+            if f not in src or g not in src or tgt[f] != src[g] or \
+                    gf not in hom.get((src[f], tgt[g]), ()):
+                raise ValueError("compose row %r∘%r = %r names no composite"
+                                 % (g, f, gf))
+            if (self.is_identity(f) and gf != g) or \
+                    (self.is_identity(g) and gf != f):
+                raise ValueError("identity row %r∘%r = %r is not neutral"
+                                 % (g, f, gf))
+        pairs = [(g, f) for (x, y), fs in hom.items() if x != y
+                 for z in out[y] if z != y for f in fs for g in hom[(y, z)]]
+        for g, f in pairs:
+            if (g, f) not in comp:
+                raise ValueError("no composite %r∘%r" % (g, f))
+        if self.thin:
+            return
+        for g, f in pairs:
+            gf = comp[(g, f)]
+            for w in out[tgt[g]]:
+                if w != tgt[g]:
+                    for h in hom[(tgt[g], w)]:
+                        if self.compose(h, gf) != \
+                                self.compose(self.compose(h, g), f):
+                            raise ValueError("associativity fails at (%r,%r,%r)"
+                                             % (h, g, f))
 
     # -- value identity ----------------------------------------------------
 
@@ -312,12 +344,11 @@ class DiagFunctor:
             if self.arrow_map[self.source.identity[x]] != \
                     self.target.identity[self.obj_map[x]]:
                 raise ValueError("identity at %r not preserved" % (x,))
-        for f in self.source.arrows:
-            for z in self.source.objects:
-                for g in self.source.hom(self.source.tgt[f], z):
-                    if self.arrow_map[self.source.compose(g, f)] != \
-                            self.target.compose(self.arrow_map[g], self.arrow_map[f]):
-                        raise ValueError("composition not preserved at (%r,%r)" % (g, f))
+        # composition on the generator pairs; the rest follows by induction
+        for g, f, gf in self.source.generator_pairs():
+            if self.arrow_map[gf] != \
+                    self.target.compose(self.arrow_map[g], self.arrow_map[f]):
+                raise ValueError("composition not preserved at (%r,%r)" % (g, f))
 
     def __repr__(self):
         return "DiagFunctor(%r -> %r)" % (self.source, self.target)
@@ -343,7 +374,8 @@ class NatTrans:
             if c is None or tcat.src[c] != self.source.obj_map[x] or \
                     tcat.tgt[c] != self.target.obj_map[x]:
                 raise ValueError("component at %r missing or misplaced" % (x,))
-        for a in cat.arrows:
+        # the squares of a composite paste from its generators'
+        for a in cat.indecomposable_arrows():
             x, y = cat.src[a], cat.tgt[a]
             left = tcat.compose(self.components[y], self.source.arrow_map[a])
             right = tcat.compose(self.target.arrow_map[a], self.components[x])

@@ -17,7 +17,6 @@ from . import diagram
 from . import presheaf as ps
 from . import complexes as cx
 from . import derivator as dv
-from . import coherence as co
 
 
 def rng_for(seed):
@@ -275,7 +274,10 @@ def perturb_diagram(r, d):
 
 def rand_incoherent(r, field, icat, base, max_parts=2):
     """A Toda-passing incoherent diagram: the underlying diagram of an
-    honest object, with every map perturbed within its homotopy class."""
+    honest object, with every map perturbed within its homotopy class.
+    Only here is coherence loaded, so drawing other inputs does not
+    compile it."""
+    from . import coherence as co
     x = rand_honest(r, field, icat, base, max_parts)
     return perturb_diagram(r, co.dia(x))
 

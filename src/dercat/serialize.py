@@ -143,7 +143,11 @@ def dec_diagram(obj):
     for name, s, t in arrows:
         hom.setdefault((s, t), []).append(name)
     identity = dict(zip(objects, identities))
-    comp = {(g, f): gf for g, f, gf in comp_rows}
+    comp = {}
+    for g, f, gf in comp_rows:
+        if (g, f) in comp:
+            raise FormatError("compose row for %r∘%r listed twice" % (g, f))
+        comp[(g, f)] = gf
     try:
         return diagram.FinCat(objects, hom, identity, comp, validate=True)
     except (ValueError, KeyError) as e:

@@ -626,8 +626,9 @@ LAYER_RUNS = [
     (["kan", "x.json", "--dir", "left", "--functor", "u.json",
       "--out", "out.json"], DERIVATOR_LAYERS),
     (["lift", "d.json", "--out", "out.json"], COHERENCE_LAYERS),
+    # generators loads coherence only to draw an incoherent diagram
     (["verify", "--suite", "der7", "--cases", "1"],
-     COHERENCE_LAYERS | {"generators"}),
+     DERIVATOR_LAYERS | {"generators"}),
 ]
 
 
@@ -650,3 +651,23 @@ def test_each_command_imports_only_its_layers(layer_inputs, argv, layers):
     assert proc.returncode == 0, proc.stderr.decode()
     loaded = set(proc.stdout.decode().splitlines()[-1].split())
     assert loaded == layers
+
+
+@pytest.mark.parametrize("row, replace, says", [
+    (["zz", "yy", "2>0"], True, "names no composite"),
+    (["2>1", "id@0", "2>0"], True, "names no composite"),
+    (["1>0", "id@1", "2>0"], True, "names no composite"),
+    (["1>0", "2>1", "2>1"], False, "listed twice")],
+    ids=["unknown", "not-composable", "identity", "repeated"])
+def test_a_junk_compose_row_is_input_error(tmp_path, capsys, row, replace,
+                                           says):
+    obj = se.encode(diagram.delta(2))
+    path = tmp_path / "d2.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["check-diagram", str(path)]) == 0
+    # the row goes first, replacing or keeping the row for its pair
+    obj["compose"] = [row] + [old for old in obj["compose"]
+                              if not (replace and old[:2] == row[:2])]
+    path.write_text(json.dumps(obj))
+    assert cli.main(["check-diagram", str(path)]) == 2
+    assert says in capsys.readouterr().err

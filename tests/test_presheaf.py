@@ -862,3 +862,276 @@ def test_resolution_step_matches_the_counit_reference(field):
                         assert _same(p.diff(m).comps[o], diffs[m].comps[o])
                 steps += 1
     assert steps >= 20
+
+
+# -- validation walks the generator pairs (g, a): a indecomposable, g a
+# non-identity arrow out of its target.  The loops over every composable
+# pair that it replaced are kept here as oracles; verdicts are compared on
+# valid inputs and on inputs with one entry or one arrow image changed.
+
+
+def _validation_shapes(r):
+    quiver = _parallel_quiver()
+    return ([gen.rand_poset(r, 5) for _ in range(6)]
+            + [diagram.square(), quiver,
+               diagram.product(quiver, diagram.delta(1))])
+
+
+def _functorial_all_pairs(cat, act):
+    for a in cat.arrows:
+        for z in cat.objects:
+            for g in cat.hom(cat.tgt[a], z):
+                if act(cat.compose(g, a)) != act(a) * act(g):
+                    return False
+    return True
+
+
+def _listed_all_pairs(field, cat, dims, action):
+    def act(a):
+        if cat.is_identity(a):
+            return Matrix.identity(field, dims[cat.src[a]])
+        return action[a]
+    return _functorial_all_pairs(cat, act)
+
+
+def _natural_all_arrows(phi):
+    cat = phi.source.shape
+    return all(phi.comps[cat.src[a]] * phi.source.act(a)
+               == phi.target.act(a) * phi.comps[cat.tgt[a]]
+               for a in cat.nonidentity_arrows())
+
+
+def _functor_all_pairs(u):
+    s, t = u.source, u.target
+    for a in s.arrows:
+        if t.src[u.arrow_map[a]] != u.obj_map[s.src[a]] or \
+                t.tgt[u.arrow_map[a]] != u.obj_map[s.tgt[a]]:
+            return False
+    if any(u.arrow_map[s.identity[x]] != t.identity[u.obj_map[x]]
+           for x in s.objects):
+        return False
+    for f in s.arrows:
+        for z in s.objects:
+            for g in s.hom(s.tgt[f], z):
+                if u.arrow_map[s.compose(g, f)] != \
+                        t.compose(u.arrow_map[g], u.arrow_map[f]):
+                    return False
+    return True
+
+
+def _table_all_triples(objects, hom, identity, comp):
+    try:
+        cat = diagram.FinCat(objects, hom, identity, comp, validate=False)
+        for f in cat.arrows:
+            for z in cat.objects:
+                for g in cat.hom(cat.tgt[f], z):
+                    gf = cat.compose(g, f)
+                    if cat.src[gf] != cat.src[f] or cat.tgt[gf] != z:
+                        return False
+                    for w in cat.objects:
+                        for h in cat.hom(z, w):
+                            if cat.compose(h, gf) != \
+                                    cat.compose(cat.compose(h, g), f):
+                                return False
+    except (KeyError, ValueError):
+        return False
+    return True
+
+
+def _accepts(build):
+    try:
+        build()
+    except ValueError:
+        return False
+    return True
+
+
+def _corrupt(r, field, m):
+    """m with one entry moved by one, or m itself when it has no entry."""
+    if not (m.rows and m.cols):
+        return m
+    i, j = r.randrange(m.rows), r.randrange(m.cols)
+    rows = [list(row) for row in m.entries]
+    rows[i][j] = field.add(rows[i][j], field.one)
+    return Matrix(field, m.rows, m.cols, rows)
+
+
+@pytest.mark.parametrize("field", [F2, F5, Field("rationals")], ids=repr)
+def test_generator_pairs_agree_with_all_pairs(field):
+    r = gen.rng_for(34)
+    verdicts = {"generators": [], "listed": [], "maps": []}
+    for shape in _validation_shapes(r):
+        for case in range(6):
+            bad = case % 2 == 1
+            f = gen.rand_presheaf(r, field, shape, max_parts=3)
+            gens = {a: f.act(a) for a in shape.indecomposable_arrows()}
+            if bad and shape.indecomposable_arrows():
+                a = r.choice(shape.indecomposable_arrows())
+                gens[a] = _corrupt(r, field, gens[a])
+            new = _accepts(lambda: ps.Presheaf(field, shape, f.dims,
+                                               gens).validate())
+            old = _functorial_all_pairs(
+                shape, ps.Presheaf(field, shape, f.dims, gens).act)
+            assert new == old
+            verdicts["generators"].append(new)
+
+            listed = dict(f.action)
+            if bad and shape.nonidentity_arrows():
+                a = r.choice(shape.nonidentity_arrows())
+                listed[a] = _corrupt(r, field, listed[a])
+            new = _accepts(lambda: ps.Presheaf(field, shape, f.dims, listed,
+                                               validate=True))
+            assert new == _listed_all_pairs(field, shape, f.dims, listed)
+            verdicts["listed"].append(new)
+
+            g = gen.rand_presheaf(r, field, shape, max_parts=3)
+            comps = dict(gen.rand_hom_element(r, field, f, g).comps)
+            if bad:
+                x = r.choice(shape.objects)
+                comps[x] = _corrupt(r, field, comps[x])
+            phi = ps.PresheafMap(f, g, comps)
+            new = _accepts(phi.validate)
+            assert new == _natural_all_arrows(phi)
+            verdicts["maps"].append(new)
+    # both verdicts occur, so the comparison is not vacuous
+    for kind, seen in verdicts.items():
+        assert set(seen) == {True, False}, kind
+
+
+def _rand_functor_into(r, s, t):
+    """A functor s → t given on s's generators and extended along its
+    factorizations, or None when no object map is monotone; it is
+    functorial only when every relation of s holds in t."""
+    for _ in range(50):
+        omap = {x: r.choice(t.objects) for x in s.objects}
+        if all(t.hom(omap[s.src[a]], omap[s.tgt[a]]) for a in s.arrows):
+            break
+    else:
+        return None
+    amap = {x_id: t.identity[omap[x]] for x, x_id in s.identity.items()}
+    for a in s.indecomposable_arrows():
+        amap[a] = r.choice(t.hom(omap[s.src[a]], omap[s.tgt[a]]))
+    for c, g, f in s.factorizations():
+        amap[c] = t.compose(amap[g], amap[f])
+    return diagram.DiagFunctor(s, t, omap, amap, validate=False)
+
+
+def test_functor_checks_agree_with_all_pairs():
+    r = gen.rng_for(35)
+    quiver = _parallel_quiver()
+    targets = [quiver, diagram.product(quiver, diagram.delta(1)),
+               diagram.square()]
+    verdicts = []
+    for case in range(60):
+        u = _rand_functor_into(r, gen.rand_poset(r, 4), r.choice(targets))
+        if u is None:
+            continue
+        amap = dict(u.arrow_map)
+        if case % 2 and u.source.nonidentity_arrows():
+            a = r.choice(u.source.nonidentity_arrows())
+            t = u.target
+            amap[a] = r.choice(t.hom(t.src[amap[a]], t.tgt[amap[a]]))
+        v = diagram.DiagFunctor(u.source, u.target, u.obj_map, amap,
+                                validate=False)
+        new = _accepts(v._validate)
+        assert new == _functor_all_pairs(v)
+        verdicts.append(new)
+    assert set(verdicts) == {True, False}
+
+
+def test_table_checks_agree_with_all_triples():
+    r = gen.rng_for(36)
+    quiver = _parallel_quiver()
+    shapes = [gen.rand_poset(r, 5) for _ in range(10)] + \
+        [quiver, diagram.product(quiver, diagram.delta(1)),
+         diagram.product(diagram.delta(1), quiver)]
+    verdicts = []
+    for case, c in enumerate(shapes * 4):
+        comp = dict(c.comp)
+        rows = [(g, f) for (g, f) in comp
+                if not (c.is_identity(g) or c.is_identity(f))]
+        if case % 2 and rows:
+            # a row that still names a composable pair: junk rows are
+            # refused by the new check alone
+            g, f = r.choice(rows)
+            comp[(g, f)] = r.choice(c.arrows)
+        new = _accepts(lambda: diagram.FinCat(c.objects, c.hom_table,
+                                              c.identity, comp))
+        assert new == _table_all_triples(c.objects, c.hom_table, c.identity,
+                                         comp)
+        verdicts.append(new)
+    assert set(verdicts) == {True, False}
+
+
+def _hexagon_listed(field, sign):
+    """The poset x < a < c < w, x < b < d < w, all fibers one-dimensional:
+    every arrow acts by 1, except that d > b acts by sign and the arrows
+    through it follow, while w > x acts by 1 whatever sign is.  No square
+    relates the two paths w → x, so with sign -1 only the pairs of a
+    generator and a composite see the fault."""
+    up = {"x": "acbdw", "a": "cw", "b": "dw", "c": "w", "d": "w", "w": ""}
+    shape = diagram.poset_category("xabcdw", lambda s, t: s == t or t in up[s])
+    one = Matrix(field, 1, 1, [[field.one]])
+    minus = Matrix(field, 1, 1, [[field.of_int(sign)]])
+    action = {a: one for a in shape.nonidentity_arrows()}
+    for a in ("d>b", "w>b", "d>x"):
+        action[a] = minus
+    return shape, {x: 1 for x in shape.objects}, action
+
+
+@pytest.mark.parametrize("field", [F5, Field("rationals")], ids=repr)
+def test_a_fault_seen_only_by_a_generator_and_a_composite(field):
+    for sign, ok in ((1, True), (-1, False)):
+        shape, dims, action = _hexagon_listed(field, sign)
+        assert shape.factor_of("w>x")     # w > x is a composite
+        assert _listed_all_pairs(field, shape, dims, action) is ok
+        assert _accepts(lambda: ps.Presheaf(field, shape, dims, action,
+                                            validate=True)) is ok
+        gens = {a: action[a] for a in shape.indecomposable_arrows()}
+        # generator form: w > x is built from one path, the other differs
+        assert _accepts(ps.Presheaf(field, shape, dims, gens).validate) is ok
+
+
+def test_presheaf_validation_counts_its_products(monkeypatch):
+    shape = diagram.cube(5)
+    f = ps.free_at(F5, shape, 2, shape.objects[0])
+    fresh = ps.Presheaf(F5, shape, f.dims,
+                        {a: f.act(a) for a in shape.indecomposable_arrows()})
+    out = shape.targets()
+    bound = sum(len(out[shape.tgt[a]]) - 1
+                for a in shape.indecomposable_arrows())
+    calls = []
+    mul = Matrix.__mul__
+
+    def counted(m, other):
+        calls.append(1)
+        return mul(m, other)
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    fresh.validate()
+    assert 0 < len(calls) <= bound
+
+
+def test_decoding_a_thin_table_composes_each_pair_at_most_once(monkeypatch):
+    shape = diagram.opposite(diagram.product(diagram.cube(2),
+                                             diagram.delta(2)))
+    out = shape.targets()
+    pairs = sum(len(shape.hom(x, y)) * len(out[y])
+                for (x, y) in shape.hom_table)
+    calls = []
+    compose = diagram.FinCat.compose
+
+    def counted(cat, g, f):
+        calls.append(1)
+        return compose(cat, g, f)
+    monkeypatch.setattr(diagram.FinCat, "compose", counted)
+    decoded = se.decode(se.encode(shape))
+    assert decoded.thin and not decoded.is_poset()
+    assert len(calls) <= pairs
+
+
+def test_an_identity_row_must_give_the_other_arrow():
+    quiver = _parallel_quiver()
+    comp = dict(quiver.comp)
+    comp[("f", "id@a")] = "g"
+    with pytest.raises(ValueError, match="identity row"):
+        diagram.FinCat(quiver.objects, quiver.hom_table, quiver.identity, comp)
