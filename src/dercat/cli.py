@@ -367,8 +367,10 @@ def _suite_der2(r, field):
     for f in (rho, cx.zero_chain_map(p, x)):
         pointwise = all(
             cx.is_quasi_iso(cx.restrict_chain_map(
-                diagram.point_inclusion(shape, o), f))
-            for o in shape.objects)
+                u, f, cx.restrict_complex(u, f.source),
+                cx.restrict_complex(u, f.target)))
+            for u in (diagram.point_inclusion(shape, o)
+                      for o in shape.objects))
         if cx.is_quasi_iso(f) != pointwise:
             return False, "pointwise and global verdicts disagree", x
     return True, None, None

@@ -105,9 +105,8 @@ def dia(x):
     if prod.product_of is None:
         raise ValueError("shape does not factor as a product")
     icat, base = prod.product_of
-    fibers = dv.Fibers(x)
-    values = {i: fibers.fiber(i) for i in icat.objects}
-    maps = {a: fibers.structure_map(a) for a in icat.nonidentity_arrows()}
+    values = {i: dv.fiber_complex(x, i) for i in icat.objects}
+    maps = {a: dv.structure_map(x, a) for a in icat.nonidentity_arrows()}
     d = IncoherentDiagram(icat, base, values, maps)
     return _strict_witnesses(d)
 
@@ -283,10 +282,9 @@ class LiftCertificate:
         for q in self.fiber_maps.values():
             if not cx.is_quasi_iso(q):
                 return False
-        fibers = dv.Fibers(self.lift)
         for a, h in self.arrow_homotopies.items():
             x, y = d.shape.src[a], d.shape.tgt[a]
-            s = fibers.structure_map(a)
+            s = dv.structure_map(self.lift, a)
             lhs = self.fiber_maps[x].compose(s)
             rhs = d.map(a).compose(self.fiber_maps[y])
             if not h.witnesses(lhs, rhs):
@@ -396,9 +394,8 @@ def _certify(f, prod, lift, layer0, resolutions, res_maps):
     icat, base, field = f.shape, f.base, f.field
     fiber_maps, arrow_h = {}, {}
     obj_chain_idx = {c[0]: k for k, c in enumerate(layer0.chains)}
-    fibers = dv.Fibers(lift)
     for i in icat.objects:
-        fib = fibers.fiber(i)
+        fib = dv.fiber_complex(lift, i)
         r = resolutions[i]
         comps = {}
         for p in r.degrees():
@@ -436,7 +433,7 @@ def _certify(f, prod, lift, layer0, resolutions, res_maps):
         fiber_maps[i] = extended[0]
     for a in icat.nonidentity_arrows():
         x, y = icat.src[a], icat.tgt[a]
-        s = fibers.structure_map(a)
+        s = dv.structure_map(lift, a)
         lhs = fiber_maps[x].compose(s)
         rhs = f.map(a).compose(fiber_maps[y])
         h = cx.homotopy_solve(lhs, rhs)

@@ -27,11 +27,13 @@ class Complex:
     Degrees outside [lo, hi] read as zero; leading/trailing zero terms are
     trimmed at construction so equal complexes compare equal.  terms and
     diffs are read-only.  recorded is what equality ignores, the shape's
-    and each term's, for memo keys.
+    and each term's, for memo keys.  fibers keeps the fibres
+    derivator.fiber_complex restricts, by object of the first factor, as a
+    presheaf keeps its composites: built on first read, then shared.
     """
 
     __slots__ = ("field", "shape", "lo", "hi", "terms", "diffs", "recorded",
-                 "_zero", "_hash")
+                 "fibers", "_zero", "_hash")
 
     def __init__(self, field, shape, terms, diffs, validate=False):
         degrees = sorted(p for p, t in terms.items() if not t.is_zero())
@@ -51,6 +53,7 @@ class Complex:
                                                for p in self.degrees()))
         self.diffs = MappingProxyType({p: diffs[p] for p in diffs
                                        if self.lo <= p < self.hi})
+        self.fibers = {}
         self._hash = None
         if validate:
             self.validate()
@@ -880,9 +883,9 @@ def over_point(x):
     return Complex(x.field, prod, terms, diffs)
 
 
-def restrict_chain_map(u, f):
-    src = restrict_complex(u, f.source)
-    tgt = restrict_complex(u, f.target)
+def restrict_chain_map(u, f, src, tgt):
+    """u*f between src = u*(f.source) and tgt = u*(f.target), the
+    restricted ends, which the caller has built."""
     return ChainMap(src, tgt, {p: ps.restrict_map(u, m, src.term(p), tgt.term(p))
                                for p, m in f.comps.items()})
 

@@ -23,8 +23,8 @@ def transport_presheaf(u, p):
     """u_! of a recorded free presheaf: V ⊗ i ↦ V ⊗ u(i)."""
     if p.free_parts is None:
         raise ValueError("presheaf is not recorded free")
-    return ps.direct_sum_many(p.field, u.target, [
-        ps.free_at(p.field, u.target, v, u.obj_map[i]) for (v, i) in p.free_parts])
+    return ps.free_sum(p.field, u.target, tuple(
+        (v, u.obj_map[i]) for (v, i) in p.free_parts))
 
 
 def transport_free_map(u, phi, src_t, tgt_t):
@@ -157,7 +157,8 @@ class KanCertificate:
         if cx.homotopy_solve(composite, cx.identity_chain_map(l)) is None:
             return False
         eta_r2 = unit_chain_map(u, r2, transported=counit.source)
-        composite2 = cx.restrict_chain_map(u, counit).compose(eta_r2)
+        composite2 = cx.restrict_chain_map(
+            u, counit, eta_r2.target, ul).compose(eta_r2)
         return cx.homotopy_solve(composite2, rho2) is not None
 
 
@@ -219,39 +220,36 @@ def fiber_functor(prod, i_obj):
 
 
 def fiber_complex(x, i_obj):
-    """i* x over the second factor, for x over a product shape."""
-    return cx.restrict_complex(fiber_functor(x.shape, i_obj), x)
+    """i* x over the second factor, for x over a product shape.  Each fibre
+    is restricted once per complex and object and kept in x.fibers, so
+    every reader of it shares one complex."""
+    fiber = x.fibers.get(i_obj)
+    if fiber is None:
+        fiber = x.fibers[i_obj] = cx.restrict_complex(
+            fiber_functor(x.shape, i_obj), x)
+    return fiber
 
 
 def point_restriction(chain_map, i_obj):
-    """Restrict a chain map over a product shape to the fiber at i_obj."""
+    """Restrict a chain map over a product shape to the fiber at i_obj,
+    between the shared fibres of its ends."""
     u = fiber_functor(chain_map.source.shape, i_obj)
-    return cx.restrict_chain_map(u, chain_map)
+    return cx.restrict_chain_map(u, chain_map,
+                                 fiber_complex(chain_map.source, i_obj),
+                                 fiber_complex(chain_map.target, i_obj))
 
 
-class Fibers:
-    """A complex over a product I × J with its fibres over I, each
-    restricted once, and the structure maps between them."""
-
-    def __init__(self, complex_):
-        self.complex = complex_
-        self._fibers = {}
-
-    def fiber(self, i_obj):
-        if i_obj not in self._fibers:
-            self._fibers[i_obj] = fiber_complex(self.complex, i_obj)
-        return self._fibers[i_obj]
-
-    def structure_map(self, arrow_a):
-        """For an arrow a : i1 → i2 of the first factor, the induced chain
-        map fiber(i2) → fiber(i1) (the contravariant structure map)."""
-        x = self.complex
-        prod = x.shape
-        icat, jcat = prod.product_of
-        return cx.termwise_map(
-            self.fiber(icat.tgt[arrow_a]), self.fiber(icat.src[arrow_a]),
-            lambda p, m: x.term(p).act(
-                prod.pair_arrow[(arrow_a, jcat.identity[m])]))
+def structure_map(x, arrow_a):
+    """For x over a product I × J and an arrow a : i1 → i2 of the first
+    factor, the induced chain map from the fibre at i2 to the fibre at i1
+    (the contravariant structure map), between the shared fibres."""
+    prod = x.shape
+    icat, jcat = prod.product_of
+    return cx.termwise_map(
+        fiber_complex(x, icat.tgt[arrow_a]),
+        fiber_complex(x, icat.src[arrow_a]),
+        lambda p, m: x.term(p).act(
+            prod.pair_arrow[(arrow_a, jcat.identity[m])]))
 
 
 # --- base change (Der 4) ------------------------------------------------------
@@ -264,7 +262,8 @@ def base_change_left(u, y, x):
     p = cert.unit.source
     c_cat, forget, alpha = diagram.comma_under(u, y)
     jp = cx.restrict_complex(forget, p)
-    eta_j = cx.restrict_chain_map(forget, cert.unit)
+    eta_j = cx.restrict_chain_map(forget, cert.unit, jp, cx.restrict_complex(
+        forget, cert.unit.target))
     # α-restriction: (u∘forget)* L → const_y* L
     ujl = eta_j.target
     fiber = cx.restrict_complex(diagram.constant_functor(c_cat, u.target, y), l)
@@ -297,14 +296,14 @@ def base_change(u, y, x):
 # --- bicartesian squares (Der 7) ----------------------------------------------
 
 
-class SquareObject(Fibers):
-    """A complex over □ × J with its corner fibers cached."""
+class SquareObject:
+    """A complex over □ × J, checked to be one, with its base J."""
 
     def __init__(self, complex_):
         prod = complex_.shape
         if prod.product_of is None or prod.product_of[0] != diagram.square():
             raise ValueError("shape does not factor through the square")
-        super().__init__(complex_)
+        self.complex = complex_
         self.base = prod.product_of[1]
 
 
@@ -453,9 +452,8 @@ def _extend_presheaf(emb, g):
             action[a] = Matrix.zeros(g.field, dims[x], dims[y])
     out = ps.Presheaf(g.field, icat, dims, action)
     if g.free_parts is not None:
-        candidate = ps.direct_sum_many(g.field, icat, [
-            ps.free_at(g.field, icat, v, emb.obj_map[i])
-            for (v, i) in g.free_parts])
+        candidate = ps.free_sum(g.field, icat, tuple(
+            (v, emb.obj_map[i]) for (v, i) in g.free_parts))
         if candidate == out:
             out = candidate
     return out
@@ -643,14 +641,14 @@ def standard_triangle(s):
     base = sq.base
     if not is_bicartesian(sq):
         raise ValueError("square is not bicartesian")
-    w0 = sq.fiber((1, 0))
+    w0 = fiber_complex(x_sq, (1, 0))
     if not cx.is_acyclic(w0):
         raise ValueError("the (1,0) corner is not acyclic")
-    xf = sq.fiber((0, 0))
-    zf = sq.fiber((1, 1))
+    xf = fiber_complex(x_sq, (0, 0))
+    zf = fiber_complex(x_sq, (1, 1))
     sqcat = diagram.square()
-    f = sq.structure_map(sqcat.hom((0, 1), (0, 0))[0])
-    g = sq.structure_map(sqcat.hom((1, 1), (0, 1))[0])
+    f = structure_map(x_sq, sqcat.hom((0, 1), (0, 0))[0])
+    g = structure_map(x_sq, sqcat.hom((1, 1), (0, 1))[0])
 
     # P := (i_squarearrow)_! (i_square)_* F over twosquare × J
     _, incl_sa = diagram.squarearrow()
@@ -668,21 +666,20 @@ def standard_triangle(s):
             raise AssertionError("sub-square at columns %r not bicartesian" % (cols,))
 
     # zig-zag identifying P_12 with ΣX
-    pf = Fibers(p_big)
-    xprime = pf.fiber((0, 0))
-    za = pf.fiber((0, 2))     # acyclic top-right
-    zb = pf.fiber((1, 0))     # acyclic bottom-left
+    xprime = fiber_complex(p_big, (0, 0))
+    za = fiber_complex(p_big, (0, 2))     # acyclic top-right
+    zb = fiber_complex(p_big, (1, 0))     # acyclic bottom-left
     if not (cx.is_acyclic(za) and cx.is_acyclic(zb)):
         raise AssertionError("outer-corner fibers are not acyclic")
-    u_top = pf.structure_map(ts.hom((0, 2), (0, 0))[0])
-    v_left = pf.structure_map(ts.hom((1, 0), (0, 0))[0])
-    g_a = pf.structure_map(ts.hom((1, 2), (0, 2))[0])
-    g_b = pf.structure_map(ts.hom((1, 2), (1, 0))[0])
+    u_top = structure_map(p_big, ts.hom((0, 2), (0, 0))[0])
+    v_left = structure_map(p_big, ts.hom((1, 0), (0, 0))[0])
+    g_a = structure_map(p_big, ts.hom((1, 2), (0, 2))[0])
+    g_b = structure_map(p_big, ts.hom((1, 2), (1, 0))[0])
     zab = cx.direct_sum_complex(za, zb)
     lam = cx.termwise_map(xprime, zab, lambda p, o: linalg.vstack(
         x_sq.field, [u_top.comp(p).comps[o], v_left.comp(p).comps[o]]))
     m = cx.cone(lam)
-    p12 = pf.fiber((1, 2))
+    p12 = fiber_complex(p_big, (1, 2))
     kappa = cx.termwise_map(m, p12, lambda p, o: linalg.hstack(x_sq.field, [
         Matrix.zeros(x_sq.field, p12.term(p).dims[o],
                      xprime.term(p + 1).dims[o]),
@@ -698,7 +695,7 @@ def standard_triangle(s):
     if lifted is None:
         raise AssertionError("fiber comparison fails to lift")
     lam1, _ = lifted
-    f2 = pf.structure_map(ts.hom((1, 2), (1, 1))[0])
+    f2 = structure_map(p_big, ts.hom((1, 2), (1, 1))[0])
     mu = f2.compose(lam1)
     lifted2 = cx.lift_through_qis(mu, kappa)
     if lifted2 is None:

@@ -10,6 +10,11 @@ Conventions (fixed once, everything downstream depends on them):
   * a "free" presheaf is a direct sum of pieces V ⊗ i with
     (V ⊗ i)_j = ⊕_{hom(j,i)} V; the pieces are recorded in free_parts so
     Kan extensions can transport them without re-deriving the structure;
+  * free presheaves are shared values: free_sum(field, shape, parts) is
+    one object per arguments, free_at(field, shape, v, i) its one-part
+    case, and a direct sum of free summands is the free_sum of their
+    parts, so the terms of resolutions and their transports are built
+    once, not per use;
   * a presheaf is presented by its generating arrows: it stores the
     action of the indecomposable arrows only, and every constructor
     builds just those.  A composite c = g∘f of shape.factorizations()
@@ -25,9 +30,9 @@ from . import linalg
 from .linalg import Matrix
 from . import diagram
 
-# zero_presheaf, zero_map, free_at and hom_basis share their results,
-# which are immutable; each keeps at most this many and recomputes one it
-# dropped
+# zero_presheaf, zero_map, free_at, free_sum and hom_basis share their
+# results, which are immutable; each keeps at most this many and
+# recomputes one it dropped
 PRESHEAF_CACHE_SIZE = 256
 
 
@@ -294,7 +299,7 @@ def identity_map(f):
 @diagram.memo(PRESHEAF_CACHE_SIZE)
 def free_at(field, shape, v, i):
     """The free presheaf V ⊗ i with (V ⊗ i)_j = ⊕_{hom(j,i)} V, one shared
-    object per arguments."""
+    object per arguments: free_sum's one-part case."""
     if i not in shape.objects:
         raise ValueError("unknown object %r" % (i,))
     dims = {j: v * len(shape.hom(j, i)) for j in shape.objects}
@@ -317,6 +322,21 @@ def free_at(field, shape, v, i):
     return Presheaf(field, shape, dims, action, free_parts=((v, i),))
 
 
+@diagram.memo(PRESHEAF_CACHE_SIZE)
+def free_sum(field, shape, parts):
+    """The free presheaf ⊕_k V_k ⊗ i_k of parts ((v_1, i_1), ...), with
+    parts recorded as its free_parts; one shared object per arguments.  No
+    parts give the zero presheaf and one part its free_at; several are
+    summed block-diagonally from their free_at, whose own memo keeps them
+    while sums come and go."""
+    if len(parts) == 1:
+        return free_at(field, shape, *parts[0])
+    if not parts:
+        return zero_presheaf(field, shape)
+    return _block_sum(field, shape, [free_at(field, shape, v, i)
+                                     for v, i in parts], parts)
+
+
 def direct_sum(f, g):
     """Direct sum presheaf; free_parts concatenate when both are free."""
     if f.shape != g.shape or f.field != g.field:
@@ -325,16 +345,20 @@ def direct_sum(f, g):
 
 
 def direct_sum_many(field, shape, summands):
-    """The direct sum of summands over shape, built in one pass; free_parts
-    concatenate when every summand is free."""
-    if not summands:
-        return zero_presheaf(field, shape)
+    """The direct sum of summands over shape, built in one pass; when every
+    summand is free it is the shared free_sum of their parts in order."""
+    if all(s.free_parts is not None for s in summands):
+        return free_sum(field, shape, tuple(part for s in summands
+                                            for part in s.free_parts))
+    return _block_sum(field, shape, summands, None)
+
+
+def _block_sum(field, shape, summands, parts):
+    """The presheaf with the block-diagonal generators of summands and the
+    given free parts."""
     dims = {x: sum(s.dims[x] for s in summands) for x in shape.objects}
     action = {a: linalg.direct_sum_many(field, ms) for a, ms in zip(
         shape.indecomposable_arrows(), zip(*(s._gens for s in summands)))}
-    parts = None
-    if all(s.free_parts is not None for s in summands):
-        parts = tuple(part for s in summands for part in s.free_parts)
     return Presheaf(field, shape, dims, action, free_parts=parts)
 
 

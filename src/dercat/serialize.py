@@ -66,6 +66,17 @@ def _file_field(obj, field):
     return file_field
 
 
+def _once(rows, what):
+    """The dict of (key, value) rows; a key listed twice is bad input, as
+    keeping either row would drop the other unchecked."""
+    out = {}
+    for key, value in rows:
+        if key in out:
+            raise FormatError("%s at %r listed twice" % (what, key))
+        out[key] = value
+    return out
+
+
 # --- labels ------------------------------------------------------------------
 
 
@@ -143,12 +154,8 @@ def dec_diagram(obj):
     for name, s, t in arrows:
         hom.setdefault((s, t), []).append(name)
     identity = dict(zip(objects, identities))
-    comp = {}
-    for g, f, gf in comp_rows:
-        if (g, f) in comp:
-            raise FormatError("compose row for %r∘%r listed twice" % (g, f))
-        comp[(g, f)] = gf
     try:
+        comp = _once((((g, f), gf) for g, f, gf in comp_rows), "compose row")
         return diagram.FinCat(objects, hom, identity, comp, validate=True)
     except (ValueError, KeyError) as e:
         raise FormatError("diagram does not validate: %s" % (e,))
@@ -171,8 +178,10 @@ def dec_functor(obj):
     src = dec_diagram(obj["source"])
     tgt = dec_diagram(obj["target"])
     try:
-        omap = {dec_label(x): dec_label(ux) for x, ux in obj["objects"]}
-        amap = {dec_label(a): dec_label(ua) for a, ua in obj["arrows"]}
+        omap = _once(((dec_label(x), dec_label(ux))
+                      for x, ux in obj["objects"]), "object image")
+        amap = _once(((dec_label(a), dec_label(ua))
+                      for a, ua in obj["arrows"]), "arrow image")
         return diagram.DiagFunctor(src, tgt, omap, amap, validate=True)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError("functor does not validate: %s" % (e,))
@@ -192,44 +201,40 @@ def _enc_presheaf_body(f):
 
 def _dec_presheaf_body(field, shape, obj):
     try:
-        dims = {dec_label(x): int(d) for x, d in obj["dims"]}
-        action, repeated = {}, []
-        for a, m in obj["action"]:
-            a, m = dec_label(a), dec_matrix(field, m)
-            if a in action:
-                repeated.append(a)
-            action[a] = m
+        dims = [(dec_label(x), int(d)) for x, d in obj["dims"]]
+        action = [(dec_label(a), dec_matrix(field, m))
+                  for a, m in obj["action"]]
         parts = None
         if "free" in obj:
             parts = tuple((int(v), dec_label(i)) for v, i in obj["free"])
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError("bad presheaf: %s" % (e,))
     try:
-        if repeated:
-            raise ValueError("action at %r listed twice" % (repeated[0],))
-        f = ps.Presheaf(field, shape, dims, action, free_parts=parts,
+        f = ps.Presheaf(field, shape, _once(dims, "dimension"),
+                        _once(action, "action"), free_parts=parts,
                         validate=True)
     except (ValueError, KeyError) as e:
         raise FormatError("presheaf does not validate: %s" % (e,))
-    if parts is not None:
-        _check_free_parts(f)
-    return f
+    return f if parts is None else _check_free_parts(f)
 
 
 def _check_free_parts(f):
-    """Hom spaces and resolutions out of f trust its free parts, so they
-    must present f exactly; the dimensions are compared first, which also
+    """The shared free_sum of f's free parts, which must equal f: hom
+    spaces and resolutions out of f trust its free parts, so they must
+    present f exactly.  The dimensions are compared first, which also
     bounds the multiplicities before any matrix is built."""
     field, shape = f.field, f.shape
     for v, i in f.free_parts:
         if v < 0 or i not in shape.objects:
             raise FormatError("bad free part %r" % ([v, i],))
-    if any(sum(v * len(shape.hom(x, i)) for v, i in f.free_parts) != f.dims[x]
-           for x in shape.objects) or f != ps.direct_sum_many(
-               field, shape, [ps.free_at(field, shape, v, i)
-                              for v, i in f.free_parts]):
+    free = None
+    if all(sum(v * len(shape.hom(x, i)) for v, i in f.free_parts) == f.dims[x]
+           for x in shape.objects):
+        free = ps.free_sum(field, shape, f.free_parts)
+    if free != f:
         raise FormatError("the free parts %r do not present the presheaf"
                           % ([list(p) for p in f.free_parts],))
+    return free
 
 
 def enc_presheaf(f):
@@ -256,9 +261,10 @@ def _enc_map_body(phi):
 
 def _dec_map_body(src, tgt, rows):
     field = src.field
-    comps = {dec_label(x): dec_matrix(field, m) for x, m in rows}
+    comps = [(dec_label(x), dec_matrix(field, m)) for x, m in rows]
     try:
-        return ps.PresheafMap(src, tgt, comps, validate=True)
+        return ps.PresheafMap(src, tgt, _once(comps, "component"),
+                              validate=True)
     except (ValueError, KeyError) as e:
         raise FormatError("presheaf map does not validate: %s" % (e,))
 
@@ -274,9 +280,10 @@ def _enc_complex_body(x):
 def _dec_complex_body(field, shape, obj):
     from . import complexes as cx
     try:
-        terms = {int(p): _dec_presheaf_body(field, shape, body)
-                 for p, body in obj["terms"]}
-        diff_rows = {int(p): rows for p, rows in obj.get("diffs", [])}
+        terms = _once(((int(p), _dec_presheaf_body(field, shape, body))
+                       for p, body in obj["terms"]), "term")
+        diff_rows = _once(((int(p), rows) for p, rows in obj.get("diffs", [])),
+                          "differential")
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError("bad complex: %s" % (e,))
     diffs = {}
@@ -310,10 +317,9 @@ def _enc_chain_map_body(f):
 
 def _dec_chain_map_body(src, tgt, rows):
     from . import complexes as cx
-    comps = {}
-    for p, body in rows:
-        p = int(p)
-        comps[p] = _dec_map_body(src.term(p), tgt.term(p), body)
+    comps = {p: _dec_map_body(src.term(p), tgt.term(p), body)
+             for p, body in _once(((int(p), body) for p, body in rows),
+                                  "chain map component").items()}
     try:
         return cx.ChainMap(src, tgt, comps, validate=True)
     except (ValueError, KeyError) as e:
@@ -336,10 +342,10 @@ def dec_morphism(obj, f, g):
     and g; objects the value omits get zero maps."""
     from . import complexes as cx
     _file_field(obj, f.field)
-    comps = {}
-    for i, rows in obj["components"]:
-        i = dec_label(i)
-        comps[i] = _dec_chain_map_body(f.value(i), g.value(i), rows)
+    comps = {i: _dec_chain_map_body(f.value(i), g.value(i), rows)
+             for i, rows in _once(((dec_label(i), rows)
+                                   for i, rows in obj["components"]),
+                                  "morphism component").items()}
     for i in f.shape.objects:
         if i not in comps:
             comps[i] = cx.zero_chain_map(f.value(i), g.value(i))
@@ -395,13 +401,14 @@ def dec_incoherent(obj, field=None):
     except (KeyError, TypeError) as e:
         raise FormatError("bad incoherent diagram: %s" % (e,))
     witnesses = {}
-    for row in obj.get("witnesses", []):
-        a, b, hrows = dec_label(row[0]), dec_label(row[1]), row[2]
+    rows = (((dec_label(row[0]), dec_label(row[1])), row[2])
+            for row in obj.get("witnesses", []))
+    for (a, b), hrows in _once(rows, "witness").items():
         src = values[icat.tgt[b]]
         tgt = values[icat.src[a]]
-        comps = {int(p): _dec_map_body(src.term(int(p)),
-                                       tgt.term(int(p) - 1), body)
-                 for p, body in hrows}
+        comps = {p: _dec_map_body(src.term(p), tgt.term(p - 1), body)
+                 for p, body in _once(((int(p), body) for p, body in hrows),
+                                      "witness component").items()}
         witnesses[(a, b)] = cx.Homotopy(src, tgt, comps)
     d = co.IncoherentDiagram(icat, base, values, maps,
                              witnesses=witnesses or None)

@@ -296,7 +296,8 @@ def test_memos_stay_bounded_over_der7(capsys):
                  if m.cache_info().maxsize is None}
     assert unbounded == set()
     for name in ("linalg.zeros", "presheaf.zero_presheaf",
-                 "presheaf.zero_map", "presheaf.free_at", "diagram.product",
+                 "presheaf.zero_map", "presheaf.free_at", "presheaf.free_sum",
+                 "diagram.product",
                  "diagram.square", "diagram.opposite",
                  "complexes.proj_resolution", "presheaf.hom_basis"):
         assert memos[name].cache_info().hits > 0, name
@@ -418,6 +419,99 @@ def test_lift_map_rejects_malformed_morphism_file(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _repeat_inputs(tmp_path):
+    """Files for kan, lift, resolve and lift-map, each read back by its
+    command with exit 0: a Δ1 → Δ2 functor, incoherent diagrams over Δ2
+    (it has witness rows) and over Δ1 with a morphism file, and a
+    two-term complex over Δ1."""
+    d1, d2 = diagram.delta(1), diagram.delta(2)
+    p0, p1 = ps.free_at(F2, d1, 1, 0), ps.free_at(F2, d1, 1, 1)
+    x = cx.Complex(F2, d1, {0: p1, 1: p0},
+                   {0: ps.free_map_to(p1, p0, [Matrix.identity(F2, 1)])})
+    se.save(tmp_path / "x.json", x)
+    se.save(tmp_path / "u.json", diagram.functor_by_objects(d1, d2,
+                                                            {0: 1, 1: 2}))
+    d, dp = small_incoherent(tmp_path)
+    se.save(tmp_path / "m.json", {i: cx.identity_chain_map(d.value(i))
+                                  for i in d.shape.objects})
+    se.save(tmp_path / "d2.json", co.dia(gen.rand_honest(
+        gen.rng_for(35), F2, d2, d1, max_parts=1)))
+    return {"kan": ["kan", "x.json", "--dir", "left", "--functor",
+                    "u.json"],
+            "lift": ["lift", "d2.json"],
+            "resolve": ["resolve", "x.json"],
+            "lift-map": ["lift-map", "--source", "d.json", "--target",
+                         "d.json", "--map", "m.json"]}
+
+
+def _last_value_body(doc):
+    return doc["values"][-1][1]
+
+
+REPEATED_ROWS = [
+    # (command, file, edit, what the error names); each edit puts a row
+    # for a key that the file lists again later, so a decoder keeping the
+    # last row would read the file as it was
+    ("kan", "u.json", lambda doc: doc["objects"].insert(0, [0, 0]),
+     "object image at 0 listed twice"),
+    ("kan", "u.json", lambda doc: doc["arrows"].insert(0, ["id@0", "2>1"]),
+     "arrow image at 'id@0' listed twice"),
+    ("resolve", "x.json",
+     lambda doc: doc["terms"][0][1]["dims"].insert(0, [0, 2]),
+     "dimension at 0 listed twice"),
+    ("resolve", "x.json",
+     lambda doc: doc["terms"].insert(0, [1, doc["terms"][0][1]]),
+     "term at 1 listed twice"),
+    ("resolve", "x.json", lambda doc: doc["diffs"].insert(0, [0, [
+        [0, {"rows": 1, "cols": 0, "entries": [[]]}],
+        [1, {"rows": 1, "cols": 1, "entries": [["0"]]}]]]),
+     "differential at 0 listed twice"),
+    ("resolve", "x.json",
+     lambda doc: doc["diffs"][0][1].insert(0, [1, {
+         "rows": 1, "cols": 1, "entries": [["0"]]}]),
+     "component at 1 listed twice"),
+    ("lift-map", "m.json",
+     lambda doc: doc["components"].insert(0, doc["components"][-1]),
+     "morphism component at 1 listed twice"),
+    ("lift-map", "m.json",
+     lambda doc: doc["components"][-1][1].insert(
+         0, doc["components"][-1][1][0]),
+     "chain map component at 0 listed twice"),
+    ("lift-map", "d.json",
+     lambda doc: _last_value_body(doc)["terms"].insert(
+         0, _last_value_body(doc)["terms"][0]),
+     "term at 0 listed twice"),
+    ("lift", "d2.json",
+     lambda doc: doc["witnesses"].append(doc["witnesses"][0]),
+     "witness at"),
+]
+
+
+@pytest.mark.parametrize("command, name, edit, says", REPEATED_ROWS,
+                         ids=["functor-object", "functor-arrow",
+                              "presheaf-dims", "complex-term", "complex-diff",
+                              "map-component", "morphism-component",
+                              "chain-map-component", "incoherent-value-term",
+                              "witness"])
+def test_a_repeated_row_is_input_error(tmp_path, capsys, monkeypatch,
+                                       command, name, edit, says):
+    # a file that gives one key twice is refused whichever row comes
+    # first; keeping the last would drop the other unchecked
+    monkeypatch.chdir(tmp_path)
+    argv = _repeat_inputs(tmp_path)[command]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    path = tmp_path / name
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    code = cli.main(argv)
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error:") and out.err.count("\n") == 1
+    assert says in out.err
 
 
 @pytest.mark.parametrize("modulus, code", [

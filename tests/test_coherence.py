@@ -7,8 +7,10 @@ from dercat.linalg import Field, Matrix
 from dercat import diagram
 from dercat import presheaf as ps
 from dercat import complexes as cx
+from dercat import derivator as dv
 from dercat import coherence as co
 from dercat import generators as gen
+from dercat import serialize as se
 
 F2 = Field("prime", 2)
 F3 = Field("prime", 3)
@@ -275,3 +277,101 @@ def test_lift_of_diagram_perturbed_by_a_boundary(field):
     for n in range(min(lift.lo, strict.lo), max(lift.hi, strict.hi) + 1):
         assert cx.homology_dims(lift, n) == cx.homology_dims(strict, n)
 
+
+# --- answers do not depend on what the memos hold ----------------------------
+
+
+def _clear_memos():
+    for mod in (diagram, ps, cx, dv, co):
+        for v in vars(mod).values():
+            if hasattr(v, "cache_clear"):
+                v.cache_clear()
+
+
+def _history_inputs():
+    """Fresh inputs, equal on every call: pairs of complexes for Ext
+    tables, incoherent diagrams to lift and squares for δ classes."""
+    r = gen.rng_for(38)
+    d1 = diagram.delta(1)
+    ext_pairs, diagrams, squares = [], [], []
+    for field in (F5, QQ):
+        shape = gen.rand_poset(r, 4)
+        xs = [cx.stalk(gen.rand_presheaf(r, field, shape, max_parts=3))
+              for _ in range(2)] + [gen.rand_complex(r, field, shape, lo=-1,
+                                                     hi=1, max_parts=2)]
+        ext_pairs += [(x, y) for x in xs for y in xs]
+    for field in (F2, F3):
+        diagrams.append(gen.rand_incoherent(r, field, d1, d1, 1))
+    for field in (F2, F3):
+        base = gen.rand_poset(r, 2)
+        squares.append(gen.conflation_square(
+            gen.rand_conflation(r, field, base, max_parts=1), base))
+        squares.append(gen.conflation_square(_nonsplit(field), d1))
+    return ext_pairs, diagrams, squares
+
+
+def _nonsplit(field):
+    """S_1 ↣ P_0 ↠ S_0 over Δ1, whose δ class is not zero."""
+    d1 = diagram.delta(1)
+    p0 = ps.free_at(field, d1, 1, 0)
+    s0, s1 = (ps.Presheaf(field, d1, {0: int(i == 0), 1: int(i == 1)},
+                          {"1>0": Matrix.zeros(field, int(i == 1),
+                                               int(i == 0))}, validate=True)
+              for i in (0, 1))
+    one = Matrix.identity(field, 1)
+    return ps.Conflation(
+        ps.PresheafMap(s1, p0, {0: Matrix.zeros(field, 1, 0), 1: one}),
+        ps.PresheafMap(p0, s0, {0: one, 1: Matrix.zeros(field, 0, 1)}))
+
+
+def _history_answers(kinds):
+    """{(kind, k): answer} over fresh inputs, the kinds in the given order
+    and each kind's inputs in reverse when its name is prefixed by -."""
+    ext_pairs, diagrams, squares = _history_inputs()
+
+    def ext_table(pair):
+        x, y = pair
+        table = []
+        for n in range(3):
+            dim, reps = cx.ext(x, y, n)
+            table.append((dim, [(se.encode(f.source), se.encode(f.target), [
+                (p, [f.comp(p).comps[o].entries for o in x.shape.objects])
+                for p in sorted(f.comps)]) for f in reps]))
+        return table
+
+    def lift(d):
+        lifted, cert = co.lift_object(d)
+        return se.encode(lifted), cert.verify()
+
+    def delta(sq):
+        tri = dv.standard_triangle(sq)
+        return tri.delta_class, tri.cone_class
+
+    work = {"ext": (ext_pairs, ext_table), "lift": (diagrams, lift),
+            "delta": (squares, delta)}
+    out = {}
+    for kind in kinds:
+        items, answer = work[kind.lstrip("-")]
+        order = range(len(items))
+        for k in (reversed(order) if kind.startswith("-") else order):
+            out[(kind.lstrip("-"), k)] = answer(items[k])
+    return out
+
+
+def test_answers_do_not_depend_on_what_the_memos_hold():
+    # Ext tables with their representatives, lifts and δ classes are the
+    # same with every memo cold, warm, or warmed in another order; free
+    # sums, and the fibres kept on the complexes memos hold, are among
+    # what is warm
+    _clear_memos()
+    cold = _history_answers(["ext", "lift", "delta"])
+    assert sum(dim for k in cold if k[0] == "ext" for dim, _ in cold[k]) > 0
+    assert all(cold[k][1] for k in cold if k[0] == "lift")
+    assert any(cold[k][0] for k in cold if k[0] == "delta")
+    assert ps.free_sum.cache_info().currsize > 0
+    assert _history_answers(["ext", "lift", "delta"]) == cold
+    assert _history_answers(["-delta", "-lift", "-ext"]) == cold
+    _clear_memos()
+    assert _history_answers(["-delta", "-lift", "-ext"]) == cold
+    _clear_memos()
+    assert _history_answers(["lift", "-ext", "delta"]) == cold

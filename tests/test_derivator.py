@@ -149,9 +149,8 @@ SQUARE_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 def _cone_route(x, icat, corners):
     """The verdict read off the restricted corner fibres: whether
     diag(h, k) : cone(f) → cone(g) is a quasi-isomorphism."""
-    fibers = dv.Fibers(x)
     c00, c01, c10, c11 = corners
-    f, g, h, k = (fibers.structure_map(icat.hom(b, a)[0]) for a, b in (
+    f, g, h, k = (dv.structure_map(x, icat.hom(b, a)[0]) for a, b in (
         (c00, c01), (c10, c11), (c00, c10), (c01, c11)))
     phi = cx.termwise_map(cx.cone(f), cx.cone(g), lambda p, o: (
         linalg.direct_sum(h.comp(p + 1).comps[o], k.comp(p).comps[o])))
@@ -323,6 +322,46 @@ def test_standard_triangle_random_conflations():
         assert tri.matches_cone
 
 
+def test_each_fibre_is_restricted_once_and_shared(monkeypatch):
+    # one restriction per (complex, object), however often fiber_complex,
+    # structure_map and point_restriction read it, and point_restriction
+    # maps between those same fibres
+    restricted = []
+    restrict = cx.restrict_complex
+
+    def counted(u, x):
+        restricted.append((id(x), next(iter(u.obj_map.values()))[0]))
+        return restrict(u, x)
+    monkeypatch.setattr(cx, "restrict_complex", counted)
+    r = gen.rng_for(37)
+    icat, base = diagram.delta(2), gen.rand_poset(r, 3)
+    prod = diagram.product(icat, base)
+    for field in (F2, F3, QQ):
+        x = gen.rand_complex(r, field, prod, lo=-1, hi=1, max_parts=2)
+        p, rho = cx.proj_resolution(x)
+        assert p is not x
+        del restricted[:]
+        maps = {}
+        for i in icat.objects:
+            fiber = dv.fiber_complex(x, i)
+            assert dv.fiber_complex(x, i) is fiber
+            m = maps[i] = dv.point_restriction(rho, i)
+            assert m.target is fiber and m.source is dv.fiber_complex(p, i)
+            assert dv.point_restriction(rho, i).source is m.source
+        for a in icat.nonidentity_arrows():
+            s = dv.structure_map(x, a)
+            assert s.source is dv.fiber_complex(x, icat.tgt[a])
+            assert s.target is dv.fiber_complex(x, icat.src[a])
+            assert dv.structure_map(x, a) == s
+        assert sorted(restricted) == sorted(
+            (id(y), i) for y in (x, p) for i in icat.objects)
+        for i, m in maps.items():
+            u = dv.fiber_functor(prod, i)
+            src, tgt = restrict(u, p), restrict(u, x)
+            assert m.target == tgt and m.source == src
+            assert m == cx.restrict_chain_map(u, rho, src, tgt)
+
+
 def test_structure_chain_map_composition():
     r = gen.rng_for(9)
     prod = diagram.product(diagram.delta(2), diagram.delta(1))
@@ -331,6 +370,5 @@ def test_structure_chain_map_composition():
     a10 = d2.hom(1, 0)[0]
     a21 = d2.hom(2, 1)[0]
     a20 = d2.hom(2, 0)[0]
-    fibers = dv.Fibers(x)
-    lhs = fibers.structure_map(a21).compose(fibers.structure_map(a10))
-    assert lhs == dv.Fibers(x).structure_map(a20)
+    lhs = dv.structure_map(x, a21).compose(dv.structure_map(x, a10))
+    assert lhs == dv.structure_map(x, a20)

@@ -423,10 +423,82 @@ def _check_ext_coordinates(r, x, y, n, hc, ref):
     return dim
 
 
+def _block_diagonal_free(field, shape, parts):
+    """⊕_k V_k ⊗ i_k written out at every non-identity arrow a : x → y:
+    the basis of the fibre at x is (k, g, t) for g ∈ hom(x, i_k) and
+    t < v_k, and F(a) sends (k, h, t), h ∈ hom(y, i_k), to (k, h∘a, t)."""
+    def basis(x):
+        return [(k, g, t) for k, (v, i) in enumerate(parts)
+                for g in shape.hom(x, i) for t in range(v)]
+    dims = {x: len(basis(x)) for x in shape.objects}
+    action = {}
+    for a in shape.nonidentity_arrows():
+        rows, cols = basis(shape.src[a]), basis(shape.tgt[a])
+        action[a] = Matrix(field, len(rows), len(cols), [
+            [field.one if (k, g, t) == (l, shape.compose(h, a), u)
+             else field.zero for l, h, u in cols] for k, g, t in rows]) \
+            if rows and cols else Matrix.zeros(field, len(rows), len(cols))
+    return ps.Presheaf(field, shape, dims, action, validate=True)
+
+
 def _presented(p):
-    """The direct sum of the free_at of p's recorded parts."""
-    return ps.direct_sum_many(p.field, p.shape, [
-        ps.free_at(p.field, p.shape, v, i) for v, i in p.free_parts])
+    """The free presheaf of p's recorded parts, built entry by entry."""
+    return _block_diagonal_free(p.field, p.shape, p.free_parts)
+
+
+@pytest.mark.parametrize("field", [F2, F5, Field("rationals")], ids=repr)
+def test_free_sum_is_the_block_diagonal_sum_of_its_parts(field):
+    # built with the generators' matrices only, like every constructor
+    ps.free_at.cache_clear()
+    ps.free_sum.cache_clear()
+    r = gen.rng_for(35)
+    built = set()
+    for shape in [gen.rand_poset(r, 4) for _ in range(5)] + \
+            [_parallel_quiver()]:
+        objs = shape.objects
+        for n in (0, 1, 2, 3, 5):
+            parts = tuple((r.randint(0, 2), r.choice(objs)) for _ in range(n))
+            f = ps.free_sum(field, shape, parts)
+            if parts and (shape, parts) not in built:
+                assert set(f._acts) == set(shape.indecomposable_arrows())
+            built.add((shape, parts))
+            ref = _block_diagonal_free(field, shape, parts)
+            assert f.free_parts == parts and f.field == field
+            assert f == ref and dict(f.action) == dict(ref.action)
+            f.validate()
+        assert ps.free_sum(field, shape, ()) is ps.zero_presheaf(field, shape)
+        assert ps.zero_presheaf(field, shape).free_parts == ()
+    with pytest.raises(ValueError, match="unknown object"):
+        ps.free_sum(field, shape, ((1, objs[0]), (1, "nowhere")))
+
+
+@pytest.mark.parametrize("field", [F2, F5, Field("rationals")], ids=repr)
+def test_equal_free_parts_give_one_object(field):
+    # free_at, direct sums of free summands, transports, extensions by
+    # zero and decoded files all hand out the shared free_sum
+    r = gen.rng_for(36)
+    shape = gen.rand_poset(r, 4)
+    objs = shape.objects
+    parts = ((2, objs[0]), (1, objs[-1]), (1, objs[0]))
+    f = ps.free_sum(field, shape, parts)
+    assert f is ps.free_sum(field, shape, tuple(list(parts)))
+    assert ps.free_at(field, shape, 2, objs[0]) is \
+        ps.free_sum(field, shape, parts[:1])
+    frees = [ps.free_at(field, shape, v, i) for v, i in parts]
+    assert ps.direct_sum_many(field, shape, frees) is f
+    assert ps.direct_sum(ps.direct_sum_many(field, shape, frees[:2]),
+                         frees[2]) is f
+    assert ps.direct_sum_many(field, shape, []) is \
+        ps.zero_presheaf(field, shape)
+    assert dv.transport_presheaf(diagram.identity_functor(shape), f) is f
+    assert se.decode(se.encode(f)) is f
+    assert ps.free_cover(f)[0] is ps.free_sum(field, shape, tuple(
+        (sum(v for v, j in parts if j == i), i)
+        for i in objs if any(j == i for _, j in parts)))
+    # a presheaf equal to f without recorded parts is not f
+    plain = ps.Presheaf(field, shape, f.dims, f.action)
+    assert plain == f and plain.free_parts is None
+    assert ps.direct_sum_many(field, shape, [plain]) is not f
 
 
 @pytest.mark.parametrize("field", [F2, Field("rationals")], ids=("F2", "Q"))
@@ -719,7 +791,8 @@ def test_resolution_steps_take_no_direct_sum(monkeypatch):
 def _routes(r, field, shape):
     """Builders of presheaves, one for each constructor that builds
     generators only and one that reads a file; each call builds afresh,
-    except free_at's memo.  The last four build equal presheaves."""
+    except the free_at and free_sum memos.  The last four build equal
+    presheaves."""
     objs = shape.objects
     sub, incl = diagram.full_subcategory(shape, objs[1:])
 
@@ -751,13 +824,26 @@ def test_presheaves_store_their_generators_only(field):
     # composite's once, on first read, as the product along its
     # factorization, and equals every presheaf with the same generators
     r = gen.rng_for(31)
-    ps.free_at.cache_clear()
     for shape in ACTION_SHAPES:
-        built = [build() for build in _routes(r, field, shape)]
-        for f in built:
+        routes = _routes(r, field, shape)
+        decoded = len(routes) - 3
+        built = []
+        for k, build in enumerate(routes):
+            # with the memos cold, so no route sees composites that an
+            # earlier route or check read off a shared free presheaf
+            ps.free_at.cache_clear()
+            ps.free_sum.cache_clear()
+            f = build()
+            built.append(f)
             cat = f.shape
             gens = cat.indecomposable_arrows()
-            assert set(f._acts) == set(gens)
+            if k == decoded:
+                # the file decodes to the shared free_sum of its parts, the
+                # presheaf the encoder wrote, whose every composite it read
+                assert f is ps.free_sum(field, cat, f.free_parts)
+                assert set(gens) <= set(f._acts)
+            else:
+                assert set(f._acts) == set(gens)
             assert list(f.action) == list(cat.nonidentity_arrows())
             assert len(f.action) == len(cat.nonidentity_arrows())
             for c, g, a in cat.factorizations():
