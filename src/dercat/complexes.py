@@ -11,7 +11,7 @@ from collections.abc import Sequence
 from types import MappingProxyType
 
 from . import linalg
-from .linalg import Matrix
+from .linalg import Matrix, block_rows, negated
 from . import diagram
 from . import presheaf as ps
 
@@ -334,48 +334,55 @@ def homology(x, p):
     return h
 
 
-def _is_exact(lo, hi, dim, diff):
+def _is_exact(field, lo, hi, dim, rows):
     """Whether the complex of vector spaces with dimension dim(p) and
-    differential diff(p) : p → p+1 in degrees lo..hi (zero outside) is
-    exact.  Ranks each differential once and stops at the first nonzero
+    differential p → p+1 with rows rows(p) in degrees lo..hi (zero
+    outside) is exact.  Ranks each differential between nonzero spaces
+    once, in place by linalg.rank_of_rows, and stops at the first nonzero
     homology."""
-    prev = 0
+    prev, here_dim = 0, dim(lo)
     for p in range(lo, hi + 1):
-        here = linalg.rank(diff(p)) if p < hi else 0
-        if dim(p) != here + prev:
+        next_dim = dim(p + 1) if p < hi else 0
+        here = linalg.rank_of_rows(field, rows(p), here_dim) \
+            if here_dim and next_dim else 0
+        if here_dim != here + prev:
             return False
-        prev = here
+        prev, here_dim = here, next_dim
     return True
 
 
 def is_acyclic(x):
     diffs = [x.diff(p) for p in range(x.lo, x.hi)]
-    return all(_is_exact(x.lo, x.hi, lambda p: x.term(p).dims[o],
-                         lambda p: diffs[p - x.lo].comps[o])
+    return all(_is_exact(x.field, x.lo, x.hi, lambda p: x.term(p).dims[o],
+                         lambda p: list(diffs[p - x.lo].comps[o].entries))
                for o in x.shape.objects)
 
 
 def is_quasi_iso(f):
     """Whether f is a quasi-isomorphism, i.e. cone(f) is acyclic, decided
-    object by object from the cone's blocks without building the cone."""
+    object by object from the rows of the cone's differential, [d_X | 0]
+    over [f | d_Y], written from the blocks of f and its ends: no cone,
+    zero block or block matrix is built.  The sign of −d_X does not change
+    ranks."""
     x, y = f.source, f.target
     field = x.field
-    lo = min(x.lo - 1, y.lo)
-    hi = max(x.hi - 1, y.hi)
-    dx = {p: x.diff(p + 1) for p in range(lo, hi)}
-    dy = {p: y.diff(p) for p in range(lo, hi)}
-    fp = {p: f.comp(p + 1) for p in range(lo, hi)}
+    lo, hi = min(x.lo - 1, y.lo), max(x.hi - 1, y.hi)
+    # C^p = X^{p+1} ⊕ Y^p, its dimensions at each object
+    xd = {p: x.term(p + 1).dims for p in range(lo, hi + 2)}
+    yd = {p: y.term(p).dims for p in range(lo, hi + 2)}
 
-    def block(p, o):
-        # d_C = [[−d_X, 0], [f, d_Y]]; the sign of −d_X does not change ranks
-        d = dx[p].comps[o]
-        return linalg.block(field, [
-            [d, Matrix.zeros(field, d.rows, dy[p].comps[o].cols)],
-            [fp[p].comps[o], dy[p].comps[o]]])
+    def rows(p, o):
+        dx, fo, dy = (m if m is None else m.comps[o] for m in (
+            x.diffs.get(p + 1), f.comps.get(p + 1), y.diffs.get(p)))
+        xs, ys, xt, yt = xd[p][o], yd[p][o], xd[p + 1][o], yd[p + 1][o]
+        pad = (field.zero,) * ys
+        out = [r + pad for r in block_rows(field, dx, xt, xs)]
+        out += [r + s for r, s in zip(block_rows(field, fo, yt, xs),
+                                      block_rows(field, dy, yt, ys))]
+        return out
 
-    return all(_is_exact(lo, hi,
-                         lambda p: x.term(p + 1).dims[o] + y.term(p).dims[o],
-                         lambda p: block(p, o))
+    return all(_is_exact(field, lo, hi, lambda p: xd[p][o] + yd[p][o],
+                         lambda p: rows(p, o))
                for o in x.shape.objects)
 
 
@@ -494,17 +501,23 @@ class _Slots(dict):
 
 class _Deltas(dict):
     """Degree n ↦ the matrix of δ : Hom^n → Hom^{n+1} in slot coordinates,
-    built on first access."""
+    built on first access; rank(n) is its rank, taken once."""
 
-    __slots__ = ("slots",)
+    __slots__ = ("slots", "ranks")
 
     def __init__(self, slots):
         super().__init__()
         self.slots = slots
+        self.ranks = {}
 
     def __missing__(self, n):
         self[n] = m = self._matrix(n)
         return m
+
+    def rank(self, n):
+        if n not in self.ranks:
+            self.ranks[n] = linalg.rank(self[n])
+        return self.ranks[n]
 
     def _matrix(self, n):
         slots = self.slots
@@ -580,11 +593,15 @@ class HomComplex:
     deterministic hom_space bases slot by slot.  When every term of X is
     recorded free, the slots are Yoneda charts and δ is read off the values
     of the basis maps at the generators, without building, composing or
-    coordinatizing a basis map; otherwise each basis map is composed with
-    the differentials and the composites are coordinatized again.  Both
-    give the same matrices.  Slots and boundary matrices are built per
-    degree on first use, by tables that hold X and Y but not the Hom
-    complex, so a Hom complex is freed as soon as it is dropped.
+    coordinatizing a basis map, and a map's coordinates are read off its
+    values there too; otherwise each basis map is composed with the
+    differentials and the composites are coordinatized again.  Both give
+    the same matrices.  Slots, boundary matrices and their ranks (which
+    ext reads) are built per degree on first use, by tables that hold X
+    and Y but not the Hom complex, so a Hom complex is freed as soon as it
+    is dropped.  Maps out of its Hom^0, as lift_through_qis and
+    extend_along_qis need, are read off the same charts (see
+    _transfer_matrix).
     """
 
     def __init__(self, x, y):
@@ -651,8 +668,7 @@ def ext(x, y, n):
         raise ValueError("complexes live in different categories")
     p, _ = proj_resolution(x)
     hc = hom_complex(p, y)
-    dn = hc.delta[n]
-    dim = dn.cols - linalg.rank(dn) - linalg.rank(hc.delta[n - 1])
+    dim = hc.delta[n].cols - hc.delta.rank(n) - hc.delta.rank(n - 1)
     return dim, _Representatives(dim, lambda: representatives(hc, p, y, n))
 
 
@@ -764,56 +780,82 @@ def homotopy_solve(f, g=None):
     return Homotopy(f.source, f.target, comps)
 
 
-def _solve_transfer(hm, hh, transfer, target):
+def _transfer_matrix(hm, hh, compose, blocks):
+    """The matrix of T : Hom^0 of hm → Hom^0 of hh, as rows.  When the
+    sources of both are termwise recorded free, T is read off their charts
+    as _Deltas reads δ: blocks(p, chart, into) gives the blocks of T from
+    slot p of hm to slot p of hh, so no basis map is built.  Otherwise
+    each basis map m of slot p is sent to compose(p, m) and coordinatized
+    in hh."""
+    field = hm.field
+    rows, cols = hh._slot_dim(0), hm._slot_dim(0)
+    out = [[field.zero] * cols for _ in range(rows)]
+    if hm.slots.free and hh.slots.free:
+        into = dict(hh.slots[0])
+        for p, space in hm.slots[0]:
+            if p in into:
+                _add_blocks(out, hh.offsets[0][p], hm.offsets[0][p],
+                            blocks(p, space, into[p]), field.one)
+        return out
+    col = 0
+    for p, space in hm.slots[0]:
+        for elem in space:
+            v = hh.coords_of(0, {p: compose(p, elem)})
+            if v is None:
+                raise AssertionError("composite misses the Hom basis")
+            for row, (c,) in zip(out, v.entries):
+                row[col] = c
+            col += 1
+    return out
+
+
+def _solve_transfer(hm, hh, target, compose, blocks):
     """Solve δ(m) = 0 and T(m) − δ(h) = target for m ∈ Hom^0 of hm and
-    h ∈ Hom^{-1} of hh, where T(m) = transfer(deg, m_deg) lands in Hom^0
-    of hh.  Returns the components ({deg: map} of m, of h) or None."""
+    h ∈ Hom^{-1} of hh, where T : Hom^0 of hm → Hom^0 of hh sends m to
+    compose(p, m_p) slot by slot; blocks reads the same map off the charts
+    (see _transfer_matrix).  The system [[δ⁰, 0], [T, −δ⁻¹]] is written
+    row by row from the matrices of the two Hom complexes, with its block
+    shapes checked against their dimensions.  Returns the components
+    ({deg: map} of m, of h) or None."""
     field = hm.field
     nm = hm._slot_dim(0)
     nh = hh._slot_dim(-1)
-    basis_elems = [(deg, elem) for deg, basis in sorted(hm.slots[0])
-                   for elem in basis]
-    t_cols = []
-    for deg, elem in basis_elems:
-        v = hh.coords_of(0, {deg: transfer(deg, elem)})
-        if v is None:
-            raise AssertionError("composite misses the Hom basis")
-        t_cols.append(v)
-    tmat = linalg.hstack(field, t_cols) if t_cols else \
-        Matrix.zeros(field, hh._slot_dim(0), 0)
-    d0 = hm.delta[0]
-    dm1 = hh.delta[-1]
+    tmat = _transfer_matrix(hm, hh, compose, blocks)
     rhs_t = hh.coords_of(0, dict(target.comps))
     if rhs_t is None:
         return None
-    system = linalg.block(field, [
-        [d0, Matrix.zeros(field, d0.rows, nh)],
-        [tmat, -dm1]])
-    rhs = linalg.vstack(field, [Matrix.zeros(field, d0.rows, 1), rhs_t])
+    d0 = hm.delta[0]
+    z = field.zero
+    pad = (z,) * nh
+    rows = [r + pad for r in block_rows(field, d0, d0.rows, nm)]
+    rows += [tuple(t) + negated(field, r) for t, r in zip(
+        tmat, block_rows(field, hh.delta[-1], len(tmat), nh))]
+    height, width = len(rows), nm + nh
+    system = Matrix(field, height, width, rows) if height and width else \
+        Matrix.zeros(field, height, width)
+    rhs = Matrix(field, height, 1, [(z,)] * d0.rows + list(rhs_t.entries)) \
+        if height else Matrix.zeros(field, 0, 1)
     sol = linalg.solve(system, rhs)
     if sol is None:
         return None
-    comps = {}
-    for k, (deg, elem) in enumerate(basis_elems):
-        c = sol.entries[k][0]
-        if c == field.zero:
-            continue
-        add = elem.scale(c)
-        comps[deg] = comps.get(deg) + add if deg in comps else add
-    hvec = sol.submatrix(range(nm, nm + nh), range(1))
-    return comps, hh.element_of(-1, hvec)
+    return (hm.element_of(0, sol.submatrix(range(nm), range(1))),
+            hh.element_of(-1, sol.submatrix(range(nm, nm + nh), range(1))))
 
 
 def lift_through_qis(g, s):
     """Given g : P → B and a quasi-isomorphism s : A → B with P a complex
     of projectives, find g' : P → A and a homotopy h with s∘g' ≃ g.
+    The transfer m ↦ s∘m is read off the charts by post-composition when
+    P is termwise recorded free.
 
     Returns (g', h) or None (None cannot happen under the stated
     hypotheses; callers treat it as an invariant violation).
     """
     p, a, b = g.source, s.source, s.target
-    solved = _solve_transfer(hom_complex(p, a), hom_complex(p, b),
-                             lambda deg, elem: s.comp(deg).compose(elem), g)
+    solved = _solve_transfer(
+        hom_complex(p, a), hom_complex(p, b), g,
+        lambda deg, elem: s.comp(deg).compose(elem),
+        lambda deg, chart, into: chart.post_blocks(into, s.comp(deg)))
     if solved is None:
         return None
     gp = ChainMap(p, a, solved[0])
@@ -830,12 +872,16 @@ def extend_along_qis(alpha, iota):
 
     Dual counterpart of lift_through_qis (post- instead of pre-composition);
     ι is a homotopy equivalence under the stated hypotheses, so a solution
-    exists.  Returns (q, h) or None.
+    exists.  The transfer m ↦ m∘ι is read off the charts by
+    pre-composition when A and B are termwise recorded free.  Returns
+    (q, h) or None.
     """
     a_cx, b_cx, c_cx = iota.source, iota.target, alpha.target
-    solved = _solve_transfer(hom_complex(b_cx, c_cx), hom_complex(a_cx, c_cx),
-                             lambda deg, elem: elem.compose(iota.comp(deg)),
-                             alpha)
+    solved = _solve_transfer(
+        hom_complex(b_cx, c_cx), hom_complex(a_cx, c_cx), alpha,
+        lambda deg, elem: elem.compose(iota.comp(deg)),
+        lambda deg, chart, into: chart.pre_blocks(into, iota.comp(deg),
+                                                  a_cx.term(deg)))
     if solved is None:
         return None
     q = ChainMap(b_cx, c_cx, solved[0])

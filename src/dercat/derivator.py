@@ -10,7 +10,7 @@ ones over the opposite shape — one engine, exactness by construction.
 """
 
 from . import linalg
-from .linalg import Matrix
+from .linalg import Matrix, block_rows, negated
 from . import diagram
 from . import presheaf as ps
 from . import complexes as cx
@@ -353,10 +353,15 @@ def _total_cofiber_is_acyclic(x, icat, corners):
     [−f | −d₀₁ | 0 | 0], [h | 0 | −d₁₀ | 0] and [0 | k | g | d₁₁].  Every
     block is the component at (c, o) of a differential of x or the action
     of an arrow (t, id_o) of I × J, so no fibre is restricted and no
-    structure map or cone is built."""
+    structure map or cone is built.  Only ranks are read, and negating a
+    block row keeps the rank, so the rows are written as
+    [f | d₀₁ | 0 | 0], with −d₁₀ the one sign applied, entry by entry,
+    and the zero blocks are padding: no zero, negated or block matrix is
+    built."""
     prod = x.shape
     _, jcat = prod.product_of
     field = x.field
+    z = field.zero
     c00, c01, c10, c11 = corners
     # the map X_a → X_b is the action of the arrow b → a
     f, g, h, k = (icat.hom(b, a)[0] for a, b in (
@@ -367,38 +372,40 @@ def _total_cofiber_is_acyclic(x, icat, corners):
     lo, hi = x.lo - 2, x.hi
 
     def exact_at(o):
-        dims = {q: {c: t.dims[(c, o)] for c in corners}
+        # the dimensions of x^q at the four corners over o
+        none = (0, 0, 0, 0)
+        dims = {q: tuple(t.dims[(c, o)] for c in corners)
                 for q, t in terms.items()}
-
-        def dim(q, c):
-            return dims[q][c] if q in dims else 0
-
-        # the dimensions of the four summands of Tot^p
-        sizes = {p: (dim(p + 2, c00), dim(p + 1, c01), dim(p + 1, c10),
-                     dim(p, c11)) for p in range(lo, hi + 1)}
 
         def diff(q, c):
             d = diffs.get(q)
-            if d is None:
-                return Matrix.zeros(field, dim(q + 1, c), dim(q, c))
-            return d.comps[(c, o)]
+            return block_rows(field,
+                              d if d is None else d.comps[(corners[c], o)],
+                              dims.get(q + 1, none)[c], dims.get(q, none)[c])
 
-        def act(q, arrow):
+        def act(q, arrow, a, b):
             t = terms.get(q)
-            if t is None:
-                return Matrix.zeros(field, 0, 0)
-            return t.act(pairs[(arrow, o)])
+            dq = dims.get(q, none)
+            return block_rows(field, t if t is None else
+                              t.act(pairs[(arrow, o)]), dq[b], dq[a])
 
-        def block(p):
-            grid = [[Matrix.zeros(field, r, c) for c in sizes[p]]
-                    for r in sizes[p + 1]]
-            grid[0][0] = diff(p + 2, c00)
-            grid[1][0], grid[1][1] = -act(p + 2, f), -diff(p + 1, c01)
-            grid[2][0], grid[2][2] = act(p + 2, h), -diff(p + 1, c10)
-            grid[3][1:] = act(p + 1, k), act(p + 1, g), diff(p, c11)
-            return linalg.block(field, grid)
+        def size(p):
+            # the dimensions of the four summands of Tot^p
+            top, mid, low = (dims.get(q, none) for q in (p + 2, p + 1, p))
+            return top[0], mid[1], mid[2], low[3]
 
-        return cx._is_exact(lo, hi, lambda p: sum(sizes[p]), block)
+        def rows(p):
+            a0, a1, a2, a3 = size(p)
+            out = [r + (z,) * (a1 + a2 + a3) for r in diff(p + 2, 0)]
+            out += [r + s + (z,) * (a2 + a3) for r, s in zip(
+                act(p + 2, f, 0, 1), diff(p + 1, 1))]
+            out += [r + (z,) * a1 + negated(field, s) + (z,) * a3
+                    for r, s in zip(act(p + 2, h, 0, 2), diff(p + 1, 2))]
+            out += [(z,) * a0 + r + s + t for r, s, t in zip(
+                act(p + 1, k, 1, 3), act(p + 1, g, 2, 3), diff(p, 3))]
+            return out
+
+        return cx._is_exact(field, lo, hi, lambda p: sum(size(p)), rows)
 
     return all(exact_at(o) for o in jcat.objects)
 
@@ -415,7 +422,8 @@ def is_bicartesian(s):
     [d₀₀ | 0 | 0 | 0], [−f | −d₀₁ | 0 | 0], [h | 0 | −d₁₀ | 0] and
     [0 | k | g | d₁₁].  Those blocks are the matrices of the complex over
     □ × J itself, so no fibre is restricted and no Kan extension, structure
-    map or cone is built."""
+    map or cone is built: each rank is taken of rows written from those
+    blocks (see _total_cofiber_is_acyclic)."""
     x = s.complex if isinstance(s, SquareObject) else s
     return _total_cofiber_is_acyclic(x, diagram.square(),
                                      ((0, 0), (0, 1), (1, 0), (1, 1)))

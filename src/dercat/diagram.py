@@ -17,7 +17,8 @@ cycles through distinct objects.
 
 A category is never changed once the function that builds it returns,
 so the standard shapes, products and opposites are built once and shared
-(each memo keeps at most SHAPE_CACHE_SIZE).  Every memo above linalg is
+(each memo keeps at most SHAPE_CACHE_SIZE), and so are the point
+inclusions and the functors u × id_J.  Every memo above linalg is
 a `memo`, keyed by the arguments and by what their equality ignores,
 their `recorded` structure, so an answer depends on its arguments alone
 and not on which equal value was asked for first.
@@ -595,8 +596,10 @@ def terminal_functor(i):
     return constant_functor(i, terminal_cat(), "*")
 
 
+@memo(SHAPE_CACHE_SIZE)
 def point_inclusion(i, x):
-    """i_x : e → I."""
+    """i_x : e → I, one shared functor per (I, x), so that the memos keyed
+    by functors, which compare by identity, see it as one."""
     e = terminal_cat()
     return DiagFunctor(e, i, {"*": x}, {"id@*": i.identity[x]}, validate=False)
 
@@ -628,8 +631,10 @@ def product_functor(u, v):
     return DiagFunctor(s, t, omap, amap, validate=False)
 
 
+@memo(SHAPE_CACHE_SIZE)
 def times_base(u, j):
-    """u × id_J, used to apply shape-level functors to complexes over I×J."""
+    """u × id_J, used to apply shape-level functors to complexes over I×J;
+    shared like the products, per functor u (by identity) and shape J."""
     return product_functor(u, identity_functor(j))
 
 

@@ -360,10 +360,10 @@ def _rref_prime(rows, cols, field, upward=True):
 
 # --- Q on primitive integer rows ---------------------------------------------
 
-def _integer_rows(m):
-    """Rows of a matrix over Q, each scaled to primitive integers."""
+def _integer_rows(entries):
+    """Rows over Q, each scaled to primitive integers."""
     rows = []
-    for row in m.entries:
+    for row in entries:
         ints, _ = _scaled(row)
         g = gcd(*ints)
         rows.append([v // g for v in ints] if g > 1 else ints)
@@ -421,7 +421,7 @@ def rref(m):
     if not (m.rows and m.cols):
         return Matrix.zeros(f, m.rows, m.cols), ()
     if f.kind == "rationals":
-        rows = _integer_rows(m)
+        rows = _integer_rows(m.entries)
         pivots = _rref_int(rows, m.cols)
         return (Matrix(f, m.rows, m.cols, _unscale(f, rows, pivots, m.cols)),
                 tuple(pivots))
@@ -437,13 +437,25 @@ def pivot_columns(m):
     if not (m.rows and m.cols):
         return ()
     if f.kind == "rationals":
-        return tuple(_rref_int(_integer_rows(m), m.cols, upward=False))
-    return tuple(_rref_prime([list(r) for r in m.entries], m.cols, f,
-                             upward=False))
+        return tuple(_rref_int(_integer_rows(m.entries), m.cols, upward=False))
+    return tuple(_rref_prime(list(m.entries), m.cols, f, upward=False))
 
 
 def rank(m):
     return len(pivot_columns(m))
+
+
+def rank_of_rows(field, rows, cols):
+    """The rank of the matrix with the given rows, each a sequence of cols
+    scalars, without building it: over F_p the list is eliminated in place
+    as pivot_columns eliminates, over Q its rows are first scaled to
+    primitive integers.  No row is changed (elimination replaces rows in
+    the list), so rows may be tuples shared with matrices."""
+    if not (rows and cols):
+        return 0
+    if field.kind == "rationals":
+        return len(_rref_int(_integer_rows(rows), cols, upward=False))
+    return len(_rref_prime(rows, cols, field, upward=False))
 
 
 def kernel_basis(m):
@@ -517,6 +529,25 @@ def solve(a, b):
         for j in range(k):
             x[pc][j] = R.entries[r][n + j]
     return Matrix(f, n, k, x)
+
+
+def block_rows(field, m, height, width):
+    """The rows of one block of a matrix assembled row by row: those of m,
+    checked to be height x width, or height zero rows where m is None."""
+    if m is None:
+        return [(field.zero,) * width] * height
+    if m.rows != height or m.cols != width:
+        raise ValueError("block is %dx%d where %dx%d is assembled"
+                         % (m.rows, m.cols, height, width))
+    return m.entries
+
+
+def negated(field, row):
+    """The row -row, entry by entry."""
+    if field.kind == "rationals":
+        return tuple(-v for v in row)
+    p = field.p
+    return tuple(-v % p for v in row)
 
 
 def block(field, grid):

@@ -835,6 +835,23 @@ class YonedaChart(HomBasis):
                 for j in range(d)]))
         return free_map_to(p, g, values)
 
+    def coordinates(self, phi):
+        """The coordinates of phi, rows[i]·w at block (k, t) for its value
+        w at the generator t of part k, or None if phi is not the map with
+        these values (not natural); no basis map is built."""
+        p = self.source
+        values = free_values_of(phi)
+        if free_map_to(p, self.target, values).comps != phi.comps:
+            return None
+        coords = [None] * len(self)
+        for k, (v, i) in enumerate(p.free_parts):
+            if i in self.rows:
+                c = (self.rows[i] * values[k]).entries
+                for t in range(v):
+                    for j, n in enumerate(self.index[k][t]):
+                        coords[n] = c[j][t]
+        return coords
+
     def post_blocks(self, into, psi):
         """The matrix of ψ ∘ − : Hom(P, G) → Hom(P, G′) from this chart to
         into, the chart of Hom(P, G′), as blocks (rows, columns, m, c):

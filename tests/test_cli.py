@@ -297,7 +297,7 @@ def test_memos_stay_bounded_over_der7(capsys):
     assert unbounded == set()
     for name in ("linalg.zeros", "presheaf.zero_presheaf",
                  "presheaf.zero_map", "presheaf.free_at", "presheaf.free_sum",
-                 "diagram.product",
+                 "diagram.product", "diagram.times_base",
                  "diagram.square", "diagram.opposite",
                  "complexes.proj_resolution", "presheaf.hom_basis"):
         assert memos[name].cache_info().hits > 0, name

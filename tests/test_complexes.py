@@ -604,3 +604,205 @@ def test_suites_build_no_empty_matrix_outside_zeros(monkeypatch, field):
         ok, detail, _ = suite(gen.rng_for(7), field)
         assert ok, (name, detail)
     assert empty == []
+
+
+# --- exactness and lifts read off the matrices held ---------------------------
+
+
+def _block_grid_is_quasi_iso(f):
+    """The reference verdict, assembled as linalg.block grids: each
+    differential [[d_X, 0], [f, d_Y]] of cone(f) at each object is built
+    as one matrix, with its zero block, and ranked by linalg.rank."""
+    x, y = f.source, f.target
+    field = x.field
+    lo, hi = min(x.lo - 1, y.lo), max(x.hi - 1, y.hi)
+    for o in x.shape.objects:
+        prev = 0
+        for p in range(lo, hi + 1):
+            here = 0
+            if p < hi:
+                d, dy = x.diff(p + 1).comps[o], y.diff(p).comps[o]
+                here = linalg.rank(linalg.block(field, [
+                    [d, Matrix.zeros(field, d.rows, dy.cols)],
+                    [f.comp(p + 1).comps[o], dy]]))
+            if x.term(p + 1).dims[o] + y.term(p).dims[o] != here + prev:
+                return False
+            prev = here
+    return True
+
+
+def _random_chain_map(r, field, p, y):
+    """A random chain map p → y: a random cycle of Hom^0(p, y)."""
+    hc = cx.hom_complex(p, y)
+    cycles = linalg.kernel_basis(hc.delta[0])
+    vec = cycles * Matrix(field, cycles.cols, 1,
+                          [[_scalar(r, field)] for _ in range(cycles.cols)])
+    return cx.ChainMap(p, y, hc.element_of(0, vec))
+
+
+def _chain_maps(r, field):
+    """Resolution maps, zero maps, random chain maps and resolution maps
+    perturbed by them, over random posets, with zero terms and zero
+    complexes among the ends."""
+    shape = gen.rand_poset(r, 3)
+    x = gen.rand_complex(r, field, shape, lo=-1, hi=1, max_parts=2)
+    p, rho = cx.proj_resolution(x)
+    zero = cx.zero_complex(field, shape)
+    maps = [rho, cx.zero_chain_map(p, x), cx.zero_chain_map(zero, x),
+            cx.zero_chain_map(x, zero), cx.identity_chain_map(zero)]
+    for _ in range(2):
+        g = _random_chain_map(r, field, p, x)
+        maps += [g, rho + g]
+    return maps
+
+
+@pytest.mark.parametrize("field", [F2, F5, QQ], ids=repr)
+def test_is_quasi_iso_agrees_with_the_block_grid_route(field):
+    r = gen.rng_for(36)
+    verdicts = []
+    for _ in range(12):
+        for f in _chain_maps(r, field):
+            verdict = cx.is_quasi_iso(f)
+            assert verdict == _block_grid_is_quasi_iso(f)
+            verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_exactness_builds_no_block_or_zero_matrix(monkeypatch):
+    r = gen.rng_for(37)
+    maps = [f for field in (F2, F5, QQ) for f in _chain_maps(r, field)]
+    complexes = [cx.cone(f) for f in maps]
+    want = [_block_grid_is_quasi_iso(f) for f in maps]
+    calls = []
+
+    def counting(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+    monkeypatch.setattr(linalg, "block", counting("block", linalg.block))
+    monkeypatch.setattr(Matrix, "zeros",
+                        staticmethod(counting("zeros", Matrix.zeros)))
+    assert [cx.is_quasi_iso(f) for f in maps] == want
+    assert [cx.is_acyclic(c) for c in complexes] == want
+    assert calls == []
+
+
+def _generic_hom_complex(x, y):
+    """A Hom complex that reads nothing off the charts, as one out of a
+    complex that is not termwise recorded free."""
+    hc = cx.HomComplex(x, y)
+    hc.slots.free = False
+    return hc
+
+
+def _free_acyclic(r, field, shape):
+    """cone(id) of a random free complex: acyclic and termwise free."""
+    y = gen.rand_complex(r, field, shape, lo=-1, hi=1, max_parts=2)
+    return cx.cone(cx.identity_chain_map(cx.proj_resolution(y)[0]))
+
+
+def _inclusion(p, e):
+    """The inclusion p → p ⊕ e, a quasi-isomorphism for e acyclic."""
+    s = cx.direct_sum_complex(p, e)
+    field = p.field
+    return cx.termwise_map(p, s, lambda q, o: linalg.vstack(field, [
+        Matrix.identity(field, p.term(q).dims[o]),
+        Matrix.zeros(field, e.term(q).dims[o], p.term(q).dims[o])]))
+
+
+@pytest.mark.parametrize("field", [F2, F5, QQ], ids=repr)
+def test_chart_transfer_matches_the_generic_route(monkeypatch, field):
+    r = gen.rng_for(38)
+    for _ in range(6):
+        shape = gen.rand_poset(r, 3)
+        x = gen.rand_complex(r, field, shape, lo=-1, hi=1, max_parts=2)
+        p, rho = cx.proj_resolution(x)
+        g = rho + _random_chain_map(r, field, p, x)
+        iota = _inclusion(p, _free_acyclic(r, field, shape))
+        for c in (p, iota.target):
+            assert all(c.term(q).free_parts is not None for q in c.degrees())
+        routes = []
+        for hom in (cx.hom_complex, _generic_hom_complex):
+            monkeypatch.setattr(cx, "hom_complex", hom)
+            routes.append((cx.lift_through_qis(g, rho),
+                           cx.extend_along_qis(g, iota)))
+        (lift, ext), (lift_ref, ext_ref) = routes
+        for got, want in ((lift, lift_ref), (ext, ext_ref)):
+            assert got[0] == want[0]
+            assert got[1].comps == want[1].comps
+
+
+@pytest.mark.parametrize("field", [F2, F5, QQ], ids=repr)
+def test_chart_coordinates_match_the_span_check(field):
+    # coordinates read off the values at the generators agree with the
+    # free columns of the naturality system, and both reject a map that
+    # is not natural
+    r = gen.rng_for(39)
+    checked = rejected = 0
+    for _ in range(8):
+        shape = gen.rand_poset(r, 4)
+        src = gen.rand_free(r, field, shape, 3)
+        tgt = gen.rand_presheaf(r, field, shape, 3)
+        chart = ps.hom_basis(src, tgt)
+        assert isinstance(chart, ps.YonedaChart)
+        phi = gen.rand_hom_element(r, field, src, tgt)
+        assert chart.coordinates(phi) == \
+            ps.HomBasis.coordinates(chart, phi)
+        checked += 1
+        x = next((o for o in shape.objects
+                  if src.dims[o] and tgt.dims[o]), None)
+        if x is None:
+            continue
+        comps = dict(phi.comps)
+        m = comps[x]
+        comps[x] = Matrix(field, m.rows, m.cols, [
+            [field.add(v, field.one) if (i, j) == (0, 0) else v
+             for j, v in enumerate(row)] for i, row in enumerate(m.entries)])
+        bad = ps.PresheafMap(src, tgt, comps)
+        want = ps.HomBasis.coordinates(chart, bad)
+        assert chart.coordinates(bad) == want
+        rejected += want is None
+    assert checked == 8 and rejected >= 2
+
+
+def test_a_lift_out_of_a_free_source_builds_no_basis_map(monkeypatch):
+    r = gen.rng_for(40)
+    cases = []
+    for field in (F2, F5, QQ):
+        for _ in range(3):
+            shape = gen.rand_poset(r, 3)
+            x = gen.rand_complex(r, field, shape, lo=-1, hi=1, max_parts=2)
+            p, rho = cx.proj_resolution(x)
+            cases.append((rho + _random_chain_map(r, field, p, x), rho))
+    built = []
+    build = ps.YonedaChart._build_basis
+
+    def counting(self):
+        built.append(self)
+        return build(self)
+    for memo in (ps.hom_basis, cx.hom_complex):
+        memo.cache_clear()
+    monkeypatch.setattr(ps.YonedaChart, "_build_basis", counting)
+    for g, rho in cases:
+        assert cx.lift_through_qis(g, rho) is not None
+    assert built == []
+
+
+def test_ext_ranks_each_boundary_once(monkeypatch):
+    r = gen.rng_for(42)
+    shape = diagram.cube(2)
+    x = gen.rand_complex(r, QQ, shape, lo=-1, hi=1, max_parts=2)
+    y = gen.rand_complex(r, QQ, shape, lo=-1, hi=1, max_parts=2)
+    want = [cx.ext(x, y, n)[0] for n in range(5)]
+    cx.hom_complex.cache_clear()
+    ranked = []
+    rank = linalg.rank
+
+    def counting(m):
+        ranked.append(m)
+        return rank(m)
+    monkeypatch.setattr(linalg, "rank", counting)
+    assert [cx.ext(x, y, n)[0] for n in list(range(5)) * 2] == want * 2
+    # δ⁻¹ … δ⁴, one rank each, however often ext reads them
+    assert len(ranked) == 6

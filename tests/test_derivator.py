@@ -14,6 +14,7 @@ from dercat import generators as gen
 
 F2 = Field("prime", 2)
 F3 = Field("prime", 3)
+F5 = Field("prime", 5)
 QQ = Field("rationals")
 
 
@@ -372,3 +373,99 @@ def test_structure_chain_map_composition():
     a20 = d2.hom(2, 0)[0]
     lhs = dv.structure_map(x, a21).compose(dv.structure_map(x, a10))
     assert lhs == dv.structure_map(x, a20)
+
+
+def _block_grid_total_cofiber(x, icat, corners):
+    """The reference verdict, assembled as linalg.block grids: each Tot
+    differential at each object of J is built as one matrix of zero,
+    negated and given blocks, with block rows [d₀₀ | 0 | 0 | 0],
+    [−f | −d₀₁ | 0 | 0], [h | 0 | −d₁₀ | 0] and [0 | k | g | d₁₁], and
+    ranked by linalg.rank."""
+    prod = x.shape
+    jcat = prod.product_of[1]
+    field = x.field
+    c00, c01, c10, c11 = corners
+    f, g, h, k = (icat.hom(b, a)[0] for a, b in (
+        (c00, c01), (c10, c11), (c00, c10), (c01, c11)))
+    lo, hi = x.lo - 2, x.hi
+    for o in jcat.objects:
+        def dim(q, c):
+            return x.term(q).dims[(c, o)]
+
+        def diff(q, c):
+            return x.diff(q).comps[(c, o)]
+
+        def act(q, arrow):
+            return x.term(q).act(prod.pair_arrow[(arrow, jcat.identity[o])])
+
+        def sizes(p):
+            return (dim(p + 2, c00), dim(p + 1, c01), dim(p + 1, c10),
+                    dim(p, c11))
+        prev = 0
+        for p in range(lo, hi + 1):
+            here = 0
+            if p < hi:
+                grid = [[Matrix.zeros(field, r, c) for c in sizes(p)]
+                        for r in sizes(p + 1)]
+                grid[0][0] = diff(p + 2, c00)
+                grid[1][0], grid[1][1] = -act(p + 2, f), -diff(p + 1, c01)
+                grid[2][0], grid[2][2] = act(p + 2, h), -diff(p + 1, c10)
+                grid[3][1:] = act(p + 1, k), act(p + 1, g), diff(p, c11)
+                here = linalg.rank(linalg.block(field, grid))
+            if sum(sizes(p)) != here + prev:
+                return False
+            prev = here
+    return True
+
+
+@pytest.mark.parametrize("field", [F2, F5, QQ], ids=repr)
+def test_total_cofiber_agrees_with_the_block_grid_route(field):
+    r = gen.rng_for(36)
+    sq, ts = diagram.square(), diagram.twosquare()
+    verdicts = []
+    for k in range(60):
+        base = gen.rand_poset(r, 3)
+        if k % 6 == 0:
+            conf = gen.rand_conflation(r, field, base, max_parts=1)
+            x = gen.conflation_square(conf, base).complex
+        else:
+            x = gen.rand_complex(r, field, diagram.product(sq, base),
+                                 lo=-2, hi=2, max_parts=2)
+        verdict = dv._total_cofiber_is_acyclic(x, sq, SQUARE_CORNERS)
+        assert verdict == _block_grid_total_cofiber(x, sq, SQUARE_CORNERS)
+        verdicts.append(verdict)
+        if k % 12 == 0:
+            p_big = _big_square(x)
+            for cols in ((0, 1), (1, 2), (0, 2)):
+                corners = tuple((a, cols[b]) for a in (0, 1) for b in (0, 1))
+                assert dv._total_cofiber_is_acyclic(p_big, ts, corners) == \
+                    _block_grid_total_cofiber(p_big, ts, corners)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_total_cofiber_builds_no_block_or_zero_matrix(monkeypatch):
+    r = gen.rng_for(37)
+    sq = diagram.square()
+    squares = []
+    for field in (F2, F5, QQ):
+        for _ in range(4):
+            base = gen.rand_poset(r, 3)
+            squares.append(gen.rand_complex(
+                r, field, diagram.product(sq, base), lo=-1, hi=1,
+                max_parts=2))
+        conf = gen.rand_conflation(r, field, base, max_parts=1)
+        squares.append(gen.conflation_square(conf, base).complex)
+    want = [_block_grid_total_cofiber(x, sq, SQUARE_CORNERS)
+            for x in squares]
+    calls = []
+
+    def counting(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+    monkeypatch.setattr(linalg, "block", counting("block", linalg.block))
+    monkeypatch.setattr(Matrix, "zeros",
+                        staticmethod(counting("zeros", Matrix.zeros)))
+    assert [dv.is_bicartesian(x) for x in squares] == want
+    assert calls == []

@@ -433,3 +433,42 @@ def test_pivot_columns_match_rref():
                 [field.of_int(r.choice((0, 0, 1, 2, 3))) for _ in range(cols)]
                 for _ in range(rows)])
             assert linalg.pivot_columns(m) == linalg.rref(m)[1]
+
+
+@pytest.mark.parametrize("field", [F2, F5, QQ], ids=repr)
+def test_rank_of_rows_matches_rank(field):
+    import random
+    r = random.Random(36)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 5), (5, 3), (8, 8),
+              (12, 30), (30, 12)]
+    for rows, cols in shapes * 4:
+        if field == QQ:
+            m = _random_rational(r, rows, cols)
+        else:
+            m = _random_prime(r, field, rows, cols) if rows and cols else \
+                Matrix.zeros(field, rows, cols)
+        entries = m.entries
+        assert linalg.rank_of_rows(field, list(entries), cols) == \
+            linalg.rank(m)
+        # the rows are read, never changed: tuples shared with m stay m's
+        assert m.entries is entries and m == Matrix(field, rows, cols,
+                                                    entries)
+    # zero-width rows, no rows, and rows of zeros
+    assert linalg.rank_of_rows(field, [()] * 3, 0) == 0
+    assert linalg.rank_of_rows(field, [], 5) == 0
+    assert linalg.rank_of_rows(field, [(field.zero,) * 4] * 3, 4) == 0
+    one = field.one
+    assert linalg.rank_of_rows(field, [(one, one), (one, one)], 2) == 1
+
+
+def test_block_rows_check_the_shape_they_are_assembled_at():
+    m = Matrix(F5, 2, 3, [[1, 2, 3], [4, 0, 1]])
+    assert linalg.block_rows(F5, m, 2, 3) is m.entries
+    assert linalg.block_rows(F5, None, 2, 3) == [(0, 0, 0)] * 2
+    assert linalg.block_rows(F5, None, 0, 3) == []
+    for height, width in ((3, 3), (2, 2)):
+        with pytest.raises(ValueError):
+            linalg.block_rows(F5, m, height, width)
+    assert linalg.negated(F5, (1, 0, 4)) == (4, 0, 1)
+    assert linalg.negated(QQ, (Fraction(1, 2), Fraction(0))) == \
+        (Fraction(-1, 2), Fraction(0))

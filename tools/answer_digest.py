@@ -17,7 +17,10 @@ random stream it drew from after the case: a change in what a case draws,
 or in how far a search runs, shows there.  A triangle answers only its
 δ and cone classes, which many squares share, so its digest also reads
 the square it was built from, as serialize.encode writes it.  The `cli`
-line digests the input files and the manifest that cli_manifest writes.
+line digests the input files and the manifest that cli_manifest writes;
+the `cli-out` line runs each manifest command in process through
+dercat.cli.main, in the directory of its files, and digests its exit
+code, its --json report and the bytes of its --out file.
 --each also prints the digest of every op, to find the first one that
 differs.  --check compares the lines with a file of earlier ones and
 exits 1 on a difference.
@@ -28,7 +31,9 @@ and at 12345).  About 6 s for the two default seeds on one core.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import inspect
 import json
 import os
@@ -89,6 +94,34 @@ def cli_digest(workloads, seed):
     return len(manifest), digest.hexdigest()
 
 
+def cli_out_digest(workloads, seed):
+    """Exit code, --json report and --out bytes of each manifest command,
+    in manifest order."""
+    from dercat import cli
+    size = workloads.size_for("cli", OPS["cli"])
+    digest = hashlib.sha256()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        manifest = workloads.cli_manifest(seed, size, workdir)
+        try:
+            os.chdir(workdir)
+            for op in manifest:
+                report = io.StringIO()
+                with contextlib.redirect_stdout(report), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(op["argv"])
+                out = b""
+                if "out" in op["files"]:
+                    with open(op["files"]["out"], "rb") as fh:
+                        out = fh.read()
+                    os.remove(op["files"]["out"])
+                digest.update(b"%d\0%s\0%s\0" % (
+                    code, report.getvalue().encode(), out))
+        finally:
+            os.chdir(cwd)
+    return len(manifest), digest.hexdigest()
+
+
 def digest_lines(seeds, each):
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     import workloads
@@ -106,6 +139,8 @@ def digest_lines(seeds, each):
             yield "%s %d %d %s" % (name, seed, len(ops), total.hexdigest())
         n, d = cli_digest(workloads, seed)
         yield "cli %d %d %s" % (seed, n, d)
+        n, d = cli_out_digest(workloads, seed)
+        yield "cli-out %d %d %s" % (seed, n, d)
 
 
 def main(argv=None):
